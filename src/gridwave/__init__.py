@@ -23,10 +23,7 @@ from .statevector import (MeasurementRecord, StateVector, apply_diagonal_phase,
                           measure_qubit, multi_controlled_x_rotation,
                           pairwise_sum, register_add_sub,
                           swap_particle_registers)
-from .propagator import (StepPlan, attenuation_step, compile_step,
-                         field_phase_step, kinetic_constant,
-                         kinetic_phase_step, nuclear_phase_step,
-                         pairwise_phase_step, propagate, split_step,
+from .propagator import (StepPlan, compile_step, kinetic_constant, propagate,
                          split_step_inverse)
 from .states import (Gaussian, Hydrogen2D, Hydrogen3D, Superposition,
                      antisymmetrize_direct, bhattacharyya, discretize,

@@ -56,14 +56,14 @@ def pick_core_window(box, n_l: int) -> int:
     return int(np.ceil(box.origin_offset - (1 << (n_l - 1))))
 
 
-def patch_indices(spans: list[Span], lo: int, n_l: int, *, signed: bool = True) -> np.ndarray:
+def patch_indices(spans: list[Span], lo: int, n_l: int) -> np.ndarray:
     """Dense indices of the window basis states (last dimension fastest)."""
     q = 1 << n_l
     out = []
     for values in product(range(lo, lo + q), repeat=len(spans)):
         idx = 0
         for v, s in zip(values, spans):
-            idx |= pattern_of_value(v, s.width, signed=signed) << s.start
+            idx |= pattern_of_value(v, s.width) << s.start
         out.append(idx)
     return np.asarray(out, dtype=np.int64)
 
@@ -86,7 +86,7 @@ def derive_core_correction(u_ideal: np.ndarray, u_so: np.ndarray,
     return CoreCorrection(dims, lo, n_l, u @ vh, dt)
 
 
-def derive_correction(box, spec, dt: float, n_l: int, *, signed: bool = True,
+def derive_correction(box, spec, dt: float, n_l: int, *,
                       max_dim: int | None = None,
                       reference: str = "projected") -> CoreCorrection:
     """Dense derivation for a single particle: build the step matrices and
@@ -102,17 +102,15 @@ def derive_correction(box, spec, dt: float, n_l: int, *, signed: bool = True,
                         build_dense_step_matrices, reference_step_matrix)
     md = DEFAULT_MAX_DIM if max_dim is None else max_dim
     if reference == "projected":
-        u_ideal, u_so, _, _ = reference_step_matrix(box, spec, dt,
-                                                    signed=signed, max_dim=md)
+        u_ideal, u_so, _, _ = reference_step_matrix(box, spec, dt, max_dim=md)
     elif reference == "diagonal":
-        u_ideal, u_so = build_dense_step_matrices(box, spec, dt,
-                                                  signed=signed, max_dim=md)
+        u_ideal, u_so = build_dense_step_matrices(box, spec, dt, max_dim=md)
     else:
         raise ConfigError("reference must be 'projected' or 'diagonal'")
-    layout = _default_layout(box, spec, signed)
+    layout = _default_layout(box, spec)
     lo = pick_core_window(box, n_l)
     spans = list(layout.particles[0].spans)
-    patch = patch_indices(spans, lo, n_l, signed=signed)
+    patch = patch_indices(spans, lo, n_l)
     return derive_core_correction(u_ideal, u_so, patch,
                                   dims=box.dims, lo=lo, n_l=n_l, dt=dt)
 
@@ -147,7 +145,7 @@ def apply_core_correction(state: StateVector, corr: CoreCorrection,
     g = corr.shift
     shift_subregisters(state, spans, g)
     # after the shift the window occupies values [0, 2^n_l) per dimension
-    window = patch_indices(spans, 0, corr.n_l, signed=layout.signed)
+    window = patch_indices(spans, 0, corr.n_l)
     rest = _rest_indices(state.num_qubits, spans)
     idx = rest[:, None] | window[None, :]
     block = state.amps[idx]

@@ -19,16 +19,11 @@ from .registers import RegisterLayout, Span, particle_layout, span_values
 DEFAULT_MAX_DIM = 4096
 
 
-def fourier_matrix(width: int, *, signed: bool = True) -> np.ndarray:
+def fourier_matrix(width: int) -> np.ndarray:
     """Position-to-momentum matrix for one sub-register (rows = k patterns)."""
     m = 1 << width
     j = np.arange(m)
-    f = np.exp(-2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)
-    if not signed:
-        tw = np.where(j % 2, -1.0, 1.0)
-        sign = -1.0 if width == 1 else 1.0
-        f = sign * (tw[:, None] * f * tw[None, :])
-    return f
+    return np.exp(-2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)
 
 
 def _field_over_index(num_qubits: int, span: Span, per_pattern: np.ndarray) -> np.ndarray:
@@ -38,9 +33,8 @@ def _field_over_index(num_qubits: int, span: Span, per_pattern: np.ndarray) -> n
                            (hi, per_pattern.size, lo)).reshape(-1)
 
 
-def _default_layout(box: SimulationBox, spec: HamiltonianSpec, signed: bool):
-    return particle_layout(len(spec.particles), box.dims, box.n_r,
-                           signed=signed, box=box)
+def _default_layout(box: SimulationBox, spec: HamiltonianSpec):
+    return particle_layout(len(spec.particles), box.dims, box.n_r, box=box)
 
 
 def full_fourier(layout: RegisterLayout) -> np.ndarray:
@@ -49,24 +43,24 @@ def full_fourier(layout: RegisterLayout) -> np.ndarray:
                    key=lambda s: -s.start)
     f = np.ones((1, 1), dtype=np.complex128)
     for s in spans:
-        f = np.kron(f, fourier_matrix(s.width, signed=layout.signed))
+        f = np.kron(f, fourier_matrix(s.width))
     return f
 
 
 def diagonal_vectors(layout: RegisterLayout, spec: HamiltonianSpec):
     """(kinetic energies, interaction potential) over the full dense index."""
-    box, signed = layout.box, layout.signed
+    box = layout.box
     n = layout.num_qubits
     dim = 1 << n
     kin = np.zeros(dim)
     for p, particle in enumerate(layout.particles):
         mass = spec.particles[p].mass
         for s in particle.spans:
-            k = span_values(s.width, signed=signed).astype(np.float64)
+            k = span_values(s.width).astype(np.float64)
             kin += _field_over_index(n, s, kinetic_constant(box, s.width, mass) * k ** 2)
     pot = np.zeros(dim)
     for p, particle in enumerate(layout.particles):
-        coords = [_field_over_index(n, s, box.coordinates(s.width, signed=signed))
+        coords = [_field_over_index(n, s, box.coordinates(s.width))
                   for s in particle.spans]
         v, singular = single_particle_potential(spec, p, coords)
         pot += np.where(singular, 0.0, v)
@@ -76,8 +70,8 @@ def diagonal_vectors(layout: RegisterLayout, spec: HamiltonianSpec):
                 continue
             deltas = []
             for sa, sb in zip(layout.particles[p].spans, layout.particles[q].spans):
-                va = _field_over_index(n, sa, span_values(sa.width, signed=signed))
-                vb = _field_over_index(n, sb, span_values(sb.width, signed=signed))
+                va = _field_over_index(n, sa, span_values(sa.width))
+                vb = _field_over_index(n, sb, span_values(sb.width))
                 # the relative coordinate lives in a register of the same
                 # width, so differences wrap modulo the box (minimum image)
                 half = 1 << (sa.width - 1)
@@ -88,11 +82,10 @@ def diagonal_vectors(layout: RegisterLayout, spec: HamiltonianSpec):
 
 def pixel_hamiltonian(box: SimulationBox, spec: HamiltonianSpec,
                       layout: RegisterLayout | None = None, *,
-                      signed: bool = True,
                       max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     """Dense Hamiltonian of the discretised model: Fourier-built kinetic part
     plus the diagonal interaction potential."""
-    layout = layout or _default_layout(box, spec, signed)
+    layout = layout or _default_layout(box, spec)
     dim = 1 << layout.num_qubits
     if dim > max_dim:
         raise ConfigError(f"dense dimension {dim} exceeds threshold {max_dim}")
@@ -105,15 +98,15 @@ def pixel_hamiltonian(box: SimulationBox, spec: HamiltonianSpec,
 
 def hamiltonian_eig(box: SimulationBox, spec: HamiltonianSpec,
                     layout: RegisterLayout | None = None, *,
-                    signed: bool = True, max_dim: int = DEFAULT_MAX_DIM):
+                    max_dim: int = DEFAULT_MAX_DIM):
     """Eigenvalues and eigenvectors of the pixelated Hamiltonian."""
     from scipy.linalg import eigh
-    h = pixel_hamiltonian(box, spec, layout, signed=signed, max_dim=max_dim)
+    h = pixel_hamiltonian(box, spec, layout, max_dim=max_dim)
     return eigh(h)
 
 
 def projected_potential_matrix(box: SimulationBox, spec: HamiltonianSpec, *,
-                               refine: int = 8, signed: bool = True,
+                               refine: int = 8,
                                max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     """Matrix elements of the interaction potential between grid basis
     functions, for a single particle.
@@ -134,9 +127,9 @@ def projected_potential_matrix(box: SimulationBox, spec: HamiltonianSpec, *,
     length = box.length
     hf = length / nf
     xj = (np.arange(nf) - nf / 2 + 0.5) * hf
-    ks = span_values(box.n_r, signed=True)  # physical wavenumbers by pattern
+    ks = span_values(box.n_r)  # physical wavenumbers by pattern
     e1 = np.exp(2j * np.pi * np.outer(xj, ks) / length) * np.sqrt(hf / length)
-    a1 = e1 @ fourier_matrix(box.n_r, signed=signed)   # pixel -> fine samples
+    a1 = e1 @ fourier_matrix(box.n_r)   # pixel -> fine samples
     # fine-grid potential, axes ordered (highest dim ... x) to match kron order
     grids = np.meshgrid(*([xj] * box.dims), indexing="ij")
     vf, singular = single_particle_potential(spec, 0, grids[::-1])
@@ -163,8 +156,7 @@ def _spec_key(spec: HamiltonianSpec):
 
 
 def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float, *,
-                          refine: int = 8, signed: bool = True,
-                          max_dim: int = DEFAULT_MAX_DIM):
+                          refine: int = 8, max_dim: int = DEFAULT_MAX_DIM):
     """(U_ideal, U_SO, evals, evecs) with the ideal step generated by the
     reference Hamiltonian: Fourier kinetic part plus the projected (full
     matrix) potential.  This is the target the patch correction repairs
@@ -174,10 +166,10 @@ def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float, 
     anchoring alike."""
     from scipy.linalg import eigh
     key = ((box.dims, box.n_r, box.length, box.origin_offset),
-           _spec_key(spec), dt, refine, signed)
+           _spec_key(spec), dt, refine)
     if key in _REFERENCE_CACHE:
         return _REFERENCE_CACHE[key]
-    layout = _default_layout(box, spec, signed)
+    layout = _default_layout(box, spec)
     dim = 1 << layout.num_qubits
     if dim > max_dim:
         raise ConfigError(f"dense dimension {dim} exceeds threshold {max_dim}")
@@ -186,8 +178,7 @@ def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float, 
     u_so = np.exp(-1j * pot * dt)[:, None] \
         * (f.conj().T @ (np.exp(-1j * kin * dt)[:, None] * f))
     h = f.conj().T @ (kin[:, None] * f)
-    h += projected_potential_matrix(box, spec, refine=refine, signed=signed,
-                                    max_dim=max_dim)
+    h += projected_potential_matrix(box, spec, refine=refine, max_dim=max_dim)
     evals, evecs = eigh(h)
     u_ideal = (evecs * np.exp(-1j * evals * dt)[None, :]) @ evecs.conj().T
     result = (u_ideal, u_so, evals, evecs)
@@ -197,7 +188,6 @@ def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float, 
 
 def build_dense_step_matrices(box: SimulationBox, spec: HamiltonianSpec, dt: float,
                               layout: RegisterLayout | None = None, *,
-                              signed: bool = True,
                               max_dim: int = DEFAULT_MAX_DIM):
     """(U_ideal, U_SO) as dense matrices.
 
@@ -205,7 +195,7 @@ def build_dense_step_matrices(box: SimulationBox, spec: HamiltonianSpec, dt: flo
     time step; U_SO is the split cycle exactly as the stepper applies it.
     """
     from scipy.linalg import eigh
-    layout = layout or _default_layout(box, spec, signed)
+    layout = layout or _default_layout(box, spec)
     dim = 1 << layout.num_qubits
     if dim > max_dim:
         raise ConfigError(f"dense dimension {dim} exceeds threshold {max_dim}")

@@ -1,8 +1,9 @@
 """Simulation box geometry and the sharp grid basis functions.
 
-Grid indices are signed integers n in [-2^(n_r-1), 2^(n_r-1)-1]; the pixel
-coordinate is x_n = (n - origin_offset) * delta_r, so with the default
-half-pixel offset the potential origin sits between the two central points.
+Grid indices are signed integers n in [-2^(n_r-1), 2^(n_r-1)-1], stored in
+two's complement on the register; the pixel coordinate is
+x_n = (n - origin_offset) * delta_r, so with the default half-pixel offset
+the potential origin sits between the two central points.
 """
 
 from __future__ import annotations
@@ -38,23 +39,23 @@ class SimulationBox:
     def delta_r(self) -> float:
         return self.length / (1 << self.n_r)
 
-    def coordinates(self, width: int | None = None, *, signed: bool = True) -> np.ndarray:
+    def coordinates(self, width: int | None = None) -> np.ndarray:
         """Pixel coordinates indexed by raw register pattern.
 
         ``width`` may exceed ``n_r`` after register enlargement; the spacing
         stays fixed so the represented box widens.
         """
         w = self.n_r if width is None else width
-        return (span_values(w, signed=signed) - self.origin_offset) * self.delta_r
+        return (span_values(w) - self.origin_offset) * self.delta_r
 
     def width_for(self, span_width: int) -> float:
         """Box width represented by a sub-register of ``span_width`` qubits."""
         return self.delta_r * (1 << span_width)
 
-    def ascending_order(self, width: int | None = None, *, signed: bool = True) -> np.ndarray:
+    def ascending_order(self, width: int | None = None) -> np.ndarray:
         """Raw patterns sorted by increasing coordinate (for grid exports)."""
         w = self.n_r if width is None else width
-        return np.argsort(span_values(w, signed=signed), kind="stable")
+        return np.argsort(span_values(w), kind="stable")
 
 
 def pixel_function(n: int, n_r: int, length: float, x, origin_offset: float = 0.0):

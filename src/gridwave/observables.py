@@ -363,7 +363,7 @@ def probability_density(state: StateVector, particle: int,
     if ascending:
         from .registers import span_values
         for d, s in enumerate(spans):
-            order = np.argsort(span_values(s.width, signed=layout.signed), kind="stable")
+            order = np.argsort(span_values(s.width), kind="stable")
             marg = np.take(marg, order, axis=d)
     return marg
 

@@ -10,7 +10,9 @@ the fixed ordering is a convention, not an approximation.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,16 +33,12 @@ class StepPlan:
     """One split-operator cycle description."""
 
     dt: float
-    trotter_order: int = 1
     augmentation: object | None = None     # CoreCorrection, see corrections.py
     attenuation: AttenuationSpec | None = None
 
     def __post_init__(self):
         if self.dt < 0:
             raise ConfigError("dt must be non-negative", field="plan.dt")
-        if self.trotter_order != 1:
-            raise ConfigError("only the first-order splitting is supported",
-                              field="plan.trotter_order")
 
     def with_dt(self, dt: float) -> "StepPlan":
         # a patch correction is derived for one specific dt; changing dt
@@ -74,7 +72,6 @@ class StepKernel:
         self.layout = layout
         self.plan = plan
         self.spec = spec
-        signed = layout.signed
         dt = plan.dt
 
         # kinetic factors, one 1D table per sub-register
@@ -82,7 +79,7 @@ class StepKernel:
         for p, particle in enumerate(layout.particles):
             mass = spec.particles[p].mass
             for s in particle.spans:
-                k = span_values(s.width, signed=signed).astype(np.float64)
+                k = span_values(s.width).astype(np.float64)
                 c = kinetic_constant(box, s.width, mass)
                 self.kinetic.append((s, np.exp(-1j * c * dt * k ** 2)))
 
@@ -90,7 +87,7 @@ class StepKernel:
         self.potential = []
         for p, particle in enumerate(layout.particles):
             spans = list(particle.spans)
-            coord_axes = [box.coordinates(s.width, signed=signed) for s in spans]
+            coord_axes = [box.coordinates(s.width) for s in spans]
             grids = np.meshgrid(*coord_axes, indexing="ij")
             v, singular = single_particle_potential(spec, p, grids)
             v = np.where(singular, 0.0, v)   # zero-phase override at exact zeros
@@ -109,7 +106,7 @@ class StepKernel:
                 if [s.width for s in spans_p] != [s.width for s in spans_q]:
                     raise LayoutError("paired particles need equal-shape registers")
                 deltas = np.meshgrid(
-                    *[span_values(s.width, signed=signed) for s in spans_p],
+                    *[span_values(s.width) for s in spans_p],
                     indexing="ij")
                 v = pair_potential(spec, p, q, box.delta_r, deltas)
                 self.pairs.append((spans_p, spans_q, np.exp(-1j * v * dt)))
@@ -120,7 +117,7 @@ class StepKernel:
             self.damping = self._compile_damping(plan.attenuation)
 
     def _compile_damping(self, atten: AttenuationSpec):
-        layout, box, signed = self.layout, self.layout.box, self.layout.signed
+        layout = self.layout
         if CAP_ANCILLA not in layout.ancillas:
             raise LayoutError(
                 f"attenuation needs a reserved '{CAP_ANCILLA}' ancilla in |0>")
@@ -134,8 +131,7 @@ class StepKernel:
             for particle in layout.particles:
                 for s in particle.spans:
                     allowed = np.zeros(1 << s.width, dtype=bool)
-                    pats = pattern_of_value(region.member_values(s.width),
-                                            s.width, signed=signed)
+                    pats = pattern_of_value(region.member_values(s.width), s.width)
                     allowed[pats] = True
                     ops.append(([s], allowed, theta))
         elif isinstance(region, ExplicitRegion):
@@ -148,13 +144,22 @@ class StepKernel:
                             field="attenuation.pixels")
                     theta = atten.angle(strength, self.plan.dt)
                     table = np.zeros([1 << s.width for s in spans], dtype=bool)
-                    idx = tuple(pattern_of_value(v, s.width, signed=signed)
-                                for v, s in zip(pix, spans))
+                    idx = tuple(pattern_of_value(v, s.width) for v, s in zip(pix, spans))
                     table[idx] = True
                     ops.append((spans, table, theta))
         else:
             raise ConfigError("unknown attenuation region type", field="attenuation")
         return ancilla.start, ops
+
+    @cached_property
+    def adjoint(self) -> "StepKernel":
+        """This kernel with every kinetic and interaction table conjugated, so
+        that its sub-steps undo the ones of this kernel."""
+        adj = copy(self)
+        adj.kinetic = [(s, np.conj(f)) for s, f in self.kinetic]
+        adj.potential = [(spans, np.conj(f)) for spans, f in self.potential]
+        adj.pairs = [(sp, sq, np.conj(f)) for sp, sq, f in self.pairs]
+        return adj
 
     # -- application --------------------------------------------------------
 
@@ -208,106 +213,14 @@ def compile_step(layout: RegisterLayout, plan: StepPlan,
     return StepKernel(layout, plan, spec)
 
 
-def split_step(state: StateVector, plan: StepPlan, spec: HamiltonianSpec,
-               escape=None, kernel: StepKernel | None = None) -> StateVector:
-    """One full split-operator cycle (compiles phase tables ad hoc unless a
-    kernel is supplied; loops should use :func:`propagate`)."""
-    if kernel is None:
-        kernel = compile_step(state.layout, plan, spec)
-    return kernel.apply(state, escape)
-
-
-# individual phase sub-steps, mainly for direct checks
-
-def kinetic_phase_step(state: StateVector, plan: StepPlan,
-                       spec: HamiltonianSpec) -> StateVector:
-    """Quadratic momentum phases; the state must already be in k-space."""
-    box, signed = state.layout.box, state.layout.signed
-    for p, particle in enumerate(state.layout.particles):
-        for s in particle.spans:
-            k = span_values(s.width, signed=signed).astype(np.float64)
-            c = kinetic_constant(box, s.width, spec.particles[p].mass)
-            apply_phase_table(state, [s], np.exp(-1j * c * plan.dt * k ** 2))
-    return state
-
-
-def nuclear_phase_step(state: StateVector, plan: StepPlan,
-                       spec: HamiltonianSpec) -> StateVector:
-    box, signed = state.layout.box, state.layout.signed
-    field_free = HamiltonianSpec(spec.particles, spec.nuclei, spec.pair_couplings)
-    for p, particle in enumerate(state.layout.particles):
-        spans = list(particle.spans)
-        grids = np.meshgrid(*[box.coordinates(s.width, signed=signed) for s in spans],
-                            indexing="ij")
-        v, singular = single_particle_potential(field_free, p, grids)
-        v = np.where(singular, 0.0, v)
-        apply_phase_table(state, spans, np.exp(-1j * v * plan.dt))
-    return state
-
-
-def field_phase_step(state: StateVector, plan: StepPlan,
-                     spec: HamiltonianSpec) -> StateVector:
-    box, signed = state.layout.box, state.layout.signed
-    for p, particle in enumerate(state.layout.particles):
-        q_p = spec.particles[p].charge
-        for d, s in enumerate(particle.spans):
-            e_d = spec.efield[d] if d < len(spec.efield) else 0.0
-            if e_d == 0.0:
-                continue
-            x = box.coordinates(s.width, signed=signed)
-            apply_phase_table(state, [s], np.exp(-1j * q_p * e_d * x * plan.dt))
-    return state
-
-
-def pairwise_phase_step(state: StateVector, plan: StepPlan,
-                        spec: HamiltonianSpec) -> StateVector:
-    box, signed = state.layout.box, state.layout.signed
-    for p in range(len(state.layout.particles)):
-        for q in range(p + 1, len(state.layout.particles)):
-            coupling = spec.coupling(p, q)
-            if coupling == 0.0:
-                continue
-            spans_p = list(state.layout.particles[p].spans)
-            spans_q = list(state.layout.particles[q].spans)
-            for sa, sb in zip(spans_p, spans_q):
-                register_add_sub(state, sa, sb, "subtract")
-            deltas = np.meshgrid(*[span_values(s.width, signed=signed)
-                                   for s in spans_p], indexing="ij")
-            v = pair_potential(spec, p, q, box.delta_r, deltas)
-            apply_phase_table(state, spans_p, np.exp(-1j * v * plan.dt))
-            for sa, sb in zip(spans_p, spans_q):
-                register_add_sub(state, sa, sb, "add")
-    return state
-
-
-def attenuation_step(state: StateVector, plan: StepPlan, spec: HamiltonianSpec):
-    """One boundary-damping round; returns (state, detection probability)."""
-    if plan.attenuation is None:
-        return state, 0.0
-    kernel = compile_step(state.layout, plan, spec)
-    increment = kernel.damp(state)
-    return state, increment
-
-
 def split_step_inverse(state: StateVector, plan: StepPlan, spec: HamiltonianSpec,
                        kernel: StepKernel | None = None) -> StateVector:
-    """Exact inverse of the unitary part of one cycle (no damping, no patch)."""
+    """Exact inverse of the unitary part of one cycle (no damping, no patch):
+    the interaction, then the kinetic cycle, each with conjugated tables."""
     if kernel is None:
         kernel = compile_step(state.layout, plan, spec)
-    for spans_p, spans_q, factors in reversed(kernel.pairs):
-        for sa, sb in zip(spans_p, spans_q):
-            register_add_sub(state, sa, sb, "subtract")
-        apply_phase_table(state, spans_p, np.conj(factors))
-        for sa, sb in zip(spans_p, spans_q):
-            register_add_sub(state, sa, sb, "add")
-    for spans, factors in reversed(kernel.potential):
-        apply_phase_table(state, spans, np.conj(factors))
-    for s, _ in kernel.kinetic:
-        apply_inverse_qft(state, s)
-    for s, factors in kernel.kinetic:
-        apply_phase_table(state, [s], np.conj(factors))
-    for s, _ in kernel.kinetic:
-        apply_qft(state, s)
+    kernel.adjoint.interaction(state)
+    kernel.adjoint.kinetic_cycle(state)
     return state
 
 

@@ -1,10 +1,10 @@
-"""Register bookkeeping: qubit spans, signed value conventions, layouts.
+"""Register bookkeeping: qubit spans, the signed value encoding, layouts.
 
 A basis index is an integer in [0, 2^N); qubit q is bit q (LSB = qubit 0).
 A sub-register is a contiguous span of qubits whose bit pattern encodes a
-signed grid index, by default in two's complement so that index 0 sits
-mid-box.  The alternative "shifted" convention stores value+2^(w-1) as an
-unsigned pattern; both encode the same value range [-2^(w-1), 2^(w-1)-1].
+signed grid index in two's complement, the one value encoding used
+throughout: a w-qubit span holds the values [-2^(w-1), 2^(w-1)-1], and
+value 0 is pattern 0.
 """
 
 from __future__ import annotations
@@ -38,42 +38,33 @@ class Span:
         return self.start < other.stop and other.start < self.stop
 
 
-def get_reg_val(basis_index: int, start_qubit: int, n_r: int, *, signed: bool = True) -> int:
+def get_reg_val(basis_index: int, start_qubit: int, n_r: int) -> int:
     """Signed value of the ``n_r`` contiguous qubits starting at ``start_qubit``.
 
     Two's complement: sum the low n_r-1 bits, then subtract 2^(n_r-1) if the
-    top bit is set.  The shifted convention instead subtracts 2^(n_r-1)
-    unconditionally from the raw pattern.
+    top bit is set.
     """
     if basis_index < 0:
         raise LayoutError("basis index must be non-negative")
     raw = (basis_index >> start_qubit) & ((1 << n_r) - 1)
-    if signed:
-        v = raw & ((1 << (n_r - 1)) - 1)
-        if raw >> (n_r - 1):
-            v -= 1 << (n_r - 1)
-        return v
-    return raw - (1 << (n_r - 1))
+    v = raw & ((1 << (n_r - 1)) - 1)
+    if raw >> (n_r - 1):
+        v -= 1 << (n_r - 1)
+    return v
 
 
-def span_values(width: int, *, signed: bool = True) -> np.ndarray:
+def span_values(width: int) -> np.ndarray:
     """Vector of signed values indexed by raw bit pattern, for one span."""
     raw = np.arange(1 << width, dtype=np.int64)
-    half = 1 << (width - 1)
-    if signed:
-        return np.where(raw < half, raw, raw - (1 << width))
-    return raw - half
+    return np.where(raw < (1 << (width - 1)), raw, raw - (1 << width))
 
 
-def pattern_of_value(value, width: int, *, signed: bool = True):
+def pattern_of_value(value, width: int):
     """Inverse of :func:`span_values`: raw bit pattern encoding ``value``.
 
     Accepts scalars or arrays; values wrap modulo 2^width.
     """
-    full = 1 << width
-    half = full >> 1
-    v = np.asarray(value, dtype=np.int64)
-    out = np.mod(v if signed else v + half, full)
+    out = np.mod(np.asarray(value, dtype=np.int64), 1 << width)
     if out.ndim == 0:
         return int(out)
     return out
@@ -103,14 +94,12 @@ class Particle:
 class RegisterLayout:
     """Maps particles x dimensions x qubits, plus named ancilla spans.
 
-    ``signed`` selects the two's-complement value convention (default) versus
-    the shifted unsigned one.  ``box`` optionally attaches grid geometry so
-    that propagation code can convert register integers to coordinates.
+    ``box`` optionally attaches grid geometry so that propagation code can
+    convert register integers to coordinates.
     """
 
     particles: tuple[Particle, ...]
     ancillas: dict[str, Span] = field(default_factory=dict)
-    signed: bool = True
     box: object | None = None
 
     def __post_init__(self):
@@ -142,23 +131,23 @@ class RegisterLayout:
         """New layout with an extra ancilla span on top of all current qubits."""
         anc = dict(self.ancillas)
         anc[name] = Span(self.num_qubits, width)
-        return RegisterLayout(self.particles, anc, self.signed, self.box)
+        return RegisterLayout(self.particles, anc, self.box)
 
     def without_ancilla(self, name: str) -> "RegisterLayout":
         anc = dict(self.ancillas)
         anc.pop(name)
-        return RegisterLayout(self.particles, anc, self.signed, self.box)
+        return RegisterLayout(self.particles, anc, self.box)
 
     def with_box(self, box) -> "RegisterLayout":
-        return RegisterLayout(self.particles, dict(self.ancillas), self.signed, box)
+        return RegisterLayout(self.particles, dict(self.ancillas), box)
 
 
 def particle_layout(num_particles: int, dims: int, n_r: int, *,
-                    signed: bool = True, box=None) -> RegisterLayout:
+                    box=None) -> RegisterLayout:
     """Standard packing: particle p, dimension q occupies qubits starting
     at (p*dims + q)*n_r; x is lowest."""
     particles = []
     for p in range(num_particles):
         spans = tuple(Span((p * dims + q) * n_r, n_r) for q in range(dims))
         particles.append(Particle(spans))
-    return RegisterLayout(tuple(particles), {}, signed, box)
+    return RegisterLayout(tuple(particles), {}, box)

@@ -202,6 +202,15 @@ def load_scenario(text: str) -> Scenario:
     if attenuate and attenuation is None:
         raise ConfigError("plan.attenuation is on but the hamiltonian defines no "
                           "attenuation region", field="plan.attenuation")
+    prepsec = root.child("prep")
+    if attenuate and prepsec is not None:
+        # both preparations run the plain unitary cycle
+        if prepsec.child("edit") is not None:
+            raise ConfigError("state editing plus attenuation in one scenario "
+                              "is not supported", field="prep.edit")
+        if prepsec.child("imaginary_time") is not None:
+            raise ConfigError("imaginary-time prep requires the plain cycle",
+                              field="prep.imaginary_time")
 
     if root.child("initial_state") is None:
         raise ConfigError("missing initial_state section", field="initial_state")
@@ -273,6 +282,7 @@ def build_initial_state(scen: Scenario) -> StateVector:
                               field="initial_state.orbital")
         vecs = []
         used_columns: set[int] = set()
+        schur_vectors: dict[ParticleSpec, np.ndarray] = {}
         for particle_idx, osec in enumerate(orbitals):
             inner = [c for _, c in osec.children]
             if len(inner) != 1:
@@ -280,7 +290,7 @@ def build_initial_state(scen: Scenario) -> StateVector:
                                   field="initial_state.orbital")
             if inner[0].name == "step_eigenstate":
                 vecs.append(_step_eigenvector(scen, particle_idx, inner[0],
-                                              used_columns))
+                                              used_columns, schur_vectors))
                 continue
             amps, _ = st.discretize(parse_state(inner[0], box.dims), box)
             vecs.append(amps)
@@ -307,23 +317,28 @@ def build_initial_state(scen: Scenario) -> StateVector:
 
 
 def _step_eigenvector(scen: Scenario, particle_idx: int, block: Section,
-                      used_columns: set) -> np.ndarray:
+                      used_columns: set, schur_vectors: dict) -> np.ndarray:
     """Eigenvector of this particle's free split cycle nearest a target state.
 
     Such orbitals are exactly stationary when pair couplings are off, which
-    isolates the interaction as the only source of density dynamics.
+    isolates the interaction as the only source of density dynamics.  The
+    Schur vectors of each distinct particle's cycle are kept in
+    ``schur_vectors`` and reused by the other orbitals of that particle kind.
     """
-    from scipy.linalg import schur
-    from .dense import build_dense_step_matrices
     inner = [c for _, c in block.children]
     if len(inner) != 1:
         raise ConfigError("step_eigenstate holds exactly one target state block",
                           field="initial_state.orbital.step_eigenstate")
     target_state = parse_state(inner[0], scen.box.dims)
-    single = HamiltonianSpec((scen.spec.particles[particle_idx],),
-                             scen.spec.nuclei, None, scen.spec.efield)
-    _, u_single = build_dense_step_matrices(scen.box, single, scen.plan_dt)
-    _, q = schur(u_single, output="complex")
+    particle = scen.spec.particles[particle_idx]
+    if particle not in schur_vectors:
+        from scipy.linalg import schur
+        from .dense import build_dense_step_matrices
+        single = HamiltonianSpec((particle,), scen.spec.nuclei, None,
+                                 scen.spec.efield)
+        _, u_single = build_dense_step_matrices(scen.box, single, scen.plan_dt)
+        schur_vectors[particle] = schur(u_single, output="complex")[1]
+    q = schur_vectors[particle]
     target, _ = st.discretize(target_state, scen.box)
     overlaps = np.abs(q.conj().T @ target)
     for col in used_columns:
@@ -499,15 +514,9 @@ def _run_prep(scen: Scenario, state: StateVector, out: Path, outputs: dict,
         name = f"prep_log{suffix}.csv"
         (out / name).write_text("step,success_probability\n" f"0,{p:.17g}\n")
         outputs[name] = {}
-        if scen.attenuate:
-            raise ConfigError("state editing plus attenuation in one scenario "
-                              "is not supported", field="prep.edit")
         return edited
     if itsec is not None:
         from .prep import ImaginaryTimeParams, imaginary_time_run
-        if scen.attenuate:
-            raise ConfigError("imaginary-time prep requires the plain cycle",
-                              field="prep.imaginary_time")
         params = ImaginaryTimeParams(float(itsec.require("m0", "prep.imaginary_time")),
                                      scen.plan_dt)
         steps = int(itsec.require("steps", "prep.imaginary_time"))
@@ -536,8 +545,6 @@ def _run_prep(scen: Scenario, state: StateVector, out: Path, outputs: dict,
         (out / name).write_text("\n".join(lines) + "\n")
         outputs[name] = {}
         return run.state
-    if sec.get("none", True):
-        return None
     return None
 
 

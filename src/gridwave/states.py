@@ -189,11 +189,10 @@ class Superposition:
         return out
 
 
-def grid_eval(state, box: SimulationBox, width: int | None = None, *,
-              signed: bool = True) -> np.ndarray:
+def grid_eval(state, box: SimulationBox, width: int | None = None) -> np.ndarray:
     """Sample a state's wavefunction on the box grid, flattened in register
     order (dimension 0 varies fastest)."""
-    coords = box.coordinates(width, signed=signed)
+    coords = box.coordinates(width)
     # axes ordered (dim_{d-1}, ..., dim_0) so that C-order flattening puts
     # dimension 0 in the lowest bits
     grids = np.meshgrid(*([coords] * box.dims), indexing="ij")
@@ -201,15 +200,14 @@ def grid_eval(state, box: SimulationBox, width: int | None = None, *,
     return np.asarray(values, dtype=np.complex128).reshape(-1)
 
 
-def discretize(state, box: SimulationBox, width: int | None = None, *,
-               signed: bool = True):
+def discretize(state, box: SimulationBox, width: int | None = None):
     """Sample an analytic state onto the pixel grid.
 
     Returns (unit-norm amplitude vector, C) where C is the normalisation
     constant of the pixel expansion; C strays from unity when the state is
     clipped by the box or varies quickly on the grid scale.
     """
-    samples = grid_eval(state, box, width, signed=signed)
+    samples = grid_eval(state, box, width)
     quad = float(np.add.reduce(np.abs(samples) ** 2)) * box.delta_r ** box.dims
     if quad <= 0.0:
         raise DegenerateStateError("state samples to zero everywhere on the grid")

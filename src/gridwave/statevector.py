@@ -84,9 +84,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
-    def _signed(self) -> bool:
-        return self.layout.signed if self.layout is not None else True
-
     def _view(self, span: Span):
         """amps reshaped to (above, 2^width, below) for one span."""
         if span.stop > self.num_qubits:
@@ -157,9 +154,9 @@ def _broadcast_table(state: StateVector, spans: list[Span], table: np.ndarray):
     return state.amps.reshape(full_shape), np.ascontiguousarray(t).reshape(table_shape)
 
 
-def value_table(spans: list[Span], *, signed: bool = True):
+def value_table(spans: list[Span]):
     """Meshgrid of signed sub-register values, one axis per span (given order)."""
-    vecs = [span_values(s.width, signed=signed) for s in spans]
+    vecs = [span_values(s.width) for s in spans]
     return np.meshgrid(*vecs, indexing="ij")
 
 
@@ -173,15 +170,13 @@ def apply_diagonal_phase(state: StateVector, phase_fn, spans: list[Span],
     """
     from .errors import SingularPhaseError
 
-    signed = state._signed()
-    grids = value_table(spans, signed=signed)
+    grids = value_table(spans)
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = np.asarray(phase_fn(*grids), dtype=np.float64)
     theta = np.broadcast_to(theta, grids[0].shape).copy()
     if overrides:
         for tup, val in overrides.items():
-            idx = tuple(pattern_of_value(v, s.width, signed=signed)
-                        for v, s in zip(tup, spans))
+            idx = tuple(pattern_of_value(v, s.width) for v, s in zip(tup, spans))
             theta[idx] = val
     if not np.all(np.isfinite(theta)):
         bad = np.argwhere(~np.isfinite(theta))[0]
@@ -201,13 +196,6 @@ def apply_phase_table(state: StateVector, spans: list[Span], factors: np.ndarray
 
 # -- Fourier transforms ------------------------------------------------------
 
-def _shift_twiddle(width: int) -> np.ndarray:
-    # (-1)^pattern, needed when values are stored with the shifted convention
-    t = np.ones(1 << width)
-    t[1::2] = -1.0
-    return t
-
-
 def apply_qft(state: StateVector, span: Span) -> StateVector:
     """Fourier transform of one sub-register, momentum-to-position direction.
 
@@ -216,25 +204,13 @@ def apply_qft(state: StateVector, span: Span) -> StateVector:
     is the plain inverse DFT, so a scaled ifft implements it exactly.
     """
     view = state._view(span)
-    m = 1 << span.width
-    if state._signed():
-        view[...] = np.fft.ifft(view, axis=1) * np.sqrt(m)
-    else:
-        tw = _shift_twiddle(span.width)[None, :, None]
-        sign = -1.0 if span.width == 1 else 1.0
-        view[...] = sign * tw * (np.fft.ifft(view * tw, axis=1) * np.sqrt(m))
+    view[...] = np.fft.ifft(view, axis=1) * np.sqrt(1 << span.width)
     return state
 
 
 def apply_inverse_qft(state: StateVector, span: Span) -> StateVector:
     view = state._view(span)
-    m = 1 << span.width
-    if state._signed():
-        view[...] = np.fft.fft(view, axis=1) / np.sqrt(m)
-    else:
-        tw = _shift_twiddle(span.width)[None, :, None]
-        sign = -1.0 if span.width == 1 else 1.0
-        view[...] = sign * tw * (np.fft.fft(view * tw, axis=1) / np.sqrt(m))
+    view[...] = np.fft.fft(view, axis=1) / np.sqrt(1 << span.width)
     return state
 
 
@@ -251,7 +227,7 @@ def _layout_without_qubit(layout: RegisterLayout | None, qubit: int):
     particles = tuple(Particle(tuple(shift(s) for s in p.spans)) for p in layout.particles)
     ancillas = {name: shift(s) for name, s in layout.ancillas.items()
                 if not (s.width == 1 and s.start == qubit)}
-    return RegisterLayout(particles, ancillas, layout.signed, layout.box)
+    return RegisterLayout(particles, ancillas, layout.box)
 
 
 def controlled_apply(state: StateVector, control_qubit: int, op) -> StateVector:
@@ -367,11 +343,10 @@ def multi_controlled_x_rotation(state: StateVector, spans: list[Span],
                                 theta: float) -> StateVector:
     """X-rotation by theta on the ancilla, applied only on the branch where
     each span holds the given signed value."""
-    signed = state._signed()
     hot = []
     for s, v in zip(spans, control_values):
         vec = np.zeros(1 << s.width, dtype=bool)
-        vec[pattern_of_value(v, s.width, signed=signed)] = True
+        vec[pattern_of_value(v, s.width)] = True
         hot.append(vec)
     table = hot[0]
     for vec in hot[1:]:
@@ -392,13 +367,12 @@ def register_add_sub(state: StateVector, span_a: Span, span_b: Span,
         raise ValueError("mode must be 'subtract' or 'add'")
     w = span_a.width
     m = 1 << w
-    off = 0 if state._signed() else (m >> 1)
     ua = np.arange(m)[:, None]   # new pattern of register a
     ub = np.arange(m)[None, :]
     if mode == "subtract":       # new = old - b  =>  old = new + b
-        src = (ua + ub - off) % m
+        src = (ua + ub) % m
     else:                        # new = old + b  =>  old = new - b
-        src = (ua - ub + off) % m
+        src = (ua - ub) % m
     a_hi = span_a.start > span_b.start
     first, second = (span_a, span_b) if a_hi else (span_b, span_a)
     n = state.num_qubits
@@ -420,13 +394,12 @@ def register_add_sub(state: StateVector, span_a: Span, span_b: Span,
 
 
 def _enlarge_one_axis(amps: np.ndarray, num_qubits: int, span: Span,
-                      extra: int, signed: bool) -> np.ndarray:
+                      extra: int) -> np.ndarray:
     hi = 1 << (num_qubits - span.stop)
     lo = 1 << span.start
     old = amps.reshape(hi, 1 << span.width, lo)
     new = np.zeros((hi, 1 << (span.width + extra), lo), dtype=np.complex128)
-    vals = span_values(span.width, signed=signed)
-    dest = pattern_of_value(vals, span.width + extra, signed=signed)
+    dest = pattern_of_value(span_values(span.width), span.width + extra)
     new[:, dest, :] = old
     return new.reshape(-1)
 
@@ -442,7 +415,6 @@ def enlarge_particle(state: StateVector, particle: int, extra_qubits: int) -> St
     layout = state.layout
     if layout is None:
         raise LayoutError("enlargement needs a layout")
-    signed = layout.signed
     amps = state.amps
     n = state.num_qubits
     # widen the target spans one dimension at a time, highest start first so
@@ -450,7 +422,7 @@ def enlarge_particle(state: StateVector, particle: int, extra_qubits: int) -> St
     target = sorted(layout.particles[particle].spans, key=lambda s: -s.start)
     grown = {}
     for s in target:
-        amps = _enlarge_one_axis(amps, n, s, extra_qubits, signed)
+        amps = _enlarge_one_axis(amps, n, s, extra_qubits)
         n += extra_qubits
         grown[s.start] = extra_qubits
     # rebuild spans: everything above an enlarged span shifts up
@@ -465,7 +437,7 @@ def enlarge_particle(state: StateVector, particle: int, extra_qubits: int) -> St
         particles.append(Particle(tuple(spans)))
     ancillas = {name: Span(new_start(s.start), s.width)
                 for name, s in layout.ancillas.items()}
-    new_layout = RegisterLayout(tuple(particles), ancillas, signed, layout.box)
+    new_layout = RegisterLayout(tuple(particles), ancillas, layout.box)
     return StateVector(amps, new_layout)
 
 
@@ -476,16 +448,13 @@ def swap_particle_registers(state: StateVector, p1: int, p2: int) -> StateVector
     s2 = layout.particles[p2].spans
     if tuple(s.width for s in s1) != tuple(s.width for s in s2):
         raise LayoutError("swap requires equal-shape particle registers")
-    n = state.num_qubits
-    # permutation on indices: exchange the bit fields of the two particles
-    idx = np.arange(1 << n)
-    out_idx = idx.copy()
-    for a, b in zip(s1, s2):
-        fa = (idx >> a.start) & ((1 << a.width) - 1)
-        fb = (idx >> b.start) & ((1 << b.width) - 1)
-        out_idx &= ~(((1 << a.width) - 1) << a.start)
-        out_idx &= ~(((1 << b.width) - 1) << b.start)
-        out_idx |= fb << a.start
-        out_idx |= fa << b.start
-    new = StateVector(state.amps[out_idx].copy(), layout)
-    return new
+    # one array axis per span (plus gap axes); exchanging the paired axes
+    # exchanges the bit fields of the two particles
+    full_shape, table_shape, order = _span_axes(state.num_qubits, list(s1 + s2))
+    axis = dict(zip(order, (i for i, t in enumerate(table_shape) if t > 1)))
+    perm = list(range(len(full_shape)))
+    for i in range(len(s1)):
+        a, b = axis[i], axis[len(s1) + i]
+        perm[a], perm[b] = b, a
+    swapped = state.amps.reshape(full_shape).transpose(perm)
+    return StateVector(swapped.reshape(-1), layout)

@@ -5,13 +5,10 @@ from gridwave.errors import ConfigError
 from gridwave.grid import SimulationBox
 from gridwave.hamiltonian import (AttenuationSpec, HamiltonianSpec, Nucleus,
                                   ParticleSpec, UniformEdgeRegion)
-from gridwave.propagator import (StepPlan, attenuation_step, compile_step,
-                                 field_phase_step, kinetic_constant,
-                                 kinetic_phase_step, nuclear_phase_step,
-                                 pairwise_phase_step, propagate, split_step,
-                                 split_step_inverse)
+from gridwave.propagator import (StepPlan, compile_step, kinetic_constant,
+                                 propagate, split_step_inverse)
 from gridwave.registers import particle_layout, pattern_of_value
-from gridwave.statevector import StateVector, inner_product
+from gridwave.statevector import StateVector, apply_qft, inner_product
 from .conftest import cached_eig, hydrogen_spec, random_state
 from .oracles import dense_split_cycle, free_gaussian_evolved
 
@@ -27,20 +24,27 @@ def test_kinetic_constant_value():
     assert kinetic_constant(box, 5, 1.0) == pytest.approx(0.197392, abs=1e-6)
 
 
+def _plane_wave(k: int, layout):
+    """Position-space plane wave of wavenumber k on a one-register layout."""
+    span = layout.span(0, 0)
+    state = StateVector.basis_state(span.width, pattern_of_value(k, span.width), layout)
+    return apply_qft(state, span)
+
+
 def test_kinetic_phase_on_momentum_component():
-    # a register prepared at k=-4 picks up exactly exp(-i C dt 16)
+    # a plane wave at k=-4 picks up exactly exp(-i C dt 16) over the cycle
     box = SimulationBox(1, 3, 8.0)
     layout = particle_layout(1, 1, 3, box=box)
-    state = StateVector.basis_state(3, pattern_of_value(-4, 3), layout)
-    plan = StepPlan(0.05)
-    kinetic_phase_step(state, plan, hydrogen_spec(1))
+    kernel = compile_step(layout, StepPlan(0.05), hydrogen_spec(1))
+    wave = _plane_wave(-4, layout)
+    state = kernel.kinetic_cycle(wave.copy())
     c = kinetic_constant(box, 3, 1.0)
     expect = np.exp(-1j * c * 0.05 * 16)
-    assert state.amps[pattern_of_value(-4, 3)] == pytest.approx(expect, abs=1e-12)
-    # k=0 component untouched
-    state0 = StateVector.zero_state(3, layout)
-    kinetic_phase_step(state0, plan, hydrogen_spec(1))
-    assert state0.amps[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(state.amps - expect * wave.amps).max() < 1e-12
+    # k=0 component (the uniform state) untouched
+    uniform = _plane_wave(0, layout)
+    state0 = kernel.kinetic_cycle(uniform.copy())
+    assert np.abs(state0.amps - uniform.amps).max() < 1e-15
 
 
 def test_split_step_identity_at_zero_dt(rng):
@@ -48,7 +52,7 @@ def test_split_step_identity_at_zero_dt(rng):
     layout = particle_layout(1, 2, 3, box=box)
     state = _random_sv(rng, layout)
     before = state.amps.copy()
-    split_step(state, StepPlan(0.0), hydrogen_spec(2))
+    compile_step(layout, StepPlan(0.0), hydrogen_spec(2)).apply(state)
     assert np.abs(state.amps - before).max() < 1e-10
 
 
@@ -58,10 +62,11 @@ def test_split_step_matches_dense_oracle_2d(rng):
     spec = hydrogen_spec(2)
     u = dense_split_cycle(4, 2, 1, 10.0, 0.5, 0.01, [1.0], [-1.0],
                           [((0.0, 0.0), 1.0)], [[0.0]])
+    kernel = compile_step(layout, StepPlan(0.01), spec)
     for _ in range(5):
         psi = random_state(rng, 8)
         state = StateVector(psi.copy(), layout)
-        split_step(state, StepPlan(0.01), spec)
+        kernel.apply(state)
         assert np.abs(state.amps - u @ psi).max() < 1e-10
 
 
@@ -72,10 +77,11 @@ def test_split_step_matches_dense_oracle_two_particles(rng):
                            (Nucleus((0.0,), 1.0),))
     u = dense_split_cycle(3, 1, 2, 8.0, 0.5, 0.02, [1.0, 1.0], [-1.0, -1.0],
                           [((0.0,), 1.0)], [[0.0, 1.0], [1.0, 0.0]])
+    kernel = compile_step(layout, StepPlan(0.02), spec)
     for _ in range(5):
         psi = random_state(rng, 6)
         state = StateVector(psi.copy(), layout)
-        split_step(state, StepPlan(0.02), spec)
+        kernel.apply(state)
         assert np.abs(state.amps - u @ psi).max() < 1e-10
 
 
@@ -96,8 +102,9 @@ def test_split_step_inverse_roundtrip(rng):
     state = _random_sv(rng, layout)
     before = state.amps.copy()
     plan = StepPlan(0.03)
-    split_step(state, plan, spec)
-    split_step_inverse(state, plan, spec)
+    kernel = compile_step(layout, plan, spec)
+    kernel.apply(state)
+    split_step_inverse(state, plan, spec, kernel=kernel)
     assert np.abs(state.amps - before).max() < 1e-12
 
 
@@ -127,7 +134,7 @@ def test_nuclear_phase_zero_charge_identity(rng):
     spec = HamiltonianSpec((ParticleSpec(1.0, -1.0),), (Nucleus((0.0, 0.0), 0.0),))
     state = _random_sv(rng, layout)
     before = state.amps.copy()
-    nuclear_phase_step(state, StepPlan(0.1), spec)
+    compile_step(layout, StepPlan(0.1), spec).interaction(state)
     assert np.abs(state.amps - before).max() < 1e-15
 
 
@@ -137,7 +144,7 @@ def test_nuclear_phase_half_pixel_denominator():
     layout = particle_layout(1, 2, 3, box=box)
     state = StateVector.basis_state(6, 0, layout)   # pixel (0, 0)
     dt = 0.1
-    nuclear_phase_step(state, StepPlan(dt), hydrogen_spec(2))
+    compile_step(layout, StepPlan(dt), hydrogen_spec(2)).interaction(state)
     dist = box.delta_r * np.sqrt(0.5 ** 2 + 0.5 ** 2)
     expect = np.exp(-1j * (-1.0) * dt / dist)
     assert state.amps[0] == pytest.approx(expect, abs=1e-12)
@@ -151,14 +158,14 @@ def test_pairwise_phase_examples(rng):
                             pair_couplings=np.zeros((2, 2)))
     state = _random_sv(rng, layout)
     before = state.amps.copy()
-    pairwise_phase_step(state, StepPlan(0.1), spec0)
+    compile_step(layout, StepPlan(0.1), spec0).interaction(state)
     assert np.abs(state.amps - before).max() == 0.0
     # fixed pixels n1=3, n2=5, q=1, dt=0.1: phase 0.1/2 = 0.05 rad
     spec1 = HamiltonianSpec((ParticleSpec(), ParticleSpec()),
                             pair_couplings=np.array([[0.0, 1.0], [1.0, 0.0]]))
     idx = (pattern_of_value(5, 4) << 4) | pattern_of_value(3, 4)
     st2 = StateVector.basis_state(8, idx, layout)
-    pairwise_phase_step(st2, StepPlan(0.1), spec1)
+    compile_step(layout, StepPlan(0.1), spec1).interaction(st2)
     assert st2.amps[idx] == pytest.approx(np.exp(-1j * 0.05), abs=1e-12)
 
 
@@ -169,7 +176,7 @@ def test_pairwise_roundtrip_with_zero_phase(rng):
                            pair_couplings=np.array([[0.0, 1e-300], [1e-300, 0.0]]))
     state = _random_sv(rng, layout)
     before = state.amps.copy()
-    pairwise_phase_step(state, StepPlan(0.0), spec)
+    compile_step(layout, StepPlan(0.0), spec).interaction(state)
     assert np.abs(state.amps - before).max() < 1e-12
 
 
@@ -179,14 +186,14 @@ def test_field_phase_values(rng):
     spec = HamiltonianSpec((ParticleSpec(1.0, -1.0),), efield=(0.1,))
     # pixel x=2.0 (n=1), dt=0.01: phase -Q*x*E*dt = +0.002 rad
     state = StateVector.basis_state(4, pattern_of_value(1, 4), layout)
-    field_phase_step(state, StepPlan(0.01), spec)
+    compile_step(layout, StepPlan(0.01), spec).interaction(state)
     expect = np.exp(1j * 0.002)
     assert state.amps[pattern_of_value(1, 4)] == pytest.approx(expect, abs=1e-14)
     # zero field: identity
     state2 = _random_sv(rng, layout)
     before = state2.amps.copy()
-    field_phase_step(state2, StepPlan(0.01),
-                     HamiltonianSpec((ParticleSpec(),), efield=(0.0,)))
+    compile_step(layout, StepPlan(0.01),
+                 HamiltonianSpec((ParticleSpec(),), efield=(0.0,))).interaction(state2)
     assert np.abs(state2.amps - before).max() == 0.0
 
 
@@ -242,7 +249,7 @@ def test_attenuation_zero_strength_is_identity():
     box, layout, spec, state = _cap_setup(strength=0.0)
     before = state.amps.copy()
     plan = StepPlan(0.01, attenuation=spec.attenuation)
-    _, inc = attenuation_step(state, plan, spec)
+    inc = compile_step(layout, plan, spec).damp(state)
     assert inc == 0.0
     assert np.abs(state.amps - before).max() == 0.0
 
@@ -258,7 +265,7 @@ def test_attenuation_detects_fully_inside_region():
     amps[pattern_of_value(-8, 4)] = 1.0   # leftmost pixel, inside the strip
     state = StateVector(np.concatenate([amps, np.zeros(16)]), layout)
     plan = StepPlan(0.01, attenuation=atten)
-    _, inc = attenuation_step(state, plan, spec)
+    inc = compile_step(layout, plan, spec).damp(state)
     assert inc > 1.0 - 1e-5
     # renormalising by the tiny survival amplifies rounding; stay within 1e-9
     assert abs(state.norm_sq() - 1.0) < 1e-9

@@ -24,9 +24,8 @@ def test_get_reg_val_respects_start():
 def test_get_reg_val_roundtrip(width, data):
     half = 1 << (width - 1)
     value = data.draw(st.integers(min_value=-half, max_value=half - 1))
-    for signed in (True, False):
-        pattern = pattern_of_value(value, width, signed=signed)
-        assert get_reg_val(pattern << 2, 2, width, signed=signed) == value
+    pattern = pattern_of_value(value, width)
+    assert get_reg_val(pattern << 2, 2, width) == value
 
 
 @given(st.integers(min_value=1, max_value=10))
@@ -34,8 +33,6 @@ def test_span_values_cover_range(width):
     vals = span_values(width)
     half = 1 << (width - 1)
     assert sorted(vals) == list(range(-half, half))
-    shifted = span_values(width, signed=False)
-    assert sorted(shifted) == list(range(-half, half))
 
 
 def test_span_validation():

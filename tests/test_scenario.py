@@ -192,3 +192,55 @@ observables { autocorrelation = 1 }
     assert "prep_log.csv" in result["outputs"]
     log = (tmp_path / "out" / "prep_log.csv").read_text().splitlines()
     assert log[0] == "step,success_probability"
+
+
+def test_prep_with_attenuation_rejected_at_validate():
+    damped = """
+seed = 4
+box { dims = 1  n_r = 4  length = 10.0 }
+particles { particle { mass = 1.0  charge = -1.0 } }
+hamiltonian { attenuation { uniform { msb = 2  strength = 1.0 } } }
+initial_state { gaussian { center = 0.0  alpha = 0.5 } }
+plan { dt = 0.01  steps = 4  attenuation = true }
+"""
+    for prep, field in (("prep { edit { energy = -1.0 } }", "prep.edit"),
+                        ("prep { imaginary_time { m0 = 0.9  steps = 3 } }",
+                         "prep.imaginary_time")):
+        with pytest.raises(ConfigError) as err:
+            validate_scenario(damped + prep)
+        assert field in str(err.value)
+        # without damping the same preparation validates
+        validate_scenario(damped.replace("attenuation = true", "attenuation = false")
+                          + prep)
+
+
+def test_step_eigenstate_orbitals_share_one_schur_form(monkeypatch):
+    from gridwave import dense
+    calls = []
+    inner = dense.build_dense_step_matrices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dense, "build_dense_step_matrices", counted)
+    text = """
+seed = 5
+box { dims = 1  n_r = 3  length = 8.0 }
+particles {
+    particle { mass = 1.0  charge = -1.0 }
+    particle { mass = 1.0  charge = -1.0 }
+}
+hamiltonian { nucleus { position = 0.0  charge = 1.0 } }
+initial_state {
+    orbital { step_eigenstate { gaussian { center = -1.0  alpha = 1.0 } } }
+    orbital { step_eigenstate { gaussian { center = 1.0  alpha = 1.0 } } }
+    antisymmetrize = true
+}
+plan { dt = 0.01  steps = 0 }
+"""
+    state = build_initial_state(load_scenario(text))
+    assert len(calls) == 1
+    from gridwave.statevector import inner_product, swap_particle_registers
+    swapped = swap_particle_registers(state, 0, 1)
+    assert inner_product(state, swapped).real == pytest.approx(-1.0, abs=1e-9)

@@ -42,26 +42,18 @@ def test_inner_product_basics(rng):
 
 # -- Fourier transform ----------------------------------------------------------
 
-@pytest.mark.parametrize("signed", [True, False])
-def test_qft_matches_reference_matrix(rng, signed):
+def test_qft_matches_reference_matrix(rng):
     n_r = 3
     f = qft_matrix_reference(n_r)
-    if not signed:
-        # shifted convention: same physical matrix, indices relabelled by +rho
-        m = 1 << n_r
-        rho = m >> 1
-        perm = [(v + rho) % m for v in range(m)]   # pattern of each signed row
-        f = f[np.ix_(np.argsort(perm), np.argsort(perm))]
-    layout = particle_layout(1, 1, n_r, signed=signed)
+    layout = particle_layout(1, 1, n_r)
     a = random_state(rng, n_r)
     state = StateVector(a.copy(), layout)
     apply_qft(state, Span(0, n_r))
     assert np.abs(state.amps - f @ a).max() < 1e-12
 
 
-@pytest.mark.parametrize("signed", [True, False])
-def test_qft_inverse_roundtrip(rng, signed):
-    layout = particle_layout(1, 2, 4, signed=signed)
+def test_qft_inverse_roundtrip(rng):
+    layout = particle_layout(1, 2, 4)
     a = random_state(rng, 8)
     state = StateVector(a.copy(), layout)
     for span in layout.particles[0].spans:
@@ -220,21 +212,18 @@ def test_attenuation_angle_value():
 
 # -- register arithmetic ------------------------------------------------------------
 
-@pytest.mark.parametrize("signed", [True, False])
-def test_add_sub_examples(signed):
-    layout = particle_layout(2, 1, 4, signed=signed)
+def test_add_sub_examples():
+    layout = particle_layout(2, 1, 4)
     a_span, b_span = layout.span(0, 0), layout.span(1, 0)
 
     def mk(a, b):
         from gridwave.registers import pattern_of_value
-        idx = (pattern_of_value(b, 4, signed=signed) << 4) \
-            | pattern_of_value(a, 4, signed=signed)
+        idx = (pattern_of_value(b, 4) << 4) | pattern_of_value(a, 4)
         return StateVector.basis_state(8, idx, layout)
 
     def read(state):
         idx = int(np.argmax(np.abs(state.amps)))
-        return (get_reg_val(idx, 0, 4, signed=signed),
-                get_reg_val(idx, 4, 4, signed=signed))
+        return get_reg_val(idx, 0, 4), get_reg_val(idx, 4, 4)
 
     st1 = mk(3, 5)
     register_add_sub(st1, a_span, b_span, "subtract")
@@ -251,10 +240,9 @@ def test_add_sub_wraparound():
     assert get_reg_val(idx, 0, 3) == 3 and get_reg_val(idx, 3, 3) == 1
 
 
-@pytest.mark.parametrize("signed", [True, False])
-def test_add_sub_is_permutation(signed):
+def test_add_sub_is_permutation():
     # round-trip over every basis state at n_r=4
-    layout = particle_layout(2, 1, 4, signed=signed)
+    layout = particle_layout(2, 1, 4)
     a_span, b_span = layout.span(0, 0), layout.span(1, 0)
     dim = 1 << 8
     amps = np.arange(1, dim + 1, dtype=np.complex128)
@@ -309,12 +297,20 @@ def test_enlarge_preserves_marginals(rng):
 
 
 def test_swap_particles_is_exchange(rng):
-    layout = particle_layout(2, 1, 3)
-    a, b = random_state(rng, 3), random_state(rng, 3)
-    product = np.kron(b, a)   # particle0 = a, particle1 = b
-    state = StateVector(product, layout)
-    swapped = swap_particle_registers(state, 0, 1)
-    assert np.abs(swapped.amps - np.kron(a, b)).max() < 1e-12
+    # 1D particles, then the scattering layout: two 2D particles, cap on top
+    for dims, ancilla in ((1, False), (2, True)):
+        layout = particle_layout(2, dims, 3)
+        a, b = random_state(rng, 3 * dims), random_state(rng, 3 * dims)
+        product = np.kron(b, a)   # particle0 = a, particle1 = b
+        expect = np.kron(a, b)
+        if ancilla:
+            layout = layout.with_ancilla("cap")
+            c = random_state(rng, 1)
+            product, expect = np.kron(c, product), np.kron(c, expect)
+        state = StateVector(product.copy(), layout)
+        swapped = swap_particle_registers(state, 0, 1)
+        assert np.abs(swapped.amps - expect).max() < 1e-12
+        assert np.array_equal(state.amps, product)   # input left untouched
 
 
 def test_statevector_length_validation():
