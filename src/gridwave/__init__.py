@@ -2,11 +2,11 @@
 
 Wavefunctions live on registers of qubits as 2^N complex amplitudes; time
 evolution alternates diagonal kinetic phases in momentum space and diagonal
-potential phases on the position grid, linked per sub-register by Fourier
-transforms.  On top of that cycle sit phase-probe energy estimation,
-measurement-based boundary damping, imaginary-time state preparation,
-exchange symmetrisation, per-step patch corrections, and closed-form
-resource audits.
+potential phases on the position grid, linked by one joint Fourier transform
+of all particle registers.  On top of that cycle sit phase-probe energy
+estimation, measurement-based boundary damping, imaginary-time state
+preparation, exchange symmetrisation, per-step patch corrections, and
+closed-form resource audits.
 """
 
 from .errors import (CeilingExceededError, ConfigError, DegenerateStateError,

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Thread caps are exported before any numerical module loads, so --threads
-takes effect on the BLAS/FFT pools; results are bit-identical at any count.
+--threads only exports the OMP/OpenBLAS/MKL/numexpr thread-count variables.
+numpy is already loaded by the package import when they are written, so the
+running process keeps its BLAS pool size; numpy's FFT is single-threaded.
+Results are bit-identical at any count.
 """
 
 from __future__ import annotations

@@ -309,10 +309,8 @@ def sampled_energy_expectation(state: StateVector, spec: HamiltonianSpec,
 
     layout = state.layout
     kin_diag, pot_diag = diagonal_vectors(layout, spec)
-    work = state.copy()
-    for p in layout.particles:
-        for s in p.spans:
-            apply_inverse_qft(work, s)
+    work = apply_inverse_qft(state.copy(),
+                             [s for p in layout.particles for s in p.spans])
     pk = np.abs(work.amps) ** 2
     px = np.abs(state.amps) ** 2
     if shots is not None:

@@ -1,18 +1,20 @@
 """First-order split-operator time stepping on the register statevector.
 
-One step applies, in order: per-sub-register transform to momentum space,
-quadratic kinetic phases, transform back, diagonal interaction phases
-(nuclear/field per particle, then pairwise via relative-coordinate
-arithmetic), optional boundary damping, optional core patch correction.
-All interaction factors are diagonal in the position grid and commute, so
-the fixed ordering is a convention, not an approximation.
+One step applies, in order: one joint transform of all particle registers
+to momentum space, one quadratic kinetic phase table per particle, the
+joint transform back, one position-diagonal table holding every nuclear,
+field and pairwise factor, optional boundary damping, optional core patch
+correction.  The pairwise factors are what the paper's register
+subtract / relative-coordinate phase / add circuit produces
+(``statevector.register_add_sub`` keeps that circuit as the reference);
+here they are gathered once into the position table.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -22,8 +24,9 @@ from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           single_particle_potential)
 from .registers import RegisterLayout, pattern_of_value, span_values
 from .statevector import (StateVector, apply_inverse_qft, apply_phase_table,
-                          apply_qft, masked_ancilla_x_rotation, measure_qubit,
-                          register_add_sub)
+                          apply_qft, masked_ancilla_x_rotation, measure_qubit)
+# unused here; benchmark/tracing.py wraps it by name in this module's namespace
+from .statevector import register_add_sub  # noqa: F401
 
 CAP_ANCILLA = "cap"
 
@@ -50,6 +53,13 @@ class StepPlan:
         return replace(self, dt=dt)
 
 
+def _along(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """View of a 1D array laid along ``axis`` of an ``ndim``-axis broadcast."""
+    shape = [1] * ndim
+    shape[axis] = vec.size
+    return vec.reshape(shape)
+
+
 def kinetic_constant(box, width: int, mass: float) -> float:
     """Phase prefactor C with phases exp(-i*C*dt*k^2); C = 2*pi^2/(L^2 m)."""
     box_width = box.width_for(width)
@@ -74,42 +84,62 @@ class StepKernel:
         self.spec = spec
         dt = plan.dt
 
-        # kinetic factors, one 1D table per sub-register
+        # every particle span, highest start first: the axis order of the
+        # reshaped state, so the tables below broadcast onto it as views
+        self.spans = sorted((s for particle in layout.particles for s in particle.spans),
+                            key=lambda s: s.start, reverse=True)
+        axis = {s: i for i, s in enumerate(self.spans)}
+        ndim = len(self.spans)
+
+        # kinetic factors: per particle, the outer product of its 1D span factors
         self.kinetic = []
         for p, particle in enumerate(layout.particles):
             mass = spec.particles[p].mass
-            for s in particle.spans:
+            spans = [s for s in self.spans if s in particle.spans]
+            factors = []
+            for i, s in enumerate(spans):
                 k = span_values(s.width).astype(np.float64)
                 c = kinetic_constant(box, s.width, mass)
-                self.kinetic.append((s, np.exp(-1j * c * dt * k ** 2)))
+                factors.append(_along(np.exp(-1j * c * dt * k ** 2), i, len(spans)))
+            self.kinetic.append((spans, reduce(np.multiply, factors)))
 
-        # per-particle nuclear + field factors over the particle's d spans
-        self.potential = []
-        for p, particle in enumerate(layout.particles):
-            spans = list(particle.spans)
-            coord_axes = [box.coordinates(s.width) for s in spans]
-            grids = np.meshgrid(*coord_axes, indexing="ij")
-            v, singular = single_particle_potential(spec, p, grids)
-            v = np.where(singular, 0.0, v)   # zero-phase override at exact zeros
-            if spec.nuclei or any(spec.efield):
-                self.potential.append((spans, np.exp(-1j * v * dt)))
-
-        # pairwise factors on the relative grid of the lower-index particle
-        self.pairs = []
+        # one position table over all particle spans: pairwise factors gathered
+        # from the relative-coordinate table at (pattern_p - pattern_q) mod 2^w
+        # per dimension (two's complement makes that the value difference),
+        # times the nuclear + field factors of each particle
+        factors = []
         for p in range(len(layout.particles)):
             for q in range(p + 1, len(layout.particles)):
                 coupling = spec.coupling(p, q)
                 if coupling == 0.0:
                     continue
-                spans_p = list(layout.particles[p].spans)
-                spans_q = list(layout.particles[q].spans)
+                spans_p = layout.particles[p].spans
+                spans_q = layout.particles[q].spans
                 if [s.width for s in spans_p] != [s.width for s in spans_q]:
                     raise LayoutError("paired particles need equal-shape registers")
-                deltas = np.meshgrid(
-                    *[span_values(s.width) for s in spans_p],
-                    indexing="ij")
-                v = pair_potential(spec, p, q, box.delta_r, deltas)
-                self.pairs.append((spans_p, spans_q, np.exp(-1j * v * dt)))
+                deltas = np.meshgrid(*[span_values(s.width) for s in spans_p],
+                                     indexing="ij")
+                relative = np.exp(-1j * pair_potential(spec, p, q, box.delta_r, deltas) * dt)
+                index = []
+                for sp, sq in zip(spans_p, spans_q):
+                    patterns = np.arange(1 << sp.width)
+                    index.append((_along(patterns, axis[sp], ndim)
+                                  - _along(patterns, axis[sq], ndim)) % patterns.size)
+                factors.append(relative[tuple(index)])
+        if spec.nuclei or any(spec.efield):
+            for p, particle in enumerate(layout.particles):
+                coords = [_along(box.coordinates(s.width), axis[s], ndim)
+                          for s in particle.spans]
+                v, singular = single_particle_potential(spec, p, coords)
+                v = np.where(singular, 0.0, v)   # zero-phase override at exact zeros
+                factors.append(np.exp(-1j * v * dt))
+        self.position = None
+        if factors:
+            shape = tuple(1 << s.width for s in self.spans)
+            table = factors[0]
+            for f in factors[1:]:   # in place once the product spans every axis
+                table = np.multiply(table, f, out=table if table.shape == shape else None)
+            self.position = np.ascontiguousarray(np.broadcast_to(table, shape))
 
         # boundary damping
         self.damping = None
@@ -156,31 +186,23 @@ class StepKernel:
         """This kernel with every kinetic and interaction table conjugated, so
         that its sub-steps undo the ones of this kernel."""
         adj = copy(self)
-        adj.kinetic = [(s, np.conj(f)) for s, f in self.kinetic]
-        adj.potential = [(spans, np.conj(f)) for spans, f in self.potential]
-        adj.pairs = [(sp, sq, np.conj(f)) for sp, sq, f in self.pairs]
+        adj.kinetic = [(spans, np.conj(f)) for spans, f in self.kinetic]
+        if self.position is not None:
+            adj.position = np.conj(self.position)
         return adj
 
     # -- application --------------------------------------------------------
 
     def kinetic_cycle(self, state: StateVector) -> StateVector:
-        for s, _ in self.kinetic:
-            apply_inverse_qft(state, s)
-        for s, factors in self.kinetic:
-            apply_phase_table(state, [s], factors)
-        for s, _ in self.kinetic:
-            apply_qft(state, s)
+        apply_inverse_qft(state, self.spans)
+        for spans, factors in self.kinetic:
+            apply_phase_table(state, spans, factors)
+        apply_qft(state, self.spans)
         return state
 
     def interaction(self, state: StateVector) -> StateVector:
-        for spans, factors in self.potential:
-            apply_phase_table(state, spans, factors)
-        for spans_p, spans_q, factors in self.pairs:
-            for sa, sb in zip(spans_p, spans_q):
-                register_add_sub(state, sa, sb, "subtract")
-            apply_phase_table(state, spans_p, factors)
-            for sa, sb in zip(spans_p, spans_q):
-                register_add_sub(state, sa, sb, "add")
+        if self.position is not None:
+            apply_phase_table(state, self.spans, self.position)
         return state
 
     def damp(self, state: StateVector) -> float:

@@ -203,6 +203,10 @@ def load_scenario(text: str) -> Scenario:
         raise ConfigError("plan.attenuation is on but the hamiltonian defines no "
                           "attenuation region", field="plan.attenuation")
     prepsec = root.child("prep")
+    if prepsec is not None and prepsec.child("edit") is not None \
+            and prepsec.child("imaginary_time") is not None:
+        raise ConfigError("prep runs either a state edit or imaginary-time "
+                          "filtering, not both", field="prep.imaginary_time")
     if attenuate and prepsec is not None:
         # both preparations run the plain unitary cycle
         if prepsec.child("edit") is not None:
@@ -401,8 +405,9 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
         prep_rows = _run_prep(scen, state, out, outputs, suffix)
         if prep_rows is not None:
             state = prep_rows
-        initial = state.copy()
-        init_density = probability_density(initial, 0)
+        # only the autocorrelation and ipe cadences read the start state back
+        initial = state.copy() if cad_autocorr or cad_ipe else None
+        init_density = probability_density(state, 0)
 
         plan = StepPlan(scen.plan_dt, augmentation=_augmentation_for(scen, patch),
                         attenuation=scen.spec.attenuation if scen.attenuate else None)

@@ -196,21 +196,30 @@ def apply_phase_table(state: StateVector, spans: list[Span], factors: np.ndarray
 
 # -- Fourier transforms ------------------------------------------------------
 
-def apply_qft(state: StateVector, span: Span) -> StateVector:
-    """Fourier transform of one sub-register, momentum-to-position direction.
+def _transform_view(state: StateVector, spans):
+    """amps reshaped with one axis per span, and the positions of those axes."""
+    spans = [spans] if isinstance(spans, Span) else list(spans)
+    full_shape, table_shape, _ = _span_axes(state.num_qubits, spans)
+    axes = tuple(i for i, t in enumerate(table_shape) if t > 1)
+    return state.amps.reshape(full_shape), axes
+
+
+def apply_qft(state: StateVector, spans) -> StateVector:
+    """Fourier transform of one sub-register, or of several jointly (a span or
+    a sequence of spans), momentum-to-position direction.
 
     In terms of signed values n, k the matrix element is
     exp(+i*pi*n*k / 2^(w-1)) / 2^(w/2); on two's-complement bit patterns this
-    is the plain inverse DFT, so a scaled ifft implements it exactly.
+    is the plain inverse DFT, so an orthonormal ifft implements it exactly.
     """
-    view = state._view(span)
-    view[...] = np.fft.ifft(view, axis=1) * np.sqrt(1 << span.width)
+    view, axes = _transform_view(state, spans)
+    np.fft.ifftn(view, axes=axes, norm="ortho", out=view)
     return state
 
 
-def apply_inverse_qft(state: StateVector, span: Span) -> StateVector:
-    view = state._view(span)
-    view[...] = np.fft.fft(view, axis=1) / np.sqrt(1 << span.width)
+def apply_inverse_qft(state: StateVector, spans) -> StateVector:
+    view, axes = _transform_view(state, spans)
+    np.fft.fftn(view, axes=axes, norm="ortho", out=view)
     return state
 
 

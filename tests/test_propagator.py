@@ -8,7 +8,8 @@ from gridwave.hamiltonian import (AttenuationSpec, HamiltonianSpec, Nucleus,
 from gridwave.propagator import (StepPlan, compile_step, kinetic_constant,
                                  propagate, split_step_inverse)
 from gridwave.registers import particle_layout, pattern_of_value
-from gridwave.statevector import StateVector, apply_qft, inner_product
+from gridwave.statevector import (StateVector, apply_diagonal_phase, apply_qft,
+                                  inner_product, register_add_sub)
 from .conftest import cached_eig, hydrogen_spec, random_state
 from .oracles import dense_split_cycle, free_gaussian_evolved
 
@@ -178,6 +179,41 @@ def test_pairwise_roundtrip_with_zero_phase(rng):
     before = state.amps.copy()
     compile_step(layout, StepPlan(0.0), spec).interaction(state)
     assert np.abs(state.amps - before).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims, n_r, cap", [(2, 3, True), (3, 2, False)])
+def test_interaction_matches_add_sub_reference(rng, dims, n_r, cap):
+    # the one position table equals the paper's circuit: subtract particle 1's
+    # registers from particle 0's, relative-coordinate phase, add back, plus
+    # the nuclear phase of each particle
+    box = SimulationBox(dims, n_r, 6.0, 0.5)
+    layout = particle_layout(2, dims, n_r, box=box)
+    if cap:
+        layout = layout.with_ancilla("cap")
+    spec = HamiltonianSpec((ParticleSpec(1.0, -1.0),) * 2,
+                           (Nucleus((0.3,) * dims, 2.0),))
+    dt = 0.07
+    state = _random_sv(rng, layout)
+    ref = state.copy()
+    compile_step(layout, StepPlan(dt), spec).interaction(state)
+
+    def nuclear(*values):
+        r2 = sum(((v - box.origin_offset) * box.delta_r - 0.3) ** 2 for v in values)
+        return dt * (-1.0 * 2.0) / np.sqrt(r2)
+
+    def relative(*deltas):
+        d = np.sqrt(sum(dv.astype(np.float64) ** 2 for dv in deltas))
+        return dt / (box.delta_r * np.where(d == 0, 1.0, d))
+
+    spans0, spans1 = layout.particles[0].spans, layout.particles[1].spans
+    for spans in (spans0, spans1):
+        apply_diagonal_phase(ref, nuclear, list(spans))
+    for a, b in zip(spans0, spans1):
+        register_add_sub(ref, a, b, "subtract")
+    apply_diagonal_phase(ref, relative, list(spans0))
+    for a, b in zip(spans0, spans1):
+        register_add_sub(ref, a, b, "add")
+    assert np.abs(state.amps - ref.amps).max() < 1e-14
 
 
 def test_field_phase_values(rng):

@@ -214,6 +214,24 @@ plan { dt = 0.01  steps = 4  attenuation = true }
                           + prep)
 
 
+def test_prep_edit_with_imaginary_time_rejected_at_validate():
+    base = """
+seed = 4
+box { dims = 1  n_r = 4  length = 10.0 }
+particles { particle { mass = 1.0  charge = -1.0 } }
+initial_state { gaussian { center = 0.0  alpha = 0.5 } }
+plan { dt = 0.01  steps = 4 }
+"""
+    edit = "edit { energy = -1.0 }"
+    imaginary = "imaginary_time { m0 = 0.9  steps = 3 }"
+    with pytest.raises(ConfigError) as err:
+        validate_scenario(base + f"prep {{ {edit} {imaginary} }}")
+    assert "prep.imaginary_time" in str(err.value)
+    # each preparation on its own validates
+    validate_scenario(base + f"prep {{ {edit} }}")
+    validate_scenario(base + f"prep {{ {imaginary} }}")
+
+
 def test_step_eigenstate_orbitals_share_one_schur_form(monkeypatch):
     from gridwave import dense
     calls = []

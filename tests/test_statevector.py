@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gridwave.errors import LayoutError, PostSelectionError, SingularPhaseError
 from gridwave.grid import SimulationBox
-from gridwave.registers import Span, get_reg_val, particle_layout
+from gridwave.registers import (Particle, RegisterLayout, Span, get_reg_val,
+                                particle_layout)
 from gridwave.statevector import (StateVector, apply_diagonal_phase,
                                   apply_inverse_qft, apply_qft,
                                   controlled_apply, enlarge_particle, fidelity,
@@ -61,6 +62,22 @@ def test_qft_inverse_roundtrip(rng):
     for span in layout.particles[0].spans:
         apply_inverse_qft(state, span)
     assert np.abs(state.amps - a).max() < 1e-12
+    # a sequence of spans in one call equals one call per span, with an
+    # ancilla above the particle spans, and with one between them too
+    between = RegisterLayout((Particle((Span(0, 3),)), Particle((Span(4, 3),))),
+                             {"gap": Span(3, 1), "top": Span(7, 1)})
+    for layout in (particle_layout(2, 2, 2).with_ancilla("probe"), between):
+        spans = [s for p in layout.particles for s in p.spans]
+        a = random_state(rng, layout.num_qubits)
+        for transform in (apply_qft, apply_inverse_qft):
+            joint = transform(StateVector(a.copy(), layout), spans)
+            ref = StateVector(a.copy(), layout)
+            for span in spans:
+                transform(ref, span)
+            assert np.abs(joint.amps - ref.amps).max() < 1e-14
+        state = apply_qft(StateVector(a.copy(), layout), spans)
+        apply_inverse_qft(state, spans)
+        assert np.abs(state.amps - a).max() < 1e-14
 
 
 def test_qft_zero_state_uniform():
@@ -129,6 +146,21 @@ def test_controlled_apply_basis_controls(rng):
     ref = StateVector(a.copy())
     apply_qft(ref, Span(0, 3))
     assert np.abs(state.amps[8:] - ref.amps).max() < 1e-12
+    # a joint transform of two particle spans, written back from a copied
+    # block (control between the particles) and through a view (control on top)
+    layout = RegisterLayout((Particle((Span(0, 3),)), Particle((Span(4, 3),))),
+                            {"gap": Span(3, 1), "top": Span(7, 1)})
+    a = random_state(rng, 8)
+    for control, upper in ((3, Span(3, 3)), (7, Span(4, 3))):
+        state = StateVector(a.copy(), layout)
+        controlled_apply(state, control, lambda sub: apply_qft(
+            sub, [s for p in sub.layout.particles for s in p.spans]))
+        before = a.reshape(1 << (7 - control), 2, 1 << control)
+        after = state.amps.reshape(before.shape)
+        ref = apply_qft(StateVector(before[:, 1, :].reshape(-1).copy()),
+                        [Span(0, 3), upper])
+        assert np.abs(after[:, 0, :] - before[:, 0, :]).max() == 0.0
+        assert np.abs(after[:, 1, :].reshape(-1) - ref.amps).max() < 1e-14
 
 
 def test_controlled_phase_traces_cosine(rng):
