@@ -13,14 +13,12 @@ import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
 from gridwave import (Gaussian, Hydrogen2D, SimulationBox, StateVector,
                       StepPlan, antisymmetrize_direct, discretize,
                       enlarge_particle, particle_layout, probability_density)
 from gridwave.hamiltonian import (AttenuationSpec, HamiltonianSpec, Nucleus,
                                   ParticleSpec, UniformEdgeRegion)
-from gridwave.propagator import CAP_ANCILLA, compile_step
+from gridwave.propagator import compile_step
 
 
 def main():
@@ -36,15 +34,14 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     box = SimulationBox(2, args.n_r, args.length, 0.5)
-    layout = particle_layout(2, 2, args.n_r, box=box).with_ancilla(CAP_ANCILLA)
+    layout = particle_layout(2, 2, args.n_r, box=box)
     atten = AttenuationSpec(UniformEdgeRegion(2, 0.5))
     spec = HamiltonianSpec((ParticleSpec(1.0, -1.0), ParticleSpec(1.0, -1.0)),
                            (Nucleus((0.0, 0.0), 1.0),), attenuation=atten)
     bound, _ = discretize(Hydrogen2D(0, 0), box)
     incident, _ = discretize(Gaussian((0.0, 5.0), (0.0, -2.0), (0.4, 0.4)), box)
     combined, _ = antisymmetrize_direct(bound, incident)
-    state = StateVector(np.concatenate([combined, np.zeros_like(combined)]),
-                        layout)
+    state = StateVector(combined, layout)
 
     plan = StepPlan(0.01, attenuation=atten)
     kernel = compile_step(layout, plan, spec)

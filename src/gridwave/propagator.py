@@ -8,6 +8,14 @@ correction.  The pairwise factors are what the paper's register
 subtract / relative-coordinate phase / add circuit produces
 (``statevector.register_add_sub`` keeps that circuit as the reference);
 here they are gathered once into the position table.
+
+Boundary damping is the paper's conditioned-ancilla round: an ancilla
+rotated by arccos(exp(-V dt)) on the edge pixels, then post-selected to |0>.
+That outcome leaves the particle registers multiplied by the real diagonal
+exp(-V dt) with the ancilla back in |0>, so the kernel applies that diagonal
+and renormalises instead of carrying the always-zero ancilla half
+(``statevector.masked_ancilla_x_rotation`` and ``measure_qubit`` keep the
+circuit as the reference).
 """
 
 from __future__ import annotations
@@ -18,17 +26,16 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import ConfigError, LayoutError
+from .errors import ConfigError, LayoutError, PostSelectionError
 from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           UniformEdgeRegion, pair_potential,
                           single_particle_potential)
 from .registers import RegisterLayout, pattern_of_value, span_values
 from .statevector import (StateVector, apply_inverse_qft, apply_phase_table,
-                          apply_qft, masked_ancilla_x_rotation, measure_qubit)
-# unused here; benchmark/tracing.py wraps it by name in this module's namespace
+                          apply_qft)
+# unused here; benchmark/tracing.py wraps these by name in this module's namespace
 from .statevector import register_add_sub  # noqa: F401
-
-CAP_ANCILLA = "cap"
+from .statevector import masked_ancilla_x_rotation, measure_qubit  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,14 @@ def _along(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     shape = [1] * ndim
     shape[axis] = vec.size
     return vec.reshape(shape)
+
+
+def _product_table(factors: list, shape: tuple) -> np.ndarray:
+    """Contiguous ``shape`` table: the broadcast product of ``factors``."""
+    table = factors[0]
+    for f in factors[1:]:   # in place once the product spans every axis
+        table = np.multiply(table, f, out=table if table.shape == shape else None)
+    return np.ascontiguousarray(np.broadcast_to(table, shape))
 
 
 def kinetic_constant(box, width: int, mass: float) -> float:
@@ -133,53 +148,52 @@ class StepKernel:
                 v, singular = single_particle_potential(spec, p, coords)
                 v = np.where(singular, 0.0, v)   # zero-phase override at exact zeros
                 factors.append(np.exp(-1j * v * dt))
-        self.position = None
-        if factors:
-            shape = tuple(1 << s.width for s in self.spans)
-            table = factors[0]
-            for f in factors[1:]:   # in place once the product spans every axis
-                table = np.multiply(table, f, out=table if table.shape == shape else None)
-            self.position = np.ascontiguousarray(np.broadcast_to(table, shape))
+        self.shape = tuple(1 << s.width for s in self.spans)
+        self.position = _product_table(factors, self.shape) if factors else None
 
         # boundary damping
         self.damping = None
         if plan.attenuation is not None:
             self.damping = self._compile_damping(plan.attenuation)
 
-    def _compile_damping(self, atten: AttenuationSpec):
-        layout = self.layout
-        if CAP_ANCILLA not in layout.ancillas:
-            raise LayoutError(
-                f"attenuation needs a reserved '{CAP_ANCILLA}' ancilla in |0>")
-        ancilla = layout.ancillas[CAP_ANCILLA]
-        if ancilla.width != 1:
-            raise LayoutError("the damping ancilla must be a single qubit")
-        ops = []
+    def _compile_damping(self, atten: AttenuationSpec) -> np.ndarray | None:
+        """Real table over ``self.spans`` (axes as the position table): the
+        factor cos(theta) = exp(-V dt) that the |0> outcome of the ancilla
+        round leaves on each damped pixel, 1 elsewhere.  None if all are 1."""
+        dt = self.plan.dt
+        axis = {s: i for i, s in enumerate(self.spans)}
+        ndim = len(self.spans)
         region = atten.region
+        factors = []
         if isinstance(region, UniformEdgeRegion):
-            theta = atten.angle(region.strength, self.plan.dt)
-            for particle in layout.particles:
-                for s in particle.spans:
-                    allowed = np.zeros(1 << s.width, dtype=bool)
-                    pats = pattern_of_value(region.member_values(s.width), s.width)
-                    allowed[pats] = True
-                    ops.append(([s], allowed, theta))
+            # a pixel in the strip of several registers is rotated once per register
+            keep = np.cos(atten.angle(region.strength, dt))
+            for s in self.spans:
+                vec = np.ones(1 << s.width)
+                vec[pattern_of_value(region.member_values(s.width), s.width)] = keep
+                factors.append(_along(vec, axis[s], ndim))
         elif isinstance(region, ExplicitRegion):
-            for particle in layout.particles:
-                spans = list(particle.spans)
+            for particle in self.layout.particles:
+                spans = particle.spans
+                shape = [1] * ndim
+                for s in spans:
+                    shape[axis[s]] = 1 << s.width
+                table = np.ones(shape)
                 for pix, strength in region.pixels.items():
                     if len(pix) != len(spans):
                         raise ConfigError(
                             f"pixel {pix} has wrong dimensionality",
                             field="attenuation.pixels")
-                    theta = atten.angle(strength, self.plan.dt)
-                    table = np.zeros([1 << s.width for s in spans], dtype=bool)
-                    idx = tuple(pattern_of_value(v, s.width) for v, s in zip(pix, spans))
-                    table[idx] = True
-                    ops.append((spans, table, theta))
+                    idx = [0] * ndim
+                    for v, s in zip(pix, spans):
+                        idx[axis[s]] = pattern_of_value(v, s.width)
+                    table[tuple(idx)] = np.cos(atten.angle(strength, dt))
+                factors.append(table)
         else:
             raise ConfigError("unknown attenuation region type", field="attenuation")
-        return ancilla.start, ops
+        if all(np.all(f == 1.0) for f in factors):
+            return None
+        return _product_table(factors, self.shape)
 
     @cached_property
     def adjoint(self) -> "StepKernel":
@@ -206,21 +220,22 @@ class StepKernel:
         return state
 
     def damp(self, state: StateVector) -> float:
-        """Boundary measurement round; returns this step's detection probability."""
-        ancilla, ops = self.damping
-        survival = 1.0
-        for spans, allowed, theta in ops:
-            if theta == 0.0:
-                continue
-            masked_ancilla_x_rotation(state, spans, allowed, ancilla, theta)
-            record, _ = measure_qubit(state, ancilla, "z", forced_outcome=0)
-            survival *= record.probability
+        """Boundary damping round: the damping table, then renormalisation.
+        Returns this step's detection probability 1 - survival."""
+        if self.damping is None:
+            return 0.0
+        apply_phase_table(state, self.spans, self.damping)
+        survival = min(state.norm_sq(), 1.0)
+        if survival < 1e-15:
+            raise PostSelectionError(
+                f"damping leaves a survival probability of {survival:.3e}")
+        state.amps *= 1.0 / np.sqrt(survival)
         return 1.0 - survival
 
     def apply(self, state: StateVector, escape=None) -> StateVector:
         self.kinetic_cycle(state)
         self.interaction(state)
-        if self.damping is not None:
+        if self.plan.attenuation is not None:
             increment = self.damp(state)
             if escape is not None:
                 escape.append(increment)

@@ -21,7 +21,7 @@ from .grid import SimulationBox
 from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           Nucleus, ParticleSpec, UniformEdgeRegion)
 from .observables import EscapeTracker, TimeSeries
-from .propagator import CAP_ANCILLA, StepPlan
+from .propagator import StepPlan
 from .registers import particle_layout
 from .statevector import StateVector
 from . import states as st
@@ -121,6 +121,14 @@ class Scenario:
         return total
 
 
+def _time_step(raw, field: str) -> float:
+    dt = float(raw)
+    if not np.isfinite(dt) or dt < 0:
+        raise ConfigError(f"time step must be finite and non-negative, got {dt}",
+                          field=field)
+    return dt
+
+
 def load_scenario(text: str) -> Scenario:
     root = parse_config(text)
     boxsec = root.child("box")
@@ -186,7 +194,10 @@ def load_scenario(text: str) -> Scenario:
     plansec = root.child("plan")
     if plansec is None:
         raise ConfigError("missing plan section", field="plan")
-    dt = float(plansec.require("dt", "plan"))
+    dt = _time_step(plansec.require("dt", "plan"), "plan.dt")
+    for esec in root.children_named("event"):
+        if esec.get("dt") is not None:
+            _time_step(esec.get("dt"), "event.dt")
     steps = int(plansec.require("steps", "plan"))
     if steps < 0:
         raise ConfigError("steps must be >= 0", field="plan.steps")
@@ -252,8 +263,6 @@ def build_initial_state(scen: Scenario) -> StateVector:
     sec = scen.root.child("initial_state")
     box = scen.box
     layout = particle_layout(scen.num_particles, box.dims, box.n_r, box=box)
-    if scen.attenuate:
-        layout = layout.with_ancilla(CAP_ANCILLA)
 
     if sec.child("model_ground") is not None:
         # exact ground eigenvector of the reference (projected-potential)
@@ -263,20 +272,15 @@ def build_initial_state(scen: Scenario) -> StateVector:
                               field="initial_state.model_ground")
         from .dense import reference_step_matrix
         _, _, _, evecs = reference_step_matrix(box, scen.spec, scen.plan_dt)
-        amps = evecs[:, 0].astype(np.complex128)
-        if scen.attenuate:
-            amps = np.concatenate([amps, np.zeros_like(amps)])
-        return StateVector(amps, layout)
+        return StateVector(evecs[:, 0].astype(np.complex128), layout)
 
     filename = sec.get("file")
     if filename is not None:
         from .iofmt import read_statevector
         amps, nq = read_statevector(filename)
-        if nq != layout.num_qubits - (1 if scen.attenuate else 0):
+        if nq != layout.num_qubits:
             raise ConfigError(f"dump holds {nq} qubits, scenario expects "
                               f"{scen.base_qubits}", field="initial_state.file")
-        if scen.attenuate:
-            amps = np.concatenate([amps, np.zeros_like(amps)])
         return StateVector(amps, layout)
 
     orbitals = sec.children_named("orbital")
@@ -315,8 +319,6 @@ def build_initial_state(scen: Scenario) -> StateVector:
                               "block; multi-particle ones use orbital blocks",
                               field="initial_state")
         amps, _ = st.discretize(parse_state(inner[0], box.dims), box)
-    if scen.attenuate:
-        amps = np.concatenate([amps, np.zeros_like(amps)])
     return StateVector(amps, layout)
 
 
@@ -417,8 +419,8 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
         tracker = EscapeTracker()
         escape_inc: list[float] = []
 
-        def dump_density(step_idx: int):
-            dens = probability_density(state, 0)
+        def dump_density(step_idx: int, current: StateVector):
+            dens = probability_density(current, 0)
             name = f"density{suffix}_{step_idx:06d}.gwdg"
             iofmt.write_density_grid(out / name, dens, scen.box)
             outputs[name] = {}
@@ -428,7 +430,7 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
                 outputs[pname] = {}
 
         if cad_density > 0 or scen.plan_steps == 0:
-            dump_density(0)
+            dump_density(0, state)
 
         def callback(step: int, t: float, current: StateVector):
             if escape_inc:
@@ -455,12 +457,12 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
                 records["t_s"].append(t)
                 records["s"].append(inner_product(current, swapped).real)
             if cad_density and step % cad_density == 0:
-                dump_density(step)
+                dump_density(step, current)
 
         from .propagator import propagate
         events = _parse_events(scen)
-        propagate(state, plan, scen.spec, scen.plan_steps,
-                  callbacks=[callback], events=events, escape=escape_inc)
+        state = propagate(state, plan, scen.spec, scen.plan_steps,
+                          callbacks=[callback], events=events, escape=escape_inc)
         if escape_inc:   # increment from the final step
             tracker.record(scen.plan_steps * scen.plan_dt, escape_inc.pop())
 

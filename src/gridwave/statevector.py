@@ -188,7 +188,8 @@ def apply_diagonal_phase(state: StateVector, phase_fn, spans: list[Span],
 
 
 def apply_phase_table(state: StateVector, spans: list[Span], factors: np.ndarray) -> StateVector:
-    """Multiply amplitudes by a precomputed unit-modulus factor table."""
+    """Multiply amplitudes by a precomputed factor table: unit-modulus phases,
+    or the real damping factors of ``StepKernel.damp``."""
     view, factor = _broadcast_table(state, spans, factors)
     view *= factor
     return state

@@ -114,3 +114,24 @@ def tag_erasure_success(deviations, tag_width: int) -> float:
         s = np.mean(np.exp(2j * np.pi * dev * np.arange(m) / m))
         total *= abs(s) ** 2
     return float(total)
+
+
+def ancilla_damping_round(amps, masks, angles):
+    """The paper's boundary-damping round, gate by gate.
+
+    For each (mask, theta): a fresh ancilla qubit in |0> above the register
+    is rotated by exp(i theta sigma_x) on every basis state where ``mask``
+    (boolean, one entry per amplitude) holds, then projected onto |0> and the
+    state renormalised.  Returns (new amplitudes, probability that any of the
+    projections would have failed).
+    """
+    psi = np.asarray(amps, dtype=complex)
+    survival = 1.0
+    for mask, theta in zip(masks, angles):
+        # the rotation takes |x>|0> to cos(theta)|x>|0> + i sin(theta)|x>|1>
+        lower = np.where(mask, np.cos(theta) * psi, psi)          # ancilla |0>
+        upper = np.where(mask, 1j * np.sin(theta) * psi, 0.0)     # ancilla |1>
+        p0 = np.sum(np.abs(lower) ** 2)
+        survival *= p0 / (p0 + np.sum(np.abs(upper) ** 2))
+        psi = lower / np.sqrt(p0)
+    return psi, 1.0 - survival

@@ -3,15 +3,16 @@ import pytest
 
 from gridwave.errors import ConfigError
 from gridwave.grid import SimulationBox
-from gridwave.hamiltonian import (AttenuationSpec, HamiltonianSpec, Nucleus,
-                                  ParticleSpec, UniformEdgeRegion)
+from gridwave.hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
+                                  Nucleus, ParticleSpec, UniformEdgeRegion)
 from gridwave.propagator import (StepPlan, compile_step, kinetic_constant,
                                  propagate, split_step_inverse)
 from gridwave.registers import particle_layout, pattern_of_value
 from gridwave.statevector import (StateVector, apply_diagonal_phase, apply_qft,
                                   inner_product, register_add_sub)
 from .conftest import cached_eig, hydrogen_spec, random_state
-from .oracles import dense_split_cycle, free_gaussian_evolved
+from .oracles import (ancilla_damping_round, dense_split_cycle,
+                      free_gaussian_evolved)
 
 
 def _random_sv(rng, layout):
@@ -317,6 +318,52 @@ def test_attenuation_cumulative_escape(rng):
     assert np.all(np.diff(series.values) >= -1e-15)
     assert series.values[-1] > 0.9
     assert abs(state.norm_sq() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("cap", [False, True])
+@pytest.mark.parametrize("case", ["strip_1d", "strip_2d_pair", "pixels_2d"])
+def test_damp_matches_ancilla_circuit(rng, case, cap):
+    # the damping table against the rotate / post-select round gate by gate,
+    # on the bare layout and on one that still carries the ancilla
+    dt = 0.05
+    if case == "strip_1d":
+        particles, dims, n_r = 1, 1, 6
+        region = UniformEdgeRegion(2, 1.5)
+    elif case == "strip_2d_pair":
+        particles, dims, n_r = 2, 2, 3
+        region = UniformEdgeRegion(2, 0.8)
+    else:
+        particles, dims, n_r = 1, 2, 4
+        region = ExplicitRegion({(-8, 3): 2.0, (7, -8): 0.5})
+    m = 1 << n_r
+    registers = particles * dims          # register r holds bits r*n_r and up
+    index = np.arange(1 << (registers * n_r))
+    values = [(index >> (r * n_r)) % m for r in range(registers)]
+    values = [np.where(v < m // 2, v, v - m) for v in values]
+    if isinstance(region, UniformEdgeRegion):
+        side = m >> region.msb_qubits
+        masks = [(v < -m // 2 + side) | (v >= m // 2 - side) for v in values]
+        angles = [np.arccos(np.exp(-region.strength * dt))] * registers
+    else:
+        masks = [np.logical_and.reduce([values[d] == pix[d] for d in range(dims)])
+                 for pix in region.pixels]
+        angles = [np.arccos(np.exp(-v * dt)) for v in region.pixels.values()]
+    amps = random_state(rng, registers * n_r)
+    expected, expected_escape = ancilla_damping_round(amps, masks, angles)
+    assert expected_escape > 1e-3
+
+    box = SimulationBox(dims, n_r, 12.0, 0.5)
+    layout = particle_layout(particles, dims, n_r, box=box)
+    if cap:
+        layout = layout.with_ancilla("cap")
+        amps = np.concatenate([amps, np.zeros_like(amps)])
+    atten = AttenuationSpec(region)
+    spec = HamiltonianSpec((ParticleSpec(),) * particles, attenuation=atten)
+    state = StateVector(amps, layout)
+    escape = compile_step(layout, StepPlan(dt, attenuation=atten), spec).damp(state)
+    assert np.abs(state.amps[:expected.size] - expected).max() <= 1e-14
+    assert np.all(state.amps[expected.size:] == 0.0)
+    assert abs(escape - expected_escape) <= 1e-15
 
 
 # -- propagate loop -----------------------------------------------------------------

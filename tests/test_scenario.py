@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gridwave.config_text import canonical_text, parse_config
@@ -262,3 +263,71 @@ plan { dt = 0.01  steps = 0 }
     from gridwave.statevector import inner_product, swap_particle_registers
     swapped = swap_particle_registers(state, 0, 1)
     assert inner_product(state, swapped).real == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-0.01"])
+def test_bad_time_step_rejected_at_validate(bad):
+    with pytest.raises(ConfigError) as err:
+        validate_scenario(MINIMAL.replace("dt = 0.01", f"dt = {bad}"))
+    assert "plan.dt" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        validate_scenario(MINIMAL + f"event {{ at_step = 2  dt = {bad} }}")
+    assert "event.dt" in str(err.value)
+    validate_scenario(MINIMAL + "event { at_step = 2  dt = 0.02 }")
+
+
+def test_enlarge_event_outputs_use_the_enlarged_state(tmp_path):
+    from gridwave.iofmt import read_density_grid, read_statevector
+    text = """
+seed = 3
+box { dims = 1  n_r = 4  length = 10.0 }
+particles { particle { mass = 1.0  charge = -1.0 } }
+initial_state { gaussian { center = 0.0  alpha = 0.5 } }
+plan { dt = 0.01  steps = 4 }
+event { at_step = 2  enlarge_particle = 0 }
+observables { density = 2  dump_state = true }
+"""
+    run_scenario(text, tmp_path)
+    # step 2's callbacks run before its event, step 4's after it
+    assert read_density_grid(tmp_path / "density_000002.gwdg")[0].size == 16
+    assert read_density_grid(tmp_path / "density_000004.gwdg")[0].size == 32
+    amps, num_qubits = read_statevector(tmp_path / "final_state.gwsv")
+    assert (amps.size, num_qubits) == (32, 5)
+
+
+DAMPED = """
+seed = 4
+box { dims = 1  n_r = 5  length = 10.0 }
+particles { particle { mass = 1.0  charge = -1.0 } }
+hamiltonian { attenuation { uniform { msb = 2  strength = 1.0 } } }
+initial_state { gaussian { center = 2.0  momentum = 3.0  alpha = 0.5 } }
+plan { dt = 0.02  steps = 6  attenuation = true }
+observables { dump_state = true }
+"""
+
+
+def test_damped_initial_state_has_no_ancilla():
+    scen = load_scenario(DAMPED)
+    state = build_initial_state(scen)
+    assert state.num_qubits == scen.base_qubits == 5
+    assert state.layout.ancillas == {}
+    # a device still needs the ancilla the damping round rotates
+    assert scen.required_qubits() == 6
+
+
+def test_damped_final_state_restarts_same_scenario(tmp_path):
+    from gridwave.iofmt import read_statevector, read_timeseries_csv
+    run_scenario(DAMPED, tmp_path / "first")
+    dump = tmp_path / "first" / "final_state.gwsv"
+    assert read_statevector(dump)[1] == 5
+    restart = DAMPED.replace(
+        "initial_state { gaussian { center = 2.0  momentum = 3.0  alpha = 0.5 } }",
+        f'initial_state {{ file = "{dump}" }}')
+    run_scenario(restart, tmp_path / "second")
+    # six more steps from the dump continue the twelve-step run exactly
+    run_scenario(DAMPED.replace("steps = 6", "steps = 12"), tmp_path / "whole")
+    second, _ = read_statevector(tmp_path / "second" / "final_state.gwsv")
+    whole, _ = read_statevector(tmp_path / "whole" / "final_state.gwsv")
+    assert np.abs(second - whole).max() <= 1e-15
+    escape = read_timeseries_csv(tmp_path / "second" / "escape.csv").values
+    assert len(escape) == 6 and escape[-1] > 0.0
