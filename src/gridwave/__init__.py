@@ -35,8 +35,7 @@ from .observables import (EnergyEstimate, EscapeTracker, TimeSeries,
                           fit_energy_from_signal, ipe_probability,
                           multi_qubit_phase_estimation, phase_probe_series,
                           phase_register_distribution, probability_density,
-                          sampled_energy_expectation, signal_spectrum,
-                          with_plus_ancilla)
+                          sampled_energy_expectation, signal_spectrum)
 from .prep import (ImaginaryTimeParams, ImaginaryTimeRun, SynthSpectrum,
                    align_energies, antisymmetrize_tagged, ideal_exchange_state,
                    imaginary_time_run, imaginary_time_step,

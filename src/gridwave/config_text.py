@@ -124,6 +124,7 @@ class _Parser:
                 raise ConfigError(f"line {self.line()}: expected a key or section "
                                   f"name, got {tok!r}")
             follower = self.peek(1)
+            lineno = self.line()
             name = self.take()
             if follower == "{":
                 self.take()
@@ -134,6 +135,8 @@ class _Parser:
                     raise ConfigError(f"line {self.line()}: unclosed section {name!r}")
                 self.take()
             elif follower == "=":
+                if name in section.entries:
+                    raise ConfigError(f"line {lineno}: duplicate key {name!r}")
                 self.take()
                 values = []
                 while True:

@@ -1,8 +1,13 @@
 """Autocorrelation, phase-probe energy estimation, densities, escape tracking.
 
-The exact-probability mode reads ancilla statistics straight off the
-statevector, which is what an emulator can do that hardware cannot; the
-shot-sampled mode exists to show the statistical cost a real device pays.
+The paper's |+>-controlled evolutions (the single-qubit phase probe and the
+S-qubit phase register) run here without their ancillas: the |0> branch
+never moves, so every readout is a function of the autocorrelation
+c(k) = <psi|U^k|psi> along one evolved copy of the state
+(``statevector.controlled_apply`` keeps the controlled circuit as the
+reference).  These exact probabilities are what an emulator can read that
+hardware cannot; the shot-sampled mode exists to show the statistical cost a
+real device pays.
 """
 
 from __future__ import annotations
@@ -13,10 +18,11 @@ import numpy as np
 
 from .errors import ConfigError, GridwaveError, LayoutError
 from .hamiltonian import HamiltonianSpec
-from .propagator import StepPlan, compile_step
+from .propagator import StepKernel, StepPlan, compile_step
 from .registers import span_values
-from .statevector import (StateVector, controlled_apply, inner_product,
-                          pairwise_sum)
+from .statevector import StateVector, inner_product, pairwise_sum
+# unused here; benchmark/tracing.py wraps this name in this module's namespace
+from .statevector import controlled_apply  # noqa: F401
 
 
 @dataclass
@@ -56,87 +62,59 @@ def autocorrelation(initial: StateVector, current: StateVector) -> complex:
 
 # -- single-ancilla phase probe ----------------------------------------------
 
-def _check_plus_ancilla(state: StateVector, ancilla: int, tol: float = 1e-9):
-    n = state.num_qubits
-    view = state.amps.reshape(1 << (n - 1 - ancilla), 2, 1 << ancilla)
-    diff = np.abs(view[:, 0, :] - view[:, 1, :]).max()
-    if diff > tol:
-        raise GridwaveError(
-            "phase-probe ancilla is not an unentangled |+>; "
-            f"branch mismatch {diff:.2e}")
+def compile_unitary_step(state: StateVector, plan: StepPlan,
+                         spec: HamiltonianSpec) -> StepKernel:
+    """The cycle U of a |+>-controlled evolution on ``state``.
+
+    The readouts below are exact functions of c(k) and U^k psi only for a
+    unitary U, so a damped plan is refused.
+    """
+    if plan.attenuation is not None:
+        raise ConfigError("controlled evolution needs the unitary cycle; "
+                          "boundary damping is not supported here",
+                          field="plan.attenuation")
+    return compile_step(state.layout, plan, spec)
 
 
-def plus_probability(state: StateVector, ancilla: int) -> float:
-    """Exact probability of finding the ancilla in |+>."""
-    n = state.num_qubits
-    view = state.amps.reshape(1 << (n - 1 - ancilla), 2, 1 << ancilla)
-    plus = (view[:, 0, :] + view[:, 1, :]) / np.sqrt(2.0)
-    return float(min(max(pairwise_sum((np.abs(plus) ** 2).reshape(-1)).real, 0.0), 1.0))
+def plus_probability(c):
+    """Probability of reading |+> on a probe that controlled U^k on a unit
+    state: (1 + Re c)/2 for the autocorrelation c = <psi|U^k|psi>
+    (elementwise on an array of them)."""
+    return (1.0 + np.real(c)) / 2.0
 
 
 def ipe_probability(state: StateVector, plan: StepPlan, spec: HamiltonianSpec,
-                    steps: int, ancilla: str = "probe",
-                    rng: np.random.Generator | None = None):
-    """Conditionally evolve ``steps`` cycles and return the ancilla <+| probability.
+                    steps: int) -> float:
+    """<+| probability of a |+> probe after ``steps`` cycles conditioned on it.
 
-    The ancilla (named span in the layout) must start as an unentangled |+>.
-    With ``rng`` given, additionally returns a Bernoulli sample of the
-    measurement as (probability, outcome_is_plus).
+    The probe's |0> branch never moves, so this is plus_probability of
+    c(steps), read off one evolved copy; ``state`` is left untouched.
     """
-    if ancilla not in state.layout.ancillas:
-        raise LayoutError(f"no ancilla named {ancilla!r} in the layout")
-    anc = state.layout.ancillas[ancilla].start
-    _check_plus_ancilla(state, anc)
-    kernel = None
-
-    def evolve(sub: StateVector):
-        nonlocal kernel
-        if kernel is None:
-            kernel = compile_step(sub.layout, plan, spec)
-        for _ in range(steps):
-            kernel.apply(sub)
-
-    controlled_apply(state, anc, evolve)
-    p = plus_probability(state, anc)
-    if rng is not None:
-        return p, bool(rng.random() < p)
-    return p
-
-
-def with_plus_ancilla(state: StateVector, name: str = "probe") -> StateVector:
-    """Join a fresh |+> ancilla above the existing registers."""
-    layout = state.layout.with_ancilla(name)
-    amps = np.concatenate([state.amps, state.amps]) / np.sqrt(2.0)
-    return StateVector(amps, layout)
+    kernel = compile_unitary_step(state, plan, spec)
+    work = state.copy()
+    for _ in range(steps):
+        kernel.apply(work)
+    return plus_probability(autocorrelation(state, work))
 
 
 def phase_probe_series(initial: StateVector, plan: StepPlan, spec: HamiltonianSpec,
-                       total_steps: int, every: int,
-                       ancilla: str = "probe") -> TimeSeries:
+                       total_steps: int, every: int) -> TimeSeries:
     """a(t): the <+| probability after t/dt conditioned cycles, sampled on a
     regular cadence.
 
-    The ancilla is never measured mid-run, so one pass over the joint state
+    The probe is never measured mid-run, so one evolved copy of ``initial``
     reproduces exactly the per-time restart statistics hardware would gather.
     """
     if every < 1:
         raise ConfigError("cadence must be >= 1", field="observables.ipe.every")
-    joint = with_plus_ancilla(initial, ancilla)
-    anc = joint.layout.ancillas[ancilla].start
-    kernel = None
-
-    def evolve_one(sub: StateVector):
-        nonlocal kernel
-        if kernel is None:
-            kernel = compile_step(sub.layout, plan, spec)
-        kernel.apply(sub)
-
+    kernel = compile_unitary_step(initial, plan, spec)
+    work = initial.copy()
     times, values = [], []
     for step in range(1, total_steps + 1):
-        controlled_apply(joint, anc, evolve_one)
+        kernel.apply(work)
         if step % every == 0:
             times.append(step * plan.dt)
-            values.append(plus_probability(joint, anc))
+            values.append(plus_probability(autocorrelation(initial, work)))
     return TimeSeries(np.array(times), np.array(values), label="plus_probability")
 
 
@@ -250,33 +228,27 @@ def phase_register_distribution(state: StateVector, plan: StepPlan,
     Ancilla qubit j controls 2^j * base_steps cycles; the register is then
     Fourier-analysed and read in the computational basis.  Readout y encodes
     the phase 2*pi*y/2^S accumulated over base_steps cycles.
+
+    Register value m holds U^(m*base) psi, so with M = 2^S the readout is
+    P(y) = M^-2 sum_{|d|<M} (M-|d|) e^{2 pi i y d/M} c(d*base), where
+    c(-k) = conj c(k): the M-1 lags of one evolved copy fix it.
     """
     if s_qubits < 1:
         raise ConfigError("need at least one phase qubit")
-    joint = state
-    for j in range(s_qubits):
-        joint = with_plus_ancilla(joint, f"phase{j}")
-    base = joint.layout.ancillas["phase0"].start
-    kernel = None
-
-    def make_evolver(count):
-        def evolve(sub: StateVector):
-            nonlocal kernel
-            if kernel is None or kernel.layout is not sub.layout:
-                kernel = compile_step(sub.layout, plan, spec)
-            for _ in range(count):
-                kernel.apply(sub)
-        return evolve
-
-    for j in range(s_qubits):
-        controlled_apply(joint, base + j, make_evolver((1 << j) * base_steps))
-    # Fourier-analyse the top register: amplitude(y) = sum_m e^{2pi i ym/M} a_m / sqrt(M),
-    # applied directly so the layout's value convention cannot interfere
     m = 1 << s_qubits
-    mat = joint.amps.reshape(m, 1 << base)
-    mat = np.fft.ifft(mat, axis=0) * np.sqrt(m)
-    probs = np.abs(mat) ** 2
-    return probs.sum(axis=1)
+    kernel = compile_unitary_step(state, plan, spec)
+    work = state.copy()
+    lags = [autocorrelation(state, work)]
+    for _ in range(m - 1):
+        for _ in range(base_steps):
+            kernel.apply(work)
+        lags.append(autocorrelation(state, work))
+    # the d < 0 terms are the conjugates of the d > 0 ones: 2 Re of a one-sided
+    # sum, with the d = 0 weight halved
+    weights = (m - np.arange(m)).astype(np.float64)
+    weights[0] /= 2.0
+    probs = 2.0 * np.real(np.fft.ifft(weights * np.asarray(lags))) / m
+    return np.clip(probs, 0.0, None)
 
 
 def multi_qubit_phase_estimation(state: StateVector, plan: StepPlan,
@@ -359,7 +331,6 @@ def probability_density(state: StateVector, particle: int,
     # axes currently ordered by descending start, i.e. (z, y, x); flip to (x, y, z)
     marg = np.transpose(marg, axes=tuple(reversed(range(marg.ndim))))
     if ascending:
-        from .registers import span_values
         for d, s in enumerate(spans):
             order = np.argsort(span_values(s.width), kind="stable")
             marg = np.take(marg, order, axis=d)

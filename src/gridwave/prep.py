@@ -3,6 +3,8 @@ symmetrisation with tag registers.
 
 Every method here is probabilistic on hardware; the emulator post-selects the
 success branch deterministically and reports the probability it paid for it.
+Component removal needs no ancilla in the emulation: its |+> branch is the
+plain-state sum (psi + U^n psi)/2.
 """
 
 from __future__ import annotations
@@ -16,24 +18,14 @@ import numpy as np
 
 from .errors import ConfigError, PostSelectionError
 from .hamiltonian import HamiltonianSpec
-from .observables import TimeSeries, with_plus_ancilla
+from .observables import TimeSeries, compile_unitary_step
 from .propagator import StepPlan, compile_step, split_step_inverse
-from .statevector import StateVector, controlled_apply, measure_qubit, pairwise_sum
+from .statevector import StateVector, pairwise_sum
+# unused here; benchmark/tracing.py wraps this name in this module's namespace
+from .statevector import controlled_apply  # noqa: F401
 
 
 # -- removal of a known-energy component --------------------------------------
-
-def drop_plus_ancilla(state: StateVector, name: str) -> StateVector:
-    """Strip a top ancilla that is in an unentangled |+>."""
-    span = state.layout.ancillas[name]
-    if span.start != state.num_qubits - 1 or span.width != 1:
-        raise ConfigError("can only drop a single top-most ancilla")
-    half = state.amps.size >> 1
-    lower, upper = state.amps[:half], state.amps[half:]
-    if np.abs(lower - upper).max() > 1e-9:
-        raise ConfigError("ancilla still entangled; refusing to drop it")
-    return StateVector(lower * np.sqrt(2.0), state.layout.without_ancilla(name))
-
 
 def state_edit_remove(state: StateVector, e_remove: float, plan: StepPlan,
                       spec: HamiltonianSpec):
@@ -41,8 +33,10 @@ def state_edit_remove(state: StateVector, e_remove: float, plan: StepPlan,
 
     Evolves, conditioned on a |+> ancilla, until the target component has
     acquired a pi phase (duration pi/|E|, snapped to whole steps), then
-    post-selects the ancilla on |+>.  Returns (edited state, success
-    probability).
+    post-selects the ancilla on |+>.  That branch is (psi + U^n psi)/2, with
+    its squared norm as the success probability, so one evolved copy gives
+    it.  Returns (edited state, success probability); ``state`` is left
+    untouched.
     """
     if e_remove == 0.0:
         raise ConfigError("cannot target a zero-energy component", field="prep.energy")
@@ -56,21 +50,17 @@ def state_edit_remove(state: StateVector, e_remove: float, plan: StepPlan,
             f"removal time snapped to {n_steps} steps leaves phase "
             f"{achieved:.4f} rad instead of pi; suppression is partial",
             stacklevel=2)
-    joint = with_plus_ancilla(state, "edit")
-    anc = joint.layout.ancillas["edit"].start
-    kernel = None
-
-    def evolve(sub: StateVector):
-        nonlocal kernel
-        if kernel is None:
-            kernel = compile_step(sub.layout, plan, spec)
-        for _ in range(n_steps):
-            kernel.apply(sub)
-
-    controlled_apply(joint, anc, evolve)
-    record, _ = measure_qubit(joint, anc, basis="x", forced_outcome=0)
-    edited = drop_plus_ancilla(joint, "edit")
-    return edited, record.probability
+    kernel = compile_unitary_step(state, plan, spec)
+    edited = state.copy()
+    for _ in range(n_steps):
+        kernel.apply(edited)
+    edited.amps += state.amps
+    edited.amps *= 0.5
+    p = min(edited.norm_sq(), 1.0)
+    if p < 1e-15:
+        raise PostSelectionError(f"the |+> outcome of the edit has probability {p:.3e}")
+    edited.amps *= 1.0 / np.sqrt(p)
+    return edited, p
 
 
 # -- probabilistic imaginary-time filtering ------------------------------------

@@ -129,6 +129,29 @@ def _time_step(raw, field: str) -> float:
     return dt
 
 
+def _check_enlarge_events(events: list, obssec: Section, coupled: bool) -> None:
+    """An enlarged register no longer matches the start state or the other
+    particles' registers, so nothing may compare against either after it."""
+    for esec in events:
+        if esec.get("enlarge_particle") is None:
+            continue
+        for key in ("autocorrelation", "bhattacharyya", "swap"):
+            if int(obssec.get(key, 0)):
+                raise ConfigError(f"observables.{key} cannot follow a register "
+                                  "enlargement", field="event.enlarge_particle")
+        if obssec.child("ipe") is not None:
+            raise ConfigError("observables.ipe cannot follow a register enlargement",
+                              field="event.enlarge_particle")
+        # an event drops the couplings before it enlarges
+        at = int(esec.require("at_step", "event"))
+        if coupled and not any(bool(e.get("drop_couplings", False))
+                               and (e is esec or int(e.require("at_step", "event")) < at)
+                               for e in events):
+            raise ConfigError("pair couplings need equal-shape registers; drop "
+                              "them at or before the enlargement",
+                              field="event.enlarge_particle")
+
+
 def load_scenario(text: str) -> Scenario:
     root = parse_config(text)
     boxsec = root.child("box")
@@ -195,9 +218,12 @@ def load_scenario(text: str) -> Scenario:
     if plansec is None:
         raise ConfigError("missing plan section", field="plan")
     dt = _time_step(plansec.require("dt", "plan"), "plan.dt")
-    for esec in root.children_named("event"):
+    events = root.children_named("event")
+    for esec in events:
         if esec.get("dt") is not None:
             _time_step(esec.get("dt"), "event.dt")
+    _check_enlarge_events(events, root.child("observables") or Section("observables"),
+                          len(particles) > 1 and mode != "none")
     steps = int(plansec.require("steps", "plan"))
     if steps < 0:
         raise ConfigError("steps must be >= 0", field="plan.steps")
@@ -371,7 +397,8 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
     Returns {"outputs": {...}, "out_dir": path}.
     """
     from . import iofmt
-    from .observables import (fit_energy_from_signal, probability_density)
+    from .observables import (fit_energy_from_signal, plus_probability,
+                              probability_density)
     from .statevector import inner_product, swap_particle_registers
 
     scen = validate_scenario(text, allow_extended=allow_extended)
@@ -475,7 +502,7 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
 
         emit(f"autocorrelation{suffix}.csv", records["t_ac"], records["ac"])
         if cad_ipe:
-            a_t = (1.0 + np.real(np.asarray(records["ac"]))) / 2.0
+            a_t = plus_probability(np.asarray(records["ac"]))
             emit(f"ipe{suffix}.csv", records["t_ac"], a_t)
             if fit_ipe and len(a_t) >= 8:
                 est = fit_energy_from_signal(

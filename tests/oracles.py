@@ -135,3 +135,44 @@ def ancilla_damping_round(amps, masks, angles):
         survival *= p0 / (p0 + np.sum(np.abs(upper) ** 2))
         psi = lower / np.sqrt(p0)
     return psi, 1.0 - survival
+
+
+def controlled_evolution_plus(u, psi, n: int):
+    """The paper's |+>-controlled U^n with the control read in the X basis.
+
+    The joint vector (|0> psi + |1> U^n psi)/sqrt(2) is built with the
+    control as the top qubit, a Hadamard is applied to the control, and the
+    control's |0> block (the |+> outcome) is kept.  Returns (that branch
+    normalised, its probability).
+    """
+    psi = np.asarray(psi, dtype=complex)
+    dim = psi.size
+    evolved = np.linalg.matrix_power(u, n) @ psi
+    joint = np.concatenate([psi, evolved]) / np.sqrt(2.0)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    joint = np.kron(hadamard, np.eye(dim)) @ joint
+    branch = joint[:dim]
+    p = float(np.vdot(branch, branch).real)
+    return branch / np.sqrt(p), p
+
+
+def phase_register_readout(u, psi, s_qubits: int, base: int) -> np.ndarray:
+    """Readout distribution of the S-ancilla phase register.
+
+    The register (above psi) starts in |+>^S; ancilla j controls
+    U^(2^j * base) on the blocks where its bit is set; the register is then
+    Fourier-analysed with amplitude(y) = sum_r e^{2 pi i y r/M} a_r / sqrt(M)
+    and read in the computational basis.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    m = 1 << s_qubits
+    blocks = np.array([psi / np.sqrt(m)] * m)
+    for j in range(s_qubits):
+        gate = np.linalg.matrix_power(u, (1 << j) * base)
+        for r in range(m):
+            if (r >> j) & 1:
+                blocks[r] = gate @ blocks[r]
+    y = np.arange(m)
+    fourier = np.exp(2j * np.pi * np.outer(y, y) / m) / np.sqrt(m)
+    readout = fourier @ blocks
+    return np.sum(np.abs(readout) ** 2, axis=1)

@@ -1,7 +1,13 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from gridwave.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = """
 seed = 5
@@ -83,3 +89,15 @@ def test_console_script_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "psi11_resolution_nr7" in proc.stdout
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_script_help(script):
+    # the scripts import gridwave's public names at start-up, so --help
+    # catches an API change that breaks them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout

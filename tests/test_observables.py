@@ -3,22 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwave.errors import GridwaveError
+from gridwave.errors import ConfigError, GridwaveError
 from gridwave.grid import SimulationBox
-from gridwave.hamiltonian import HamiltonianSpec, ParticleSpec
+from gridwave.hamiltonian import (AttenuationSpec, HamiltonianSpec, ParticleSpec,
+                                  UniformEdgeRegion)
 from gridwave.observables import (TimeSeries, autocorrelation, escape_tracker,
                                   fit_energy_from_signal, ipe_probability,
                                   multi_qubit_phase_estimation,
                                   phase_probe_series,
                                   phase_register_distribution,
                                   probability_density,
-                                  sampled_energy_expectation, signal_spectrum,
-                                  with_plus_ancilla)
+                                  sampled_energy_expectation, signal_spectrum)
+from gridwave.prep import state_edit_remove
 from gridwave.propagator import StepPlan, compile_step, kinetic_constant
 from gridwave.registers import particle_layout, pattern_of_value
 from gridwave.statevector import StateVector
 from .conftest import cached_eig, hydrogen_spec, random_state
-from .oracles import phase_register_kernel
+from .oracles import (controlled_evolution_plus, phase_register_kernel,
+                      phase_register_readout)
 
 
 def test_timeseries_validation():
@@ -56,10 +58,9 @@ def _eigen_setup(hyd2d_spec, k=0, n_r=3):
 
 def test_ipe_probability_eigenstate_cosine(hyd2d_spec):
     box, energy, state = _eigen_setup(hyd2d_spec)
-    joint = with_plus_ancilla(state, "probe")
     steps = 40
     dt = 0.01
-    p = ipe_probability(joint, StepPlan(dt), hyd2d_spec, steps)
+    p = ipe_probability(state, StepPlan(dt), hyd2d_spec, steps)
     # the probe traces cos^2(E t / 2) up to Trotter error
     assert p == pytest.approx(np.cos(energy * steps * dt / 2) ** 2, abs=1e-5)
 
@@ -68,8 +69,7 @@ def test_ipe_probability_zero_steps(hyd2d_spec, rng):
     box = SimulationBox(2, 3, 10.0, 0.5)
     layout = particle_layout(1, 2, 3, box=box)
     state = StateVector(random_state(rng, 6), layout)
-    joint = with_plus_ancilla(state, "probe")
-    assert ipe_probability(joint, StepPlan(0.01), hyd2d_spec, 0) == pytest.approx(1.0)
+    assert ipe_probability(state, StepPlan(0.01), hyd2d_spec, 0) == pytest.approx(1.0)
 
 
 def test_ipe_two_component_average(hyd2d_spec):
@@ -79,21 +79,11 @@ def test_ipe_two_component_average(hyd2d_spec):
     layout = particle_layout(1, 2, 3, box=box)
     mix = (evecs[:, 0] + evecs[:, 4]) / np.sqrt(2)
     state = StateVector(mix.astype(complex), layout)
-    joint = with_plus_ancilla(state, "probe")
     steps, dt = 30, 0.01
-    p = ipe_probability(joint, StepPlan(dt), hyd2d_spec, steps)
+    p = ipe_probability(state, StepPlan(dt), hyd2d_spec, steps)
     t = steps * dt
     expect = 0.5 * (np.cos(evals[0] * t / 2) ** 2 + np.cos(evals[4] * t / 2) ** 2)
     assert p == pytest.approx(expect, abs=1e-5)
-
-
-def test_ipe_rejects_entangled_ancilla(rng):
-    box = SimulationBox(1, 2, 4.0)
-    layout = particle_layout(1, 1, 2, box=box).with_ancilla("probe")
-    amps = random_state(rng, 3)
-    state = StateVector(amps, layout)
-    with pytest.raises(GridwaveError):
-        ipe_probability(state, StepPlan(0.01), hydrogen_spec(1), 1)
 
 
 def test_probe_identity_links_autocorrelation(hyd2d_spec, rng):
@@ -113,6 +103,89 @@ def test_probe_identity_links_autocorrelation(hyd2d_spec, rng):
         if step % 3 == 0:
             expected.append((1 + inner_product(state, work).real) / 2)
     assert np.abs(series.values - np.asarray(expected)).max() < 1e-12
+
+
+# -- the paper's controlled circuits as oracles ---------------------------------------
+
+@pytest.fixture(scope="module")
+def dense_cycle():
+    """2D n_r = 3 hydrogen: spec and plan, the dense step matrix U (column j
+    is one kernel cycle of basis state j) and a random unit state."""
+    box = SimulationBox(2, 3, 10.0, 0.5)
+    layout = particle_layout(1, 2, 3, box=box)
+    spec = hydrogen_spec(2)
+    plan = StepPlan(0.05)
+    kernel = compile_step(layout, plan, spec)
+    u = np.empty((64, 64), dtype=complex)
+    for j in range(64):
+        u[:, j] = kernel.apply(StateVector.basis_state(6, j, layout)).amps
+    psi = StateVector(random_state(np.random.default_rng(31), 6), layout)
+    return spec, plan, u, psi
+
+
+def test_ipe_probability_matches_controlled_circuit(dense_cycle):
+    spec, plan, u, psi = dense_cycle
+    before = psi.amps.copy()
+    for steps in (1, 7, 20):
+        _, expected = controlled_evolution_plus(u, psi.amps, steps)
+        assert abs(ipe_probability(psi, plan, spec, steps) - expected) < 1e-12
+    assert np.array_equal(psi.amps, before)
+
+
+def test_phase_probe_series_matches_controlled_circuit(dense_cycle):
+    spec, plan, u, psi = dense_cycle
+    series = phase_probe_series(psi, plan, spec, total_steps=24, every=4)
+    expected = [controlled_evolution_plus(u, psi.amps, n)[1] for n in range(4, 25, 4)]
+    assert np.allclose(series.times, plan.dt * np.arange(4, 25, 4), rtol=0, atol=1e-15)
+    assert np.abs(series.values - np.asarray(expected)).max() < 1e-12
+
+
+def test_state_edit_matches_controlled_circuit(dense_cycle):
+    spec, plan, u, psi = dense_cycle
+    n_steps = 10
+    e_remove = -np.pi / (n_steps * plan.dt)      # removal time is exactly 10 cycles
+    before = psi.amps.copy()
+    edited, p = state_edit_remove(psi, e_remove, plan, spec)
+    branch, expected = controlled_evolution_plus(u, psi.amps, n_steps)
+    assert abs(p - expected) < 1e-12
+    assert np.abs(edited.amps - branch).max() < 1e-12
+    assert np.array_equal(psi.amps, before)
+
+
+@pytest.mark.parametrize("s_qubits", [1, 3, 5])
+def test_phase_register_matches_register_circuit(dense_cycle, s_qubits, monkeypatch):
+    spec, plan, u, psi = dense_cycle
+    from gridwave.propagator import StepKernel
+    cycles = []
+    inner = StepKernel.apply
+    monkeypatch.setattr(StepKernel, "apply",
+                        lambda self, *a, **k: cycles.append(1) or inner(self, *a, **k))
+    dist = phase_register_distribution(psi, plan, spec, s_qubits, base_steps=2)
+    expected = phase_register_readout(u, psi.amps, s_qubits, 2)
+    assert np.abs(dist - expected).max() < 1e-12
+    # as many cycles as the circuit's controlled gates: (2^S - 1) * base
+    assert len(cycles) == ((1 << s_qubits) - 1) * 2
+
+
+@pytest.mark.parametrize("name", ["ipe_probability", "phase_probe_series",
+                                  "phase_register_distribution",
+                                  "state_edit_remove"])
+def test_controlled_evolution_rejects_damped_plan(name):
+    box = SimulationBox(1, 4, 10.0, 0.5)
+    layout = particle_layout(1, 1, 4, box=box)
+    spec = hydrogen_spec(1)
+    plan = StepPlan(0.05, attenuation=AttenuationSpec(UniformEdgeRegion(2, 1.0)))
+    state = StateVector(random_state(np.random.default_rng(5), 4), layout)
+    calls = {
+        "ipe_probability": lambda: ipe_probability(state, plan, spec, 3),
+        "phase_probe_series": lambda: phase_probe_series(state, plan, spec, 4, 2),
+        "phase_register_distribution":
+            lambda: phase_register_distribution(state, plan, spec, 2, 1),
+        "state_edit_remove": lambda: state_edit_remove(state, -1.0, plan, spec),
+    }
+    with pytest.raises(ConfigError) as err:
+        calls[name]()
+    assert err.value.field == "plan.attenuation"
 
 
 # -- energy fitting -----------------------------------------------------------------
@@ -182,8 +255,7 @@ def test_phase_register_s1_is_single_probe(hyd2d_spec):
     box, energy, state = _eigen_setup(hyd2d_spec)
     dt, steps = 0.01, 8
     dist = phase_register_distribution(state, StepPlan(dt), hyd2d_spec, 1, steps)
-    joint = with_plus_ancilla(state, "probe")
-    p_plus = ipe_probability(joint, StepPlan(dt), hyd2d_spec, steps)
+    p_plus = ipe_probability(state, StepPlan(dt), hyd2d_spec, steps)
     assert dist[0] == pytest.approx(p_plus, abs=1e-12)
 
 

@@ -37,6 +37,14 @@ def test_config_parser_errors():
         parse_config("}")
 
 
+def test_config_parser_rejects_duplicate_key():
+    with pytest.raises(ConfigError) as err:
+        parse_config("box { dims = 1\n  n_r = 3\n  dims = 2 }")
+    assert "line 3" in str(err.value) and "'dims'" in str(err.value)
+    # the same key in two sections, or a repeated section, is fine
+    parse_config("a { x = 1 } b { x = 2 } a { x = 3 }")
+
+
 def test_canonical_text_stability():
     a = canonical_text(parse_config(MINIMAL), drop=("seed",))
     b = canonical_text(parse_config(MINIMAL.replace("seed = 7", "seed = 9")),
@@ -276,9 +284,7 @@ def test_bad_time_step_rejected_at_validate(bad):
     validate_scenario(MINIMAL + "event { at_step = 2  dt = 0.02 }")
 
 
-def test_enlarge_event_outputs_use_the_enlarged_state(tmp_path):
-    from gridwave.iofmt import read_density_grid, read_statevector
-    text = """
+ENLARGED = """
 seed = 3
 box { dims = 1  n_r = 4  length = 10.0 }
 particles { particle { mass = 1.0  charge = -1.0 } }
@@ -287,12 +293,61 @@ plan { dt = 0.01  steps = 4 }
 event { at_step = 2  enlarge_particle = 0 }
 observables { density = 2  dump_state = true }
 """
-    run_scenario(text, tmp_path)
+
+
+def test_enlarge_event_outputs_use_the_enlarged_state(tmp_path):
+    from gridwave.iofmt import read_density_grid, read_statevector
+    run_scenario(ENLARGED, tmp_path)
     # step 2's callbacks run before its event, step 4's after it
     assert read_density_grid(tmp_path / "density_000002.gwdg")[0].size == 16
     assert read_density_grid(tmp_path / "density_000004.gwdg")[0].size == 32
     amps, num_qubits = read_statevector(tmp_path / "final_state.gwsv")
     assert (amps.size, num_qubits) == (32, 5)
+
+
+ENLARGED_PAIR = """
+seed = 3
+box { dims = 1  n_r = 3  length = 8.0 }
+particles {
+    particle { mass = 1.0  charge = -1.0 }
+    particle { mass = 1.0  charge = -1.0 }
+}
+hamiltonian { nucleus { position = 0.0  charge = 1.0 }  couplings = none }
+initial_state {
+    orbital { gaussian { center = -1.0  alpha = 1.0 } }
+    orbital { gaussian { center = 1.0  alpha = 1.0 } }
+}
+plan { dt = 0.01  steps = 4 }
+event { at_step = 2  enlarge_particle = 0 }
+observables { density = 2 }
+"""
+
+
+@pytest.mark.parametrize("text", [
+    ENLARGED.replace("density = 2", "bhattacharyya = 1"),
+    ENLARGED.replace("density = 2", "autocorrelation = 1"),
+    ENLARGED.replace("density = 2", "ipe { every = 1 }"),
+    ENLARGED_PAIR.replace("density = 2", "swap = 1"),
+    ENLARGED_PAIR.replace("couplings = none", ""),
+    # couplings dropped only after the enlargement
+    ENLARGED_PAIR.replace("couplings = none", "")
+    + "event { at_step = 3  drop_couplings = true }",
+], ids=["bhattacharyya", "autocorrelation", "ipe", "swap", "coupled",
+        "coupled_until_later"])
+def test_enlarge_event_conflicts_rejected_at_validate(text):
+    with pytest.raises(ConfigError) as err:
+        validate_scenario(text)
+    assert "event.enlarge_particle" in str(err.value)
+
+
+def test_enlarge_event_allowed_combinations_run(tmp_path):
+    coupled_dropped = ENLARGED_PAIR.replace("couplings = none", "").replace(
+        "enlarge_particle = 0", "enlarge_particle = 0  drop_couplings = true")
+    for name, text in (("single", ENLARGED), ("uncoupled", ENLARGED_PAIR),
+                       ("dropped", coupled_dropped)):
+        validate_scenario(text)
+        run_scenario(text, tmp_path / name)
+        assert (tmp_path / name / "density_000004.gwdg").exists()
 
 
 DAMPED = """
