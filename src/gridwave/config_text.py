@@ -7,63 +7,46 @@ Grammar ('#' starts a comment; blocks may span lines or sit on one):
 
 Values parse as int, float, bool (true/false) or bare/quoted string, in that
 order of preference.  Section names and keys are lower_snake identifiers.
+Each section records its dotted path and the line of its header and of each
+key, so that schema checks can point at the source.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
 
 def _parse_scalar(tok: str):
-    if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
+    if len(tok) >= 2 and tok[0] == tok[-1] == '"':
         return tok[1:-1]
-    low = tok.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        pass
+    if tok.lower() in ("true", "false"):
+        return tok.lower() == "true"
+    for kind in (int, float):
+        try:
+            return kind(tok)
+        except ValueError:
+            pass
     return tok
+
+
+# a quoted string, a brace or '=', a bare word, a comment, or a lone quote
+_TOKEN = re.compile(r'"[^"]*"|[{}=]|[^\s{}="#]+|#.*|"')
 
 
 def _tokenize(text: str):
     """(token, line_number) pairs; braces are their own tokens, quotes group."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        cur, quoted = "", False
-        for ch in line:
-            if ch == '"':
-                quoted = not quoted
-                cur += ch
-                continue
-            if quoted:
-                cur += ch
-                continue
-            if ch in "{}=":
-                if cur.strip():
-                    out.append((cur.strip(), lineno))
-                cur = ""
-                out.append((ch, lineno))
-            elif ch.isspace():
-                if cur.strip():
-                    out.append((cur.strip(), lineno))
-                cur = ""
-            else:
-                cur += ch
-        if quoted:
-            raise ConfigError(f"line {lineno}: unterminated quote")
-        if cur.strip():
-            out.append((cur.strip(), lineno))
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in _TOKEN.findall(line):
+            if tok == '"':
+                raise ConfigError(f"line {lineno}: unterminated quote")
+            if tok.startswith("#"):
+                break
+            out.append((tok, lineno))
     return out
 
 
@@ -72,105 +55,81 @@ class Section:
     name: str = ""
     entries: dict = field(default_factory=dict)       # key -> value or [values]
     children: list = field(default_factory=list)      # (name, Section)
+    path: str = ""                                    # dotted, "" for the root
+    line: int = 0                                     # line of the header
+    lines: dict = field(default_factory=dict)         # key -> line
 
     def get(self, key, default=None):
         return self.entries.get(key, default)
 
-    def require(self, key, context=""):
-        if key not in self.entries:
-            raise ConfigError("missing required entry",
-                              field=f"{context or self.name}.{key}")
-        return self.entries[key]
-
     def child(self, name) -> "Section | None":
-        for n, sec in self.children:
-            if n == name:
-                return sec
-        return None
+        return next((sec for n, sec in self.children if n == name), None)
 
     def children_named(self, name):
         return [sec for n, sec in self.children if n == name]
 
-    def child_names(self):
-        return [n for n, _ in self.children]
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, ahead=0):
-        i = self.pos + ahead
-        return self.tokens[i][0] if i < len(self.tokens) else None
-
-    def line(self):
-        i = min(self.pos, len(self.tokens) - 1)
-        return self.tokens[i][1] if self.tokens else 0
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok[0]
-
-    def parse_body(self, section: Section, *, top: bool) -> None:
-        while self.pos < len(self.tokens):
-            tok = self.peek()
-            if tok == "}":
-                if top:
-                    raise ConfigError(f"line {self.line()}: unmatched '}}'")
-                return
-            if not isinstance(tok, str) or not tok.isidentifier():
-                raise ConfigError(f"line {self.line()}: expected a key or section "
-                                  f"name, got {tok!r}")
-            follower = self.peek(1)
-            lineno = self.line()
-            name = self.take()
-            if follower == "{":
-                self.take()
-                child = Section(name)
-                section.children.append((name, child))
-                self.parse_body(child, top=False)
-                if self.peek() != "}":
-                    raise ConfigError(f"line {self.line()}: unclosed section {name!r}")
-                self.take()
-            elif follower == "=":
-                if name in section.entries:
-                    raise ConfigError(f"line {lineno}: duplicate key {name!r}")
-                self.take()
-                values = []
-                while True:
-                    nxt = self.peek()
-                    if nxt is None or nxt in ("}",):
-                        break
-                    # stop when the next token starts a new entry or section
-                    if nxt.isidentifier() and self.peek(1) in ("=", "{"):
-                        break
-                    if nxt in ("=", "{"):
-                        raise ConfigError(f"line {self.line()}: stray {nxt!r}")
-                    values.append(_parse_scalar(self.take()))
-                if not values:
-                    raise ConfigError(f"line {self.line()}: empty value for {name!r}")
-                section.entries[name] = values[0] if len(values) == 1 else values
-            else:
-                raise ConfigError(f"line {self.line()}: {name!r} must be followed "
-                                  "by '=' or '{'")
-
 
 def parse_config(text: str) -> Section:
+    tokens = _tokenize(text)
     root = Section("")
-    parser = _Parser(_tokenize(text))
-    parser.parse_body(root, top=True)
+    pos = _parse_body(tokens, 0, root)
+    if pos < len(tokens):
+        raise ConfigError(f"line {tokens[pos][1]}: unmatched '}}'")
     return root
+
+
+def _parse_body(tokens: list, pos: int, section: Section) -> int:
+    """Read entries and sections into ``section`` from ``pos`` up to a
+    closing brace or the end; return the position reached."""
+    def tok(i):
+        return tokens[i][0] if i < len(tokens) else None
+
+    while tok(pos) not in (None, "}"):
+        name, lineno = tokens[pos]
+        if not name.isidentifier():
+            raise ConfigError(f"line {lineno}: expected a key or section name, "
+                              f"got {name!r}")
+        if tok(pos + 1) == "{":
+            child = Section(name, path=f"{section.path}.{name}".lstrip("."),
+                            line=lineno)
+            section.children.append((name, child))
+            pos = _parse_body(tokens, pos + 2, child)
+            if tok(pos) != "}":
+                raise ConfigError(f"line {lineno}: unclosed section {name!r}")
+            pos += 1
+        elif tok(pos + 1) == "=":
+            if name in section.entries:
+                raise ConfigError(f"line {lineno}: duplicate key {name!r}")
+            values = []
+            pos += 2
+            # the values end where the next entry or section starts
+            while tok(pos) not in (None, "}") and not (
+                    tok(pos).isidentifier() and tok(pos + 1) in ("=", "{")):
+                if tok(pos) in ("=", "{"):
+                    raise ConfigError(f"line {lineno}: stray {tok(pos)!r}")
+                values.append(_parse_scalar(tok(pos)))
+                pos += 1
+            if not values:
+                raise ConfigError(f"line {lineno}: empty value for {name!r}")
+            section.entries[name] = values[0] if len(values) == 1 else values
+            section.lines[name] = lineno
+        else:
+            raise ConfigError(f"line {lineno}: {name!r} must be followed "
+                              "by '=' or '{'")
+    return pos
 
 
 def _fmt_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
-        return f'"{v}"' if (" " in v or not v) else v
+        # quote whatever would not re-read as this same bare string
+        bare = v and _parse_scalar(v) == v and not any(
+            ch.isspace() or ch in '#{}="' for ch in v)
+        return v if bare else f'"{v}"'
     if isinstance(v, float):
-        return format(v, ".17g")
+        # ".17g" writes -0.0 as "-0", which re-reads as the int 0
+        return "-0.0" if v == 0 and math.copysign(1.0, v) < 0 else format(v, ".17g")
     return str(v)
 
 

@@ -83,8 +83,8 @@ class ImaginaryTimeParams:
         if abs(self.m0 - 1.0 / np.sqrt(2.0)) < 1e-12:
             raise ConfigError("m0 = 1/sqrt(2) is the degenerate choice",
                               field="prep.m0")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive", field="prep.dt")
+        if not np.isfinite(self.dt) or self.dt <= 0:
+            raise ConfigError("dt must be finite and positive", field="prep.dt")
 
     @property
     def s(self) -> float:

@@ -47,8 +47,8 @@ class StepPlan:
     attenuation: AttenuationSpec | None = None
 
     def __post_init__(self):
-        if self.dt < 0:
-            raise ConfigError("dt must be non-negative", field="plan.dt")
+        if not np.isfinite(self.dt) or self.dt < 0:
+            raise ConfigError("dt must be finite and non-negative", field="plan.dt")
 
     def with_dt(self, dt: float) -> "StepPlan":
         # a patch correction is derived for one specific dt; changing dt

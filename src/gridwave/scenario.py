@@ -5,13 +5,21 @@ plan, observables and an optional preparation stage; running one produces CSV
 time series, density grids and a manifest under the output directory.
 Exact-probability observables never draw randomness, so identical configs
 give byte-identical outputs regardless of seed or thread count.
+
+``SCHEMA`` lists every section and key a scenario may hold.  ``load_scenario``
+checks the parsed text against it and across fields once, and returns a typed
+:class:`Scenario`; nothing after that reads the parsed text.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
+from functools import partial, reduce
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,9 +29,10 @@ from .grid import SimulationBox
 from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           Nucleus, ParticleSpec, UniformEdgeRegion)
 from .observables import EscapeTracker, TimeSeries
+from .prep import ImaginaryTimeParams
 from .propagator import StepPlan
 from .registers import particle_layout
-from .statevector import StateVector
+from .statevector import StateVector, enlarge_particle
 from . import states as st
 
 DEFAULT_CEILING = 26
@@ -31,71 +40,153 @@ CEILING_ENV = "GRIDWAVE_MAX_QUBITS"
 
 
 def emulation_ceiling() -> int:
-    raw = os.environ.get(CEILING_ENV)
-    if raw is None:
-        return DEFAULT_CEILING
+    raw = os.getenv(CEILING_ENV, str(DEFAULT_CEILING))
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"bad {CEILING_ENV} value {raw!r}")
 
 
-def _listify(v):
-    if v is None:
-        return []
-    return v if isinstance(v, list) else [v]
+# -- schema ---------------------------------------------------------------------
+
+REQUIRED = object()     # default of a key that has to be given
+# kind: int, float (finite), bool, str, or (int,)/(float,) for a number list;
+# check: (test, its meaning), applied to each value
+Key = namedtuple("Key", "kind default check", defaults=(None, (None, "")))
 
 
-# -- state description parsing --------------------------------------------------
-
-_STATE_KINDS = ("hydrogen2d", "hydrogen3d", "gaussian", "superposition")
-
-
-def parse_state(sec: Section, dims: int):
-    kind = sec.name
-    if kind == "hydrogen2d":
-        if dims != 2:
-            raise ConfigError("hydrogen2d needs a 2D box", field="initial_state")
-        return st.Hydrogen2D(int(sec.require("n")), int(sec.require("m")))
-    if kind == "hydrogen3d":
-        if dims != 3:
-            raise ConfigError("hydrogen3d needs a 3D box", field="initial_state")
-        return st.Hydrogen3D(int(sec.require("n")), int(sec.require("l")),
-                             int(sec.require("m")), float(sec.get("z", 1.0)))
-    if kind == "gaussian":
-        centers = tuple(float(x) for x in _listify(sec.get("center", [0.0] * dims)))
-        if len(centers) != dims:
-            raise ConfigError("gaussian center needs one entry per dimension",
-                              field="initial_state.gaussian.center")
-        momenta = tuple(float(x) for x in _listify(sec.get("momentum", [])))
-        a_re = [float(x) for x in _listify(sec.get("alpha", []))]
-        a_im = [float(x) for x in _listify(sec.get("alpha_imag", []))]
-        alphas = tuple(complex(a_re[i], a_im[i] if i < len(a_im) else 0.0)
-                       for i in range(len(a_re)))
-        gammas = tuple(complex(float(x), 0.0) for x in _listify(sec.get("gamma", [])))
-        return st.Gaussian(centers, momenta, alphas, gammas)
-    if kind == "superposition":
-        terms = []
-        for term in sec.children_named("term"):
-            w = _listify(term.require("weight"))
-            weight = complex(float(w[0]), float(w[1]) if len(w) > 1 else 0.0)
-            inner = [c for _, c in term.children]
-            if len(inner) != 1:
-                raise ConfigError("each term holds exactly one state block",
-                                  field="initial_state.superposition")
-            terms.append((weight, parse_state(inner[0], dims)))
-        if not terms:
-            raise ConfigError("superposition needs terms", field="initial_state")
-        return st.Superposition(tuple(terms))
-    raise ConfigError(f"unknown state kind {kind!r}", field="initial_state")
+def _one_of(*allowed):
+    return (lambda v: v in allowed), "one of " + ", ".join(map(str, allowed))
 
 
-# -- scenario -------------------------------------------------------------------
+_GT0 = (lambda v: v > 0), "> 0"
+_GE0 = (lambda v: v >= 0), ">= 0"
+_GE1 = (lambda v: v >= 1), ">= 1"
+_UNIT = (lambda v: 0 <= v < 1), "in [0, 1)"
+_OPEN_UNIT = (lambda v: 0 < v < 1), "in (0, 1)"
+_CADENCE = Key(int, 0, _GE0)       # in steps; 0 = off
+_OFF, _FLOATS = Key(bool, False), (float,)
+_STATE_BLOCKS = ("hydrogen2d", "hydrogen3d", "gaussian", "superposition")
+
+# section name -> (allowed keys, allowed child sections); an absent key takes
+# its default.  State blocks are keyed by name, so a block nested in an
+# orbital or a term uses the same entry.
+SCHEMA = {
+    "": ({"description": Key(str, ""), "seed": Key(int, 0), "extended": _OFF},
+         ("box", "particles", "hamiltonian", "initial_state", "plan",
+          "observables", "prep", "event")),
+    "box": ({"dims": Key(int, REQUIRED, _one_of(1, 2, 3)),
+             "n_r": Key(int, REQUIRED, _GE1), "length": Key(float, REQUIRED, _GT0),
+             "origin_offset": Key(float, 0.5, _UNIT)}, ()),
+    "particles": ({}, ("particle",)),
+    "particle": ({"mass": Key(float, 1.0, _GT0), "charge": Key(float, -1.0)}, ()),
+    "hamiltonian": ({"field": Key(_FLOATS, ()),
+                     "couplings": Key(str, "default", _one_of("default", "none"))},
+                    ("nucleus", "attenuation")),
+    "nucleus": ({"position": Key(_FLOATS), "charge": Key(float, 1.0)}, ()),
+    "attenuation": ({}, ("uniform", "pixel")),
+    "uniform": ({"msb": Key(int, REQUIRED, _GE1),
+                 "strength": Key(float, REQUIRED, _GE0)}, ()),
+    "pixel": ({"at": Key((int,), REQUIRED),
+               "strength": Key(float, REQUIRED, _GE0)}, ()),
+    "initial_state": ({"file": Key(str), "antisymmetrize": _OFF, "symmetrize": _OFF},
+                      _STATE_BLOCKS + ("model_ground", "orbital")),
+    "orbital": ({}, _STATE_BLOCKS + ("step_eigenstate",)),
+    "step_eigenstate": ({}, _STATE_BLOCKS),
+    "model_ground": ({}, ()),
+    "hydrogen2d": ({"n": Key(int, REQUIRED, _GE0), "m": Key(int, REQUIRED)}, ()),
+    "hydrogen3d": ({"n": Key(int, REQUIRED, _GE1), "l": Key(int, REQUIRED, _GE0),
+                    "m": Key(int, REQUIRED), "z": Key(float, 1.0, _GT0)}, ()),
+    "gaussian": ({"center": Key(_FLOATS), "momentum": Key(_FLOATS, ()),
+                  "alpha": Key(_FLOATS, (), _GT0), "alpha_imag": Key(_FLOATS, ()),
+                  "gamma": Key(_FLOATS, ())}, ()),
+    "superposition": ({}, ("term",)),
+    "term": ({"weight": Key(_FLOATS, REQUIRED)}, _STATE_BLOCKS),
+    "plan": ({"dt": Key(float, REQUIRED, _GT0), "steps": Key(int, REQUIRED, _GE0),
+              "attenuation": Key(bool)}, ("augmentation",)),
+    "augmentation": ({"patches": Key((int,), REQUIRED, _one_of(0, 2, 4))}, ()),
+    "observables": ({"autocorrelation": _CADENCE, "density": _CADENCE,
+                     "density_pgm": _OFF, "sampled_energy": _CADENCE,
+                     "sampled_energy_shots": Key(int, 0, _GE0),
+                     "bhattacharyya": _CADENCE, "swap": _CADENCE, "dump_state": _OFF},
+                    ("ipe",)),
+    "ipe": ({"every": Key(int, REQUIRED, _GE1), "fit": Key(bool, True)}, ()),
+    "prep": ({}, ("edit", "imaginary_time")),
+    "edit": ({"energy": Key(float, REQUIRED, ((lambda v: v != 0), "!= 0"))}, ()),
+    "imaginary_time": ({"m0": Key(float, REQUIRED, _OPEN_UNIT),
+                        "steps": Key(int, REQUIRED, _GE0),
+                        "record": Key(int, 100, _GE1), "track_ground": _OFF}, ()),
+    "event": ({"at_step": Key(int, REQUIRED, _GE1), "dt": Key(float, None, _GT0),
+               "drop_couplings": _OFF, "enlarge_particle": Key(int, None, _GE0),
+               "enlarge_by": Key(int, 1, _GE1)}, ()),
+}
+_REPEATABLE = {"particle", "nucleus", "pixel", "term", "orbital", "event"}
+
+
+def _fail(sec: Section, message: str, key: str | None = None):
+    line = sec.lines[key] if key in sec.lines else sec.line
+    raise ConfigError(f"line {line}: {message}",
+                      field=f"{sec.path}.{key}".strip(".") if key else sec.path)
+
+
+def _typed(sec: Section, key: str, raw, spec: Key):
+    many = isinstance(spec.kind, tuple)
+    kind = spec.kind[0] if many else spec.kind
+    if isinstance(raw, list) and not many:
+        _fail(sec, f"takes one {kind.__name__}, got {len(raw)} values", key)
+    values = [float(v) if kind is float and type(v) is int else v
+              for v in (raw if isinstance(raw, list) else [raw])]
+    test, meaning = spec.check
+    for v in values:
+        if type(v) is not kind or kind is float and not math.isfinite(v):
+            _fail(sec, f"expected {'a finite ' if kind is float else ''}"
+                       f"{kind.__name__}, got {v!r}", key)
+        if test is not None and not test(v):
+            _fail(sec, f"must be {meaning}, got {v!r}", key)
+    return tuple(values) if many else values[0]
+
+
+def _walk(sec: Section) -> Section:
+    """Check ``sec`` and everything in it against SCHEMA, in source order;
+    return a copy holding every key of the section, typed or defaulted."""
+    keys, sections = SCHEMA[sec.name]
+    entries = {}
+    for key, raw in sec.entries.items():
+        if key not in keys:
+            _fail(sec, f"unknown key (known: {', '.join(keys) or 'none'})", key)
+        entries[key] = _typed(sec, key, raw, keys[key])
+    for key, spec in keys.items():
+        if spec.default is REQUIRED and key not in entries:
+            _fail(sec, "missing required entry", key)
+        entries.setdefault(key, spec.default)
+    children = []
+    for name, child in sec.children:
+        if name not in sections:
+            _fail(child, f"unknown section (known: {', '.join(sections) or 'none'})")
+        if name not in _REPEATABLE and any(n == name for n, _ in children):
+            _fail(child, "section given twice")
+        children.append((name, _walk(child)))
+    return replace(sec, entries=entries, children=children)
+
+
+# -- typed scenario ---------------------------------------------------------------
+
+# an orbital: the free-cycle eigenvector nearest the analytic state ``target``
+StepEigenstate = namedtuple("StepEigenstate", "target")
+# the model ground state, a statevector dump, or one orbital per particle (an
+# analytic state or a StepEigenstate); exchange is "", "antisymmetrize" or
+# "symmetrize"
+InitialState = namedtuple("InitialState", "orbitals exchange model_ground file",
+                          defaults=((), "", False, None))
+
 
 @dataclass
 class Scenario:
-    text: str
-    root: Section
+    """A checked scenario.  ``observables``, each event and ``prep`` hold
+    their section's keys from SCHEMA as attributes, defaults filled in;
+    ``prep.kind`` is "edit" or "imaginary_time"."""
+
+    root: Section            # the parsed text, kept only for the config hash
     description: str
     seed: int
     extended: bool
@@ -103,252 +194,264 @@ class Scenario:
     spec: HamiltonianSpec
     plan_dt: float
     plan_steps: int
-    aug_patches: list        # pixels-per-dim entries; 0 means plain cycle
+    aug_patches: tuple       # pixels-per-dim entries; 0 means plain cycle
     attenuate: bool
-    num_particles: int
+    initial: InitialState
+    observables: SimpleNamespace     # with ipe (its cadence) and ipe_fit
+    events: tuple                    # by ascending at_step
+    prep: SimpleNamespace | None
+
+    @property
+    def num_particles(self) -> int:
+        return len(self.spec.particles)
 
     @property
     def base_qubits(self) -> int:
         return self.num_particles * self.box.dims * self.box.n_r
 
     def required_qubits(self) -> int:
-        total = self.base_qubits
-        if self.attenuate:
-            total += 1
-        prep = self.root.child("prep")
-        if prep is not None and prep.child("edit") is not None:
-            total += 1
-        return total
+        # enlargements widen the registers; on a device the damping round and
+        # the state edit each use an ancilla
+        edit = self.prep is not None and self.prep.kind == "edit"
+        grown = sum(e.enlarge_by for e in self.events if e.enlarge_particle is not None)
+        return self.base_qubits + self.box.dims * grown + self.attenuate + edit
 
 
-def _time_step(raw, field: str) -> float:
-    dt = float(raw)
-    if not np.isfinite(dt) or dt < 0:
-        raise ConfigError(f"time step must be finite and non-negative, got {dt}",
-                          field=field)
-    return dt
+# -- table-driven conversion --------------------------------------------------------
+
+def _section(sec: Section, name: str) -> Section:
+    return sec.child(name) or _walk(Section(name))
 
 
-def _check_enlarge_events(events: list, obssec: Section, coupled: bool) -> None:
-    """An enlarged register no longer matches the start state or the other
-    particles' registers, so nothing may compare against either after it."""
-    for esec in events:
-        if esec.get("enlarge_particle") is None:
-            continue
-        for key in ("autocorrelation", "bhattacharyya", "swap"):
-            if int(obssec.get(key, 0)):
-                raise ConfigError(f"observables.{key} cannot follow a register "
-                                  "enlargement", field="event.enlarge_particle")
-        if obssec.child("ipe") is not None:
-            raise ConfigError("observables.ipe cannot follow a register enlargement",
-                              field="event.enlarge_particle")
-        # an event drops the couplings before it enlarges
-        at = int(esec.require("at_step", "event"))
-        if coupled and not any(bool(e.get("drop_couplings", False))
-                               and (e is esec or int(e.require("at_step", "event")) < at)
-                               for e in events):
-            raise ConfigError("pair couplings need equal-shape registers; drop "
-                              "them at or before the enlargement",
-                              field="event.enlarge_particle")
+def _vector(sec: Section, key: str, dims: int) -> tuple:
+    """A per-dimension entry; zeros when absent."""
+    v = sec.get(key) or (0.0,) * dims
+    if len(v) != dims:
+        _fail(sec, f"needs one entry per dimension ({dims})", key)
+    return v
+
+
+def _located(sec: Section, build, *args, **kwargs):
+    """``build(...)``, with a ConfigError it raises placed at ``sec``."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as err:
+        _fail(sec, str(err))
+
+
+def _only_block(sec: Section) -> Section:
+    if len(sec.children) != 1:
+        _fail(sec, "holds exactly one state block")
+    return sec.children[0][1]
+
+
+def _state(sec: Section, dims: int):
+    """The state a state block or an orbital describes, in a ``dims``-D box."""
+    if sec.name == "orbital":
+        return _state(_only_block(sec), dims)
+    if sec.name == "step_eigenstate":
+        return StepEigenstate(_state(_only_block(sec), dims))
+    if sec.name == "superposition":
+        terms = sec.children_named("term")
+        if not terms:
+            _fail(sec, "needs term blocks")
+        for t in terms:
+            if len(t.get("weight")) > 2:
+                _fail(t, "is a real part and an optional imaginary part", "weight")
+        return st.Superposition(tuple((complex(*t.get("weight")),
+                                       _state(_only_block(t), dims)) for t in terms))
+    if sec.name == "gaussian":
+        a_im = sec.get("alpha_imag")
+        alphas = tuple(complex(a, a_im[i] if i < len(a_im) else 0.0)
+                       for i, a in enumerate(sec.get("alpha")))
+        return st.Gaussian(_vector(sec, "center", dims), sec.get("momentum"),
+                           alphas, tuple(complex(g) for g in sec.get("gamma")))
+    need = 2 if sec.name == "hydrogen2d" else 3
+    if dims != need:
+        _fail(sec, f"needs a {need}D box")
+    return _located(sec, st.Hydrogen2D if need == 2 else st.Hydrogen3D, **sec.entries)
+
+
+def _initial_state(sec: Section, n: int, dims: int) -> InitialState:
+    orbitals = sec.children_named("orbital")
+    exchange = [k for k in ("antisymmetrize", "symmetrize") if sec.get(k)]
+    if len(exchange) > 1:
+        _fail(sec, "antisymmetrize and symmetrize exclude each other", "symmetrize")
+    if exchange and len(orbitals) != 2:
+        _fail(sec, "direct exchange symmetrisation needs exactly two orbitals",
+              exchange[0])
+    if sec.get("file") is not None:
+        if sec.children:
+            _fail(sec, "a dump file replaces the state blocks", "file")
+        return InitialState(file=sec.get("file"))
+    if orbitals and len(orbitals) == len(sec.children):
+        if len(orbitals) != n:
+            _fail(orbitals[-1], f"need one orbital block per particle ({n})")
+        return InitialState(tuple(_state(o, dims) for o in orbitals),
+                            exchange[0] if exchange else "")
+    if len(sec.children) != 1 or n != 1:
+        _fail(sec, "single-particle scenarios take exactly one state block; "
+                   "multi-particle ones use orbital blocks")
+    name, block = sec.children[0]
+    if name == "model_ground":
+        return InitialState(model_ground=True)
+    return InitialState((_state(block, dims),))
+
+
+def _attenuation(sec: Section, box: SimulationBox) -> AttenuationSpec:
+    uniform, pixels = sec.child("uniform"), sec.children_named("pixel")
+    if (uniform is None) == (not pixels):
+        _fail(sec, "needs one uniform{} block or pixel{} blocks")
+    if uniform is None:
+        return AttenuationSpec(ExplicitRegion(
+            {_vector(p, "at", box.dims): p.get("strength") for p in pixels}))
+    if uniform.get("msb") >= box.n_r:
+        _fail(uniform, f"must be < n_r ({box.n_r})", "msb")
+    return AttenuationSpec(UniformEdgeRegion(uniform.get("msb"),
+                                             uniform.get("strength")))
 
 
 def load_scenario(text: str) -> Scenario:
     root = parse_config(text)
-    boxsec = root.child("box")
-    if boxsec is None:
-        raise ConfigError("missing box section", field="box")
-    box = SimulationBox(int(boxsec.require("dims", "box")),
-                        int(boxsec.require("n_r", "box")),
-                        float(boxsec.require("length", "box")),
-                        float(boxsec.get("origin_offset", 0.5)))
+    top = _walk(root)
+    for name in ("box", "initial_state", "plan"):
+        if top.child(name) is None:
+            raise ConfigError(f"missing {name} section", field=name)
+    box = SimulationBox(**top.child("box").entries)
+    psecs = _section(top, "particles").children_named("particle")
+    particles = tuple(ParticleSpec(**p.entries) for p in psecs) or (ParticleSpec(),)
+    n = len(particles)
 
-    psec = root.child("particles")
-    particles = []
-    if psec is not None:
-        for child in psec.children_named("particle"):
-            particles.append(ParticleSpec(float(child.get("mass", 1.0)),
-                                          float(child.get("charge", -1.0))))
-    if not particles:
-        particles = [ParticleSpec()]
-
-    hsec = root.child("hamiltonian") or Section("hamiltonian")
-    nuclei = []
-    for nsec in hsec.children_named("nucleus"):
-        pos = tuple(float(x) for x in _listify(nsec.get("position", [0.0] * box.dims)))
-        if len(pos) != box.dims:
-            raise ConfigError("nucleus position needs one entry per dimension",
-                              field="hamiltonian.nucleus.position")
-        nuclei.append(Nucleus(pos, float(nsec.get("charge", 1.0))))
-    efield = tuple(float(x) for x in _listify(hsec.get("field", [])))
-    if efield and len(efield) != box.dims:
-        raise ConfigError("field needs one entry per dimension",
-                          field="hamiltonian.field")
-
-    couplings = None
-    mode = hsec.get("couplings", "default")
-    if mode == "none":
-        n = len(particles)
-        couplings = np.zeros((n, n))
-    elif mode != "default":
-        raise ConfigError("couplings must be 'default' or 'none'",
-                          field="hamiltonian.couplings")
-
-    attenuation = None
-    asec = hsec.child("attenuation")
-    if asec is not None:
-        usec = asec.child("uniform")
-        if usec is not None:
-            attenuation = AttenuationSpec(UniformEdgeRegion(
-                int(usec.require("msb", "attenuation.uniform")),
-                float(usec.require("strength", "attenuation.uniform"))))
-        else:
-            pixels = {}
-            for pix in asec.children_named("pixel"):
-                at = tuple(int(x) for x in _listify(pix.require("at", "attenuation.pixel")))
-                pixels[at] = float(pix.require("strength", "attenuation.pixel"))
-            if not pixels:
-                raise ConfigError("attenuation needs uniform{} or pixel{} blocks",
-                                  field="hamiltonian.attenuation")
-            attenuation = AttenuationSpec(ExplicitRegion(pixels))
-
-    spec = HamiltonianSpec(tuple(particles), tuple(nuclei), couplings,
+    ham = _section(top, "hamiltonian")
+    nuclei = tuple(Nucleus(_vector(s, "position", box.dims), s.get("charge"))
+                   for s in ham.children_named("nucleus"))
+    efield = _vector(ham, "field", box.dims) if ham.get("field") else ()
+    uncoupled = ham.get("couplings") == "none"
+    attenuation = (_attenuation(ham.child("attenuation"), box)
+                   if ham.child("attenuation") else None)
+    spec = HamiltonianSpec(particles, nuclei, np.zeros((n, n)) if uncoupled else None,
                            efield, attenuation)
 
-    plansec = root.child("plan")
-    if plansec is None:
-        raise ConfigError("missing plan section", field="plan")
-    dt = _time_step(plansec.require("dt", "plan"), "plan.dt")
-    events = root.children_named("event")
-    for esec in events:
-        if esec.get("dt") is not None:
-            _time_step(esec.get("dt"), "event.dt")
-    _check_enlarge_events(events, root.child("observables") or Section("observables"),
-                          len(particles) > 1 and mode != "none")
-    steps = int(plansec.require("steps", "plan"))
-    if steps < 0:
-        raise ConfigError("steps must be >= 0", field="plan.steps")
-    patches = [0]
-    augsec = plansec.child("augmentation")
-    if augsec is not None:
-        patches = [int(x) for x in _listify(augsec.require("patches", "plan.augmentation"))]
-        for p in patches:
-            if p not in (0, 2, 4):
-                raise ConfigError("patch sizes are 0 (off), 2 or 4 pixels per dim",
-                                  field="plan.augmentation.patches")
-    attenuate = bool(plansec.get("attenuation", attenuation is not None))
-    if attenuate and attenuation is None:
-        raise ConfigError("plan.attenuation is on but the hamiltonian defines no "
-                          "attenuation region", field="plan.attenuation")
-    prepsec = root.child("prep")
-    if prepsec is not None and prepsec.child("edit") is not None \
-            and prepsec.child("imaginary_time") is not None:
-        raise ConfigError("prep runs either a state edit or imaginary-time "
-                          "filtering, not both", field="prep.imaginary_time")
-    if attenuate and prepsec is not None:
-        # both preparations run the plain unitary cycle
-        if prepsec.child("edit") is not None:
-            raise ConfigError("state editing plus attenuation in one scenario "
-                              "is not supported", field="prep.edit")
-        if prepsec.child("imaginary_time") is not None:
-            raise ConfigError("imaginary-time prep requires the plain cycle",
-                              field="prep.imaginary_time")
+    plan = top.child("plan")
+    dt, steps = plan.get("dt"), plan.get("steps")
+    aug = plan.child("augmentation")
+    patches = aug.get("patches") if aug else (0,)
+    attenuate = plan.get("attenuation")
+    if attenuate is None:
+        attenuate = attenuation is not None
+    elif attenuate and attenuation is None:
+        _fail(plan, "is on but the hamiltonian defines no attenuation region",
+              "attenuation")
 
-    if root.child("initial_state") is None:
-        raise ConfigError("missing initial_state section", field="initial_state")
+    osec = _section(top, "observables")
+    ipe = osec.child("ipe") or Section("ipe", {"every": 0, "fit": False})
+    obs = SimpleNamespace(**osec.entries, ipe=ipe.get("every"), ipe_fit=ipe.get("fit"))
+    if obs.swap and n < 2:
+        _fail(osec, "needs two particles", "swap")
+
+    preps = [sec for _, sec in _section(top, "prep").children]
+    if len(preps) > 1:
+        _fail(preps[1], "prep runs either a state edit or imaginary-time "
+                        "filtering, not both")
+    for sec in preps:
+        if attenuate:
+            _fail(sec, "needs the plain unitary cycle; plan.attenuation is on")
+        if sec.name == "imaginary_time":
+            _located(sec, ImaginaryTimeParams, sec.get("m0"), dt)
+    prep = SimpleNamespace(kind=preps[0].name, **preps[0].entries) if preps else None
+
+    events = []
+    for esec in sorted(top.children_named("event"), key=lambda e: e.get("at_step")):
+        ev = SimpleNamespace(**esec.entries)
+        if events and events[-1].at_step == ev.at_step:
+            _fail(esec, f"another event already runs at step {ev.at_step}", "at_step")
+        if ev.at_step > steps:
+            _fail(esec, f"comes after the last step ({steps})", "at_step")
+        if ev.dt not in (None, dt) and any(patches):
+            _fail(esec, "a patch correction holds for the plan dt only", "dt")
+        events.append(ev)
+        if ev.enlarge_particle is None:
+            continue
+        if ev.enlarge_particle >= n:
+            _fail(esec, f"the scenario has {n} particle(s)", "enlarge_particle")
+        # an enlarged register no longer matches the start state or the other
+        # particles' registers, so nothing may compare against either after it
+        for key in ("autocorrelation", "ipe", "bhattacharyya", "swap"):
+            if getattr(obs, key):
+                _fail(esec, f"observables.{key} cannot follow a register "
+                            "enlargement", "enlarge_particle")
+        # pair couplings need equal-shape registers; an event drops the
+        # couplings before it enlarges
+        if n > 1 and not uncoupled and not any(e.drop_couplings for e in events):
+            _fail(esec, "pair couplings are still on; drop them at or before "
+                        "the enlargement", "enlarge_particle")
 
     return Scenario(
-        text=text, root=root,
-        description=str(root.get("description", "")),
-        seed=int(root.get("seed", 0)),
-        extended=bool(root.get("extended", False)),
-        box=box, spec=spec, plan_dt=dt, plan_steps=steps,
-        aug_patches=patches, attenuate=attenuate,
-        num_particles=len(particles))
+        root=root, description=top.get("description"), seed=top.get("seed"),
+        extended=top.get("extended"), box=box, spec=spec, plan_dt=dt,
+        plan_steps=steps, aug_patches=patches, attenuate=attenuate,
+        initial=_initial_state(top.child("initial_state"), n, box.dims),
+        observables=obs, events=tuple(events), prep=prep)
 
 
-def validate_scenario(text: str, *, allow_extended: bool = False,
-                      enforce_ceiling: bool = True) -> Scenario:
+def validate_scenario(text: str, *, allow_extended: bool = False) -> Scenario:
     scen = load_scenario(text)
     if scen.extended and not allow_extended:
         raise ConfigError("scenario is marked extended; pass --extended to run it",
                           field="extended")
-    # extended configs declare their own scale; the ceiling gates execution,
-    # not schema validation
-    if enforce_ceiling and not scen.extended:
-        ceiling = emulation_ceiling()
-        if scen.required_qubits() > ceiling:
-            raise CeilingExceededError(
-                f"scenario needs {scen.required_qubits()} qubits, ceiling is "
-                f"{ceiling} (override via {CEILING_ENV})")
+    # extended configs declare their own scale; run_scenario gates those
+    if not scen.extended:
+        _check_ceiling(scen)
     return scen
+
+
+def _check_ceiling(scen: Scenario) -> None:
+    ceiling = emulation_ceiling()
+    if scen.required_qubits() > ceiling:
+        raise CeilingExceededError(
+            f"scenario needs {scen.required_qubits()} qubits, ceiling is "
+            f"{ceiling} (override via {CEILING_ENV})")
 
 
 # -- initial state construction ---------------------------------------------------
 
 def build_initial_state(scen: Scenario) -> StateVector:
-    sec = scen.root.child("initial_state")
-    box = scen.box
+    init, box = scen.initial, scen.box
     layout = particle_layout(scen.num_particles, box.dims, box.n_r, box=box)
 
-    if sec.child("model_ground") is not None:
+    if init.model_ground:
         # exact ground eigenvector of the reference (projected-potential)
         # Hamiltonian; what ideal state preparation would deliver
-        if scen.num_particles != 1:
-            raise ConfigError("model_ground supports single-particle scenarios",
-                              field="initial_state.model_ground")
         from .dense import reference_step_matrix
         _, _, _, evecs = reference_step_matrix(box, scen.spec, scen.plan_dt)
         return StateVector(evecs[:, 0].astype(np.complex128), layout)
 
-    filename = sec.get("file")
-    if filename is not None:
+    if init.file is not None:
         from .iofmt import read_statevector
-        amps, nq = read_statevector(filename)
+        amps, nq = read_statevector(init.file)
         if nq != layout.num_qubits:
             raise ConfigError(f"dump holds {nq} qubits, scenario expects "
                               f"{scen.base_qubits}", field="initial_state.file")
         return StateVector(amps, layout)
 
-    orbitals = sec.children_named("orbital")
-    if orbitals:
-        if len(orbitals) != scen.num_particles:
-            raise ConfigError("need one orbital block per particle",
-                              field="initial_state.orbital")
-        vecs = []
-        used_columns: set[int] = set()
-        schur_vectors: dict[ParticleSpec, np.ndarray] = {}
-        for particle_idx, osec in enumerate(orbitals):
-            inner = [c for _, c in osec.children]
-            if len(inner) != 1:
-                raise ConfigError("each orbital holds exactly one state block",
-                                  field="initial_state.orbital")
-            if inner[0].name == "step_eigenstate":
-                vecs.append(_step_eigenvector(scen, particle_idx, inner[0],
-                                              used_columns, schur_vectors))
-                continue
-            amps, _ = st.discretize(parse_state(inner[0], box.dims), box)
-            vecs.append(amps)
-        if bool(sec.get("antisymmetrize", False)) or bool(sec.get("symmetrize", False)):
-            if len(vecs) != 2:
-                raise ConfigError("direct exchange symmetrisation needs exactly "
-                                  "two orbitals", field="initial_state")
-            amps, _ = st.antisymmetrize_direct(
-                vecs[0], vecs[1], symmetrize=bool(sec.get("symmetrize", False)))
+    vecs = []
+    used_columns: set[int] = set()
+    schur_vectors: dict[ParticleSpec, np.ndarray] = {}
+    for particle_idx, orbital in enumerate(init.orbitals):
+        if isinstance(orbital, StepEigenstate):
+            vecs.append(_step_eigenvector(scen, particle_idx, orbital.target,
+                                          used_columns, schur_vectors))
         else:
-            amps = vecs[-1]
-            for v in reversed(vecs[:-1]):
-                amps = np.kron(amps, v)
-    else:
-        inner = [c for _, c in sec.children]
-        if len(inner) != 1 or scen.num_particles != 1:
-            raise ConfigError("single-particle scenarios take exactly one state "
-                              "block; multi-particle ones use orbital blocks",
-                              field="initial_state")
-        amps, _ = st.discretize(parse_state(inner[0], box.dims), box)
+            vecs.append(st.discretize(orbital, box)[0])
+    if init.exchange:
+        amps, _ = st.antisymmetrize_direct(
+            vecs[0], vecs[1], symmetrize=init.exchange == "symmetrize")
+    else:   # particle 0 in the lowest qubits
+        amps = reduce(np.kron, reversed(vecs))
     return StateVector(amps, layout)
 
 
-def _step_eigenvector(scen: Scenario, particle_idx: int, block: Section,
+def _step_eigenvector(scen: Scenario, particle_idx: int, target_state,
                       used_columns: set, schur_vectors: dict) -> np.ndarray:
     """Eigenvector of this particle's free split cycle nearest a target state.
 
@@ -357,11 +460,6 @@ def _step_eigenvector(scen: Scenario, particle_idx: int, block: Section,
     Schur vectors of each distinct particle's cycle are kept in
     ``schur_vectors`` and reused by the other orbitals of that particle kind.
     """
-    inner = [c for _, c in block.children]
-    if len(inner) != 1:
-        raise ConfigError("step_eigenstate holds exactly one target state block",
-                          field="initial_state.orbital.step_eigenstate")
-    target_state = parse_state(inner[0], scen.box.dims)
     particle = scen.spec.particles[particle_idx]
     if particle not in schur_vectors:
         from scipy.linalg import schur
@@ -382,12 +480,15 @@ def _step_eigenvector(scen: Scenario, particle_idx: int, block: Section,
 
 # -- execution --------------------------------------------------------------------
 
-def _augmentation_for(scen: Scenario, patch: int):
-    if patch == 0:
-        return None
-    from .corrections import derive_correction
-    n_l = patch.bit_length() - 1
-    return derive_correction(scen.box, scen.spec, scen.plan_dt, n_l)
+def _apply_event(ev, state, plan, spec):
+    """``propagate``'s event hook: apply ``ev`` after step ``ev.at_step``."""
+    if ev.drop_couplings:
+        spec = spec.with_couplings_zeroed()
+    if ev.enlarge_particle is not None:
+        state = enlarge_particle(state, ev.enlarge_particle, ev.enlarge_by)
+    if ev.dt is not None:
+        plan = plan.with_dt(ev.dt)
+    return state, plan, spec
 
 
 def run_scenario(text: str, out_dir, *, seed: int | None = None,
@@ -402,47 +503,37 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
     from .statevector import inner_product, swap_particle_registers
 
     scen = validate_scenario(text, allow_extended=allow_extended)
-    ceiling = emulation_ceiling()
-    if scen.required_qubits() > ceiling:
-        raise CeilingExceededError(
-            f"scenario needs {scen.required_qubits()} qubits, ceiling is {ceiling} "
-            f"(override via {CEILING_ENV})")
+    if scen.extended:   # validate leaves the ceiling of these to the run
+        _check_ceiling(scen)
     if seed is not None:
         scen.seed = int(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, dict] = {}
 
-    obssec = scen.root.child("observables") or Section("observables")
-    cad_autocorr = int(obssec.get("autocorrelation", 0))
-    ipesec = obssec.child("ipe")
-    cad_ipe = int(ipesec.require("every", "observables.ipe")) if ipesec else 0
-    fit_ipe = bool(ipesec.get("fit", True)) if ipesec else False
-    cad_density = int(obssec.get("density", 0))
-    density_pgm = bool(obssec.get("density_pgm", False))
-    cad_energy = int(obssec.get("sampled_energy", 0))
-    energy_shots = int(obssec.get("sampled_energy_shots", 0))
-    cad_bhatt = int(obssec.get("bhattacharyya", 0))
-    cad_swap = int(obssec.get("swap", 0))
-    dump_state = bool(obssec.get("dump_state", False))
+    obs = scen.observables
     rng = np.random.default_rng(scen.seed)
 
     variants = [(f"_patch{p}" if len(scen.aug_patches) > 1 else "", p)
                 for p in scen.aug_patches]
     for suffix, patch in variants:
         state = build_initial_state(scen)
-        prep_rows = _run_prep(scen, state, out, outputs, suffix)
-        if prep_rows is not None:
-            state = prep_rows
+        state = _run_prep(scen, state, out, outputs, suffix)
         # only the autocorrelation and ipe cadences read the start state back
-        initial = state.copy() if cad_autocorr or cad_ipe else None
+        initial = state.copy() if obs.autocorrelation or obs.ipe else None
         init_density = probability_density(state, 0)
 
-        plan = StepPlan(scen.plan_dt, augmentation=_augmentation_for(scen, patch),
+        correction = None
+        if patch:
+            from .corrections import derive_correction
+            correction = derive_correction(scen.box, scen.spec, scen.plan_dt,
+                                           patch.bit_length() - 1)
+        plan = StepPlan(scen.plan_dt, augmentation=correction,
                         attenuation=scen.spec.attenuation if scen.attenuate else None)
 
-        records: dict[str, list] = {k: [] for k in
-                                    ("t_ac", "ac", "t_e", "e", "t_b", "b", "t_s", "s")}
+        # series name -> (times, values), written as <name><suffix>.csv
+        series = {name: ([], []) for name in
+                  ("autocorrelation", "sampled_energy", "bhattacharyya", "swap")}
         tracker = EscapeTracker()
         escape_inc: list[float] = []
 
@@ -451,76 +542,69 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
             name = f"density{suffix}_{step_idx:06d}.gwdg"
             iofmt.write_density_grid(out / name, dens, scen.box)
             outputs[name] = {}
-            if density_pgm and dens.ndim <= 2:
+            if obs.density_pgm and dens.ndim <= 2:
                 pname = name.replace(".gwdg", ".pgm")
                 iofmt.write_pgm(out / pname, dens)
                 outputs[pname] = {}
 
-        if cad_density > 0 or scen.plan_steps == 0:
+        if obs.density or scen.plan_steps == 0:
             dump_density(0, state)
 
         def callback(step: int, t: float, current: StateVector):
             if escape_inc:
                 tracker.record(t, escape_inc.pop())
-            if cad_autocorr and step % cad_autocorr == 0 or \
-               cad_ipe and step % cad_ipe == 0:
-                records["t_ac"].append(t)
-                records["ac"].append(inner_product(initial, current))
-            if cad_energy and step % cad_energy == 0:
+            readings = {}
+            if obs.autocorrelation and step % obs.autocorrelation == 0 or \
+               obs.ipe and step % obs.ipe == 0:
+                readings["autocorrelation"] = inner_product(initial, current)
+            if obs.sampled_energy and step % obs.sampled_energy == 0:
                 from .observables import sampled_energy_expectation
-                est = sampled_energy_expectation(
-                    current, scen.spec,
-                    shots=energy_shots or None,
-                    rng=rng if energy_shots else None)
-                records["t_e"].append(t)
-                records["e"].append(est.energy)
-            if cad_bhatt and step % cad_bhatt == 0:
+                readings["sampled_energy"] = sampled_energy_expectation(
+                    current, scen.spec, shots=obs.sampled_energy_shots or None,
+                    rng=rng if obs.sampled_energy_shots else None).energy
+            if obs.bhattacharyya and step % obs.bhattacharyya == 0:
                 dens = probability_density(current, 0)
-                records["t_b"].append(t)
-                records["b"].append(st.bhattacharyya(init_density.reshape(-1),
-                                                     dens.reshape(-1)))
-            if cad_swap and step % cad_swap == 0:
+                readings["bhattacharyya"] = st.bhattacharyya(
+                    init_density.reshape(-1), dens.reshape(-1))
+            if obs.swap and step % obs.swap == 0:
                 swapped = swap_particle_registers(current, 0, 1)
-                records["t_s"].append(t)
-                records["s"].append(inner_product(current, swapped).real)
-            if cad_density and step % cad_density == 0:
+                readings["swap"] = inner_product(current, swapped).real
+            for name, value in readings.items():
+                series[name][0].append(t)
+                series[name][1].append(value)
+            if obs.density and step % obs.density == 0:
                 dump_density(step, current)
 
         from .propagator import propagate
-        events = _parse_events(scen)
         state = propagate(state, plan, scen.spec, scen.plan_steps,
-                          callbacks=[callback], events=events, escape=escape_inc)
+                          callbacks=[callback],
+                          events={ev.at_step: partial(_apply_event, ev)
+                                  for ev in scen.events} or None,
+                          escape=escape_inc)
         if escape_inc:   # increment from the final step
             tracker.record(scen.plan_steps * scen.plan_dt, escape_inc.pop())
 
-        def emit(name, times, values, sampled=False):
-            if not len(times):
-                return
-            series = TimeSeries(np.asarray(times), np.asarray(values))
-            iofmt.write_timeseries_csv(out / name, series)
-            outputs[name] = {"sampled": sampled}
-
-        emit(f"autocorrelation{suffix}.csv", records["t_ac"], records["ac"])
-        if cad_ipe:
-            a_t = plus_probability(np.asarray(records["ac"]))
-            emit(f"ipe{suffix}.csv", records["t_ac"], a_t)
-            if fit_ipe and len(a_t) >= 8:
-                est = fit_energy_from_signal(
-                    TimeSeries(np.asarray(records["t_ac"]), a_t))
-                name = f"ipe_fit{suffix}.csv"
-                (out / name).write_text(
-                    "energy,uncertainty,method\n"
-                    f"{est.energy:.17g},{est.uncertainty:.17g},{est.method}\n")
-                outputs[name] = {}
-        emit(f"sampled_energy{suffix}.csv", records["t_e"], records["e"],
-             sampled=bool(energy_shots))
-        emit(f"bhattacharyya{suffix}.csv", records["t_b"], records["b"])
-        emit(f"swap{suffix}.csv", records["t_s"], records["s"])
+        if obs.ipe:
+            times, values = series["autocorrelation"]
+            series["ipe"] = (times, plus_probability(np.asarray(values)))
+        for name, (times, values) in series.items():
+            if len(times):
+                iofmt.write_timeseries_csv(out / f"{name}{suffix}.csv", TimeSeries(
+                    np.asarray(times), np.asarray(values)))
+                sampled = name == "sampled_energy" and obs.sampled_energy_shots > 0
+                outputs[f"{name}{suffix}.csv"] = {"sampled": sampled}
+        if obs.ipe and obs.ipe_fit and len(series["ipe"][0]) >= 8:
+            est = fit_energy_from_signal(TimeSeries(*map(np.asarray, series["ipe"])))
+            name = f"ipe_fit{suffix}.csv"
+            (out / name).write_text(
+                "energy,uncertainty,method\n"
+                f"{est.energy:.17g},{est.uncertainty:.17g},{est.method}\n")
+            outputs[name] = {}
         if tracker.times:
             series = tracker.series()
             iofmt.write_timeseries_csv(out / f"escape{suffix}.csv", series)
             outputs[f"escape{suffix}.csv"] = {}
-        if dump_state:
+        if obs.dump_state:
             name = f"final_state{suffix}.gwsv"
             iofmt.write_statevector(out / name, state)
             outputs[name] = {}
@@ -534,77 +618,37 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
 
 def _run_prep(scen: Scenario, state: StateVector, out: Path, outputs: dict,
               suffix: str):
-    sec = scen.root.child("prep")
-    if sec is None:
-        return None
-    from . import iofmt
-    editsec = sec.child("edit")
-    itsec = sec.child("imaginary_time")
-    if editsec is not None:
+    prep = scen.prep
+    if prep is None:
+        return state
+    name = f"prep_log{suffix}.csv"
+    outputs[name] = {}
+    if prep.kind == "edit":
         from .prep import state_edit_remove
-        plan = StepPlan(scen.plan_dt)
-        energy = float(editsec.require("energy", "prep.edit"))
-        edited, p = state_edit_remove(state, energy, plan, scen.spec)
-        name = f"prep_log{suffix}.csv"
+        edited, p = state_edit_remove(state, prep.energy, StepPlan(scen.plan_dt),
+                                      scen.spec)
         (out / name).write_text("step,success_probability\n" f"0,{p:.17g}\n")
-        outputs[name] = {}
         return edited
-    if itsec is not None:
-        from .prep import ImaginaryTimeParams, imaginary_time_run
-        params = ImaginaryTimeParams(float(itsec.require("m0", "prep.imaginary_time")),
-                                     scen.plan_dt)
-        steps = int(itsec.require("steps", "prep.imaginary_time"))
-        every = int(itsec.get("record", 100))
-        references = {}
-        if bool(itsec.get("track_ground", False)):
-            from .dense import hamiltonian_eig
-            _, evecs = hamiltonian_eig(scen.box, scen.spec)
-            references["ground_overlap"] = evecs[:, 0].astype(np.complex128)
-        run = imaginary_time_run(state, params, StepPlan(scen.plan_dt), scen.spec,
-                                 steps, references=references, record_every=every)
-        name = f"prep_log{suffix}.csv"
-        # both clocks are recorded: the real step dt and the imaginary step
-        # dtau = s*dt it realises
-        header = "step,dt,dtau,success_probability"
-        labels = sorted(run.overlaps)
-        if labels:
-            header += "," + ",".join(labels)
-        lines = [header]
-        for i, p in enumerate(run.success.values):
-            row = (f"{(i + 1) * every},{params.dt:.17g},"
-                   f"{params.dtau:.17g},{p:.17g}")
-            for label in labels:
-                row += f",{run.overlaps[label].values[i]:.17g}"
-            lines.append(row)
-        (out / name).write_text("\n".join(lines) + "\n")
-        outputs[name] = {}
-        return run.state
-    return None
-
-
-def _parse_events(scen: Scenario) -> dict | None:
-    events = {}
-    for esec in scen.root.children_named("event"):
-        at = int(esec.require("at_step", "event"))
-        new_dt = esec.get("dt")
-        drop = bool(esec.get("drop_couplings", False))
-        enlarge = esec.get("enlarge_particle")
-        extra = int(esec.get("enlarge_by", 1))
-
-        def make(new_dt=new_dt, drop=drop, enlarge=enlarge, extra=extra):
-            def apply(state, plan, spec):
-                if drop:
-                    spec = spec.with_couplings_zeroed()
-                if enlarge is not None:
-                    from .statevector import enlarge_particle
-                    state = enlarge_particle(state, int(enlarge), extra)
-                if new_dt is not None:
-                    plan = plan.with_dt(float(new_dt))
-                return state, plan, spec
-            return apply
-
-        events[at] = make()
-    return events or None
+    from .prep import imaginary_time_run
+    params = ImaginaryTimeParams(prep.m0, scen.plan_dt)
+    references = {}
+    if prep.track_ground:
+        from .dense import hamiltonian_eig
+        _, evecs = hamiltonian_eig(scen.box, scen.spec)
+        references["ground_overlap"] = evecs[:, 0].astype(np.complex128)
+    run = imaginary_time_run(state, params, StepPlan(scen.plan_dt), scen.spec,
+                             prep.steps, references=references,
+                             record_every=prep.record)
+    # both clocks are recorded: the real step dt and the imaginary step
+    # dtau = s*dt it realises
+    labels = sorted(run.overlaps)
+    lines = [",".join(["step,dt,dtau,success_probability", *labels])]
+    for i, p in enumerate(run.success.values):
+        lines.append(",".join([f"{(i + 1) * prep.record},{params.dt:.17g},"
+                               f"{params.dtau:.17g},{p:.17g}",
+                               *(f"{run.overlaps[k].values[i]:.17g}" for k in labels)]))
+    (out / name).write_text("\n".join(lines) + "\n")
+    return run.state
 
 
 # -- bundled scenarios --------------------------------------------------------------
@@ -612,18 +656,13 @@ def _parse_events(scen: Scenario) -> dict | None:
 def bundled_scenarios() -> dict[str, str]:
     """name -> config text for every scenario shipped with the package."""
     from importlib.resources import files
-    base = files("gridwave") / "scenarios"
-    out = {}
-    for entry in sorted(base.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".cfg"):
-            out[entry.name[:-4]] = entry.read_text()
-    return out
+    entries = sorted((files("gridwave") / "scenarios").iterdir(), key=lambda e: e.name)
+    return {e.name[:-4]: e.read_text() for e in entries if e.name.endswith(".cfg")}
 
 
 def resolve_scenario(name_or_path: str) -> str:
-    p = Path(name_or_path)
-    if p.exists():
-        return p.read_text()
+    if Path(name_or_path).exists():
+        return Path(name_or_path).read_text()
     bundled = bundled_scenarios()
     if name_or_path in bundled:
         return bundled[name_or_path]

@@ -109,6 +109,12 @@ def test_imaginary_time_rejects_degenerate_m0():
         ImaginaryTimeParams(1.2, 1e-4)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-4])
+def test_imaginary_time_rejects_bad_dt(dt):
+    with pytest.raises(ConfigError):
+        ImaginaryTimeParams(0.9, dt)
+
+
 def test_imaginary_time_free_state_exact_m0_squared():
     # zero Hamiltonian: the step is exactly m0 * identity
     box = SimulationBox(1, 3, 8.0, 0.5)

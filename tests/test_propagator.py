@@ -399,6 +399,14 @@ def test_propagate_callbacks_and_events(rng):
     assert abs(out.norm_sq() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.01])
+def test_step_plan_rejects_bad_dt(dt):
+    with pytest.raises(ConfigError):
+        StepPlan(dt)
+    with pytest.raises(ConfigError):
+        StepPlan(0.01).with_dt(dt)
+
+
 def test_stale_augmentation_refused():
     from gridwave.corrections import CoreCorrection
     corr = CoreCorrection(1, 0, 1, np.eye(2, dtype=complex), dt=0.004)

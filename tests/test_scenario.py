@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
-from gridwave.config_text import canonical_text, parse_config
+from gridwave.config_text import Section, canonical_text, parse_config
 from gridwave.errors import CeilingExceededError, ConfigError
 from gridwave.scenario import (build_initial_state, bundled_scenarios,
                                load_scenario, resolve_scenario, run_scenario,
@@ -45,6 +47,62 @@ def test_config_parser_rejects_duplicate_key():
     parse_config("a { x = 1 } b { x = 2 } a { x = 3 }")
 
 
+def test_config_parser_records_paths_and_lines():
+    root = parse_config("seed = 1\nbox {\n    dims = 1\n    inner { x = 2 }\n}")
+    box = root.child("box")
+    assert (box.path, box.line, box.lines) == ("box", 2, {"dims": 3})
+    inner = box.child("inner")
+    assert (inner.path, inner.line, inner.lines) == ("box.inner", 4, {"x": 4})
+
+
+def test_config_parser_keeps_hash_inside_quotes():
+    root = parse_config('description = "Figure #3 run"   # a comment')
+    assert root.get("description") == "Figure #3 run"
+
+
+@pytest.mark.parametrize("value", ["a{b", "12", "true", "1e5", "nan", "x = y",
+                                   "#3", "", "plain"])
+def test_canonical_text_strings_reparse_as_strings(value):
+    text = canonical_text(Section(entries={"s": value}))
+    assert parse_config(text).get("s") == value
+
+
+_NAMES = hs.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True)
+_SCALARS = hs.one_of(hs.integers(), hs.floats(allow_nan=False), hs.booleans(),
+                     hs.text(alphabet="ab1.-_ #{}=", max_size=8))
+_VALUES = hs.one_of(_SCALARS, hs.lists(_SCALARS, min_size=2, max_size=4))
+_ENTRIES = hs.dictionaries(_NAMES, _VALUES, max_size=4)
+_TREES = hs.recursive(
+    hs.builds(lambda e: Section(entries=e), _ENTRIES),
+    lambda inner: hs.builds(lambda e, c: Section(entries=e, children=c), _ENTRIES,
+                            hs.lists(hs.tuples(_NAMES, inner), max_size=3)),
+    max_leaves=8)
+
+
+def _same_value(a, b):
+    if isinstance(a, list) or isinstance(b, list):
+        return (isinstance(a, list) and isinstance(b, list) and len(a) == len(b)
+                and all(map(_same_value, a, b)))
+    if isinstance(a, (bool, str)) or isinstance(b, (bool, str)):
+        return type(a) is type(b) and a == b
+    return a == b       # numbers by value: 2.0 is written "2" and reads back as 2
+
+
+def _same_tree(a, b):
+    return (a.entries.keys() == b.entries.keys()
+            and all(_same_value(a.entries[k], b.entries[k]) for k in a.entries)
+            and [n for n, _ in a.children] == [n for n, _ in b.children]
+            and all(_same_tree(x, y) for (_, x), (_, y) in zip(a.children, b.children)))
+
+
+@given(_TREES)
+def test_canonical_text_round_trip(tree):
+    text = canonical_text(tree)
+    again = parse_config(text)
+    assert _same_tree(tree, again)
+    assert canonical_text(again) == text
+
+
 def test_canonical_text_stability():
     a = canonical_text(parse_config(MINIMAL), drop=("seed",))
     b = canonical_text(parse_config(MINIMAL.replace("seed = 7", "seed = 9")),
@@ -86,12 +144,107 @@ def test_extended_flag_gates():
     validate_scenario(ext, allow_extended=True)
 
 
+def test_run_checks_the_ceiling_once(monkeypatch, tmp_path):
+    from gridwave import scenario
+    calls = []
+    monkeypatch.setattr(scenario, "emulation_ceiling", lambda: calls.append(1) or 26)
+    run_scenario(MINIMAL, tmp_path / "plain")
+    assert len(calls) == 1
+    run_scenario(MINIMAL + "extended = true\n", tmp_path / "extended",
+                 allow_extended=True)
+    assert len(calls) == 2
+
+
+def test_extended_scenario_gated_at_run(tmp_path):
+    big = MINIMAL.replace("n_r = 3", "n_r = 27") + "extended = true\n"
+    # validation leaves an extended scenario's scale to the run
+    validate_scenario(big, allow_extended=True)
+    with pytest.raises(CeilingExceededError):
+        run_scenario(big, tmp_path, allow_extended=True)
+
+
 def test_bundled_scenarios_all_validate():
     bundle = bundled_scenarios()
     assert {"psi11_resolution_nr7", "aso_core", "helium_reduced",
             "gaussian_cap_1d", "state_edit", "pite_ground"} <= set(bundle)
     for name, text in bundle.items():
         validate_scenario(text, allow_extended=True)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_benchmark_scenarios_validate(seed):
+    from benchmark.workloads import make_core_patch, make_helium, make_scattering
+    for make in (make_scattering, make_helium, make_core_patch):
+        validate_scenario(make(seed)["text"])
+
+
+# Each case is valid but for one field; (text, field, line) of the error.
+BASE = """seed = 7
+box { dims = 1  n_r = 4  length = 10.0 }
+particles { particle { mass = 1.0  charge = -1.0 } }
+hamiltonian { nucleus { position = 0.0  charge = 1.0 } }
+initial_state { gaussian { center = 0.0  alpha = 1.0 } }
+plan { dt = 0.01  steps = 5 }
+observables { density = 1 }
+"""
+TWO_ORBITALS = """initial_state {
+    orbital { gaussian { center = 0.0  alpha = 1.0 } }
+    orbital { gaussian { center = 1.0  alpha = 1.0 } }
+}"""
+BAD_FIELDS = {
+    "unknown_key": (BASE.replace("density = 1", "densty = 300"),
+                    "observables.densty", 7),
+    "negative_cadence": (BASE.replace("density = 1", "bhattacharyya = -3"),
+                         "observables.bhattacharyya", 7),
+    "float_cadence": (BASE.replace("density = 1", "density = 2.5"),
+                      "observables.density", 7),
+    "ipe_every_zero": (BASE.replace("density = 1", "ipe { every = 0 }"),
+                       "observables.ipe.every", 7),
+    "nan_length": (BASE.replace("length = 10.0", "length = nan"), "box.length", 2),
+    "float_n_r": (BASE.replace("n_r = 4", "n_r = 8.7"), "box.n_r", 2),
+    "unknown_state": (BASE.replace("gaussian {", "gausian {"),
+                      "initial_state.gausian", 5),
+    "swap_one_particle": (BASE.replace("density = 1", "swap = 1"),
+                          "observables.swap", 7),
+    "enlarge_missing_particle": (BASE + "event { at_step = 2  enlarge_particle = 3 }",
+                                 "event.enlarge_particle", 8),
+    "two_orbitals_one_particle": (
+        BASE.replace("initial_state { gaussian { center = 0.0  alpha = 1.0 } }",
+                     TWO_ORBITALS), "initial_state.orbital", 7),
+    "duplicate_event": (BASE + "event { at_step = 2  dt = 0.02 }\n"
+                        "event { at_step = 2  drop_couplings = true }",
+                        "event.at_step", 9),
+    "zero_edit_energy": (BASE + "prep { edit { energy = 0.0 } }",
+                         "prep.edit.energy", 8),
+}
+
+
+@pytest.mark.parametrize("name", BAD_FIELDS)
+def test_bad_field_rejected_at_validate(name):
+    validate_scenario(BASE)
+    text, field, line = BAD_FIELDS[name]
+    with pytest.raises(ConfigError) as err:
+        validate_scenario(text)
+    assert err.value.field == field
+    assert f"line {line}:" in str(err.value)
+
+
+def test_enlargement_counts_toward_the_ceiling():
+    grown = BASE + "event { at_step = 2  enlarge_particle = 0  enlarge_by = 30 }"
+    assert load_scenario(grown).required_qubits() == 4 + 30
+    with pytest.raises(CeilingExceededError):
+        validate_scenario(grown)
+
+
+def test_events_run_in_step_order(tmp_path):
+    from gridwave.iofmt import read_statevector
+    # listed out of order: the enlargement at step 2 still runs before step 3
+    text = (BASE.replace("density = 1", "dump_state = true")
+            + "event { at_step = 3  dt = 0.02 }\n"
+            + "event { at_step = 2  enlarge_particle = 0 }\n")
+    assert [e.at_step for e in load_scenario(text).events] == [2, 3]
+    run_scenario(text, tmp_path)
+    assert read_statevector(tmp_path / "final_state.gwsv")[1] == 5
 
 
 def test_initial_state_product_and_antisym(rng):
@@ -273,7 +426,7 @@ plan { dt = 0.01  steps = 0 }
     assert inner_product(state, swapped).real == pytest.approx(-1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-0.01"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-0.01", "0.0"])
 def test_bad_time_step_rejected_at_validate(bad):
     with pytest.raises(ConfigError) as err:
         validate_scenario(MINIMAL.replace("dt = 0.01", f"dt = {bad}"))
