@@ -43,8 +43,8 @@ from .prep import (ImaginaryTimeParams, ImaginaryTimeRun, SynthSpectrum,
 from .corrections import (CoreCorrection, apply_core_correction,
                           derive_core_correction, derive_correction,
                           patch_indices, pick_core_window)
-from .dense import (build_dense_step_matrices, best_overlap_eigenpair,
-                    fourier_matrix, hamiltonian_eig, pixel_hamiltonian)
+from .dense import (build_dense_step_matrices, fourier_matrix, hamiltonian_eig,
+                    pixel_hamiltonian)
 from .resources import (MoleculeSpec, PRESETS, advise_box, audit,
                         gate_depth_estimate, qubits_required)
 

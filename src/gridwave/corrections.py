@@ -3,9 +3,12 @@
 The split cycle deviates from the ideal step mostly on the few pixels around
 the potential origin.  A small unitary acting on just that pixel window,
 distilled from the repair operator U_ideal * U_SO^dagger by a singular value
-decomposition, is appended to every step.  The window is addressed by first
-adding a constant G to every sub-register so its pixels land on the patterns
-whose high-order qubits are all zero.
+decomposition, is appended to every step.  On hardware the window is
+addressed by adding a constant G to every sub-register, so its pixels land on
+the patterns whose high-order qubits are all zero (``tests/oracles.py`` keeps
+that round as the reference).  Here the window's rows of the statevector are
+indexed once per compiled step and the gate is one gather, one product and
+one scatter on them.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError, LayoutError
-from .registers import Span, pattern_of_value
+from .errors import ConfigError
+from .registers import RegisterLayout, Span, particle_layout, pattern_of_value
 from .statevector import StateVector
 
 
@@ -40,15 +43,6 @@ class CoreCorrection:
         if residual > 1e-10:
             raise ConfigError(f"window matrix fails unitarity by {residual:.2e}")
         object.__setattr__(self, "u_core", u)
-
-    @property
-    def shift(self) -> int:
-        """Constant G added to every sub-register before the window gate."""
-        return -self.lo
-
-    @property
-    def window_values(self) -> range:
-        return range(self.lo, self.lo + (1 << self.n_l))
 
 
 def pick_core_window(box, n_l: int) -> int:
@@ -86,69 +80,40 @@ def derive_core_correction(u_ideal: np.ndarray, u_so: np.ndarray,
     return CoreCorrection(dims, lo, n_l, u @ vh, dt)
 
 
-def derive_correction(box, spec, dt: float, n_l: int, *,
-                      max_dim: int | None = None,
-                      reference: str = "projected") -> CoreCorrection:
-    """Dense derivation for a single particle: build the step matrices and
-    distil the window unitary for the pixels nearest the origin.
-
-    ``reference`` selects the ideal step the repair targets: "projected" uses
-    the full potential matrix elements between grid basis functions (the
-    defect the split cycle actually makes near the singularity), "diagonal"
-    keeps the point-sampled potential on both sides and so repairs only the
-    splitting error.
-    """
-    from .dense import (DEFAULT_MAX_DIM, _default_layout,
-                        build_dense_step_matrices, reference_step_matrix)
-    md = DEFAULT_MAX_DIM if max_dim is None else max_dim
-    if reference == "projected":
-        u_ideal, u_so, _, _ = reference_step_matrix(box, spec, dt, max_dim=md)
-    elif reference == "diagonal":
-        u_ideal, u_so = build_dense_step_matrices(box, spec, dt, max_dim=md)
-    else:
-        raise ConfigError("reference must be 'projected' or 'diagonal'")
-    layout = _default_layout(box, spec)
+def derive_correction(box, spec, dt: float, n_l: int) -> CoreCorrection:
+    """Dense derivation for a single particle: distil the window unitary for
+    the pixels nearest the origin, repairing towards the reference step (the
+    full potential matrix elements between grid basis functions, the defect
+    the split cycle actually makes near the singularity)."""
+    from .dense import reference_step_matrix
+    u_ideal, u_so, _, _ = reference_step_matrix(box, spec, dt)
     lo = pick_core_window(box, n_l)
-    spans = list(layout.particles[0].spans)
-    patch = patch_indices(spans, lo, n_l)
-    return derive_core_correction(u_ideal, u_so, patch,
+    spans = list(particle_layout(1, box.dims, box.n_r).particles[0].spans)
+    return derive_core_correction(u_ideal, u_so, patch_indices(spans, lo, n_l),
                                   dims=box.dims, lo=lo, n_l=n_l, dt=dt)
 
 
-def shift_subregisters(state: StateVector, spans: list[Span], g: int) -> StateVector:
-    """Add the constant g to every listed sub-register (modular relabelling)."""
-    for s in spans:
-        view = state._view(s)
-        view[...] = np.roll(view, g % (1 << s.width), axis=1)
-    return state
-
-
-def _rest_indices(num_qubits: int, spans: list[Span]) -> np.ndarray:
-    other = [qb for qb in range(num_qubits)
-             if not any(s.start <= qb < s.stop for s in spans)]
+def window_rows(layout: RegisterLayout, corr: CoreCorrection) -> np.ndarray:
+    """Flat statevector indices the window gate acts on, for particle 0: one
+    row per setting of the qubits outside the particle's spans (ascending),
+    holding the window pixels in :func:`patch_indices` order."""
+    spans = list(layout.particles[0].spans)
+    if len(spans) != corr.dims:
+        raise ConfigError("correction dimensionality does not match the particle")
+    if corr.n_l > spans[0].width:
+        raise ConfigError(f"a window of 2^{corr.n_l} pixels per dimension exceeds "
+                          f"the {1 << spans[0].width}-pixel grid")
+    inside = {q for s in spans for q in s.qubits()}
+    other = [q for q in range(layout.num_qubits) if q not in inside]
     r = np.arange(1 << len(other), dtype=np.int64)
-    out = np.zeros_like(r)
-    for i, pos in enumerate(other):
-        out |= ((r >> i) & 1) << pos
-    return out
+    rest = np.zeros_like(r)
+    for i, q in enumerate(other):
+        rest |= ((r >> i) & 1) << q
+    return rest[:, None] | patch_indices(spans, corr.lo, corr.n_l)[None, :]
 
 
 def apply_core_correction(state: StateVector, corr: CoreCorrection,
-                          particle: int = 0) -> StateVector:
-    """Shift by G, act with the window unitary on the flagged subspace, shift back."""
-    layout = state.layout
-    if layout is None:
-        raise LayoutError("core correction needs a layout")
-    spans = list(layout.particles[particle].spans)
-    if len(spans) != corr.dims:
-        raise ConfigError("correction dimensionality does not match the particle")
-    g = corr.shift
-    shift_subregisters(state, spans, g)
-    # after the shift the window occupies values [0, 2^n_l) per dimension
-    window = patch_indices(spans, 0, corr.n_l)
-    rest = _rest_indices(state.num_qubits, spans)
-    idx = rest[:, None] | window[None, :]
-    block = state.amps[idx]
-    state.amps[idx] = block @ corr.u_core.T
-    shift_subregisters(state, spans, -g)
+                          rows: np.ndarray) -> StateVector:
+    """Act with the window unitary on the window rows from :func:`window_rows`."""
+    state.amps[rows] = state.amps[rows] @ corr.u_core.T
     return state

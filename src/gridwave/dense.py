@@ -1,9 +1,9 @@
 """Dense matrix forms of the step operators, for derivations and anchors.
 
-Everything here scales as the cube of the grid size and is gated by
-``max_dim``; production stepping never goes through these matrices.  They
-exist to derive core patch corrections and to anchor tests against exact
-eigenpairs of the pixelated Hamiltonian.
+Everything here scales as the cube of the grid size and refuses dense
+dimensions above ``MAX_DIM``; production stepping never goes through these
+matrices.  They exist to derive core patch corrections and to anchor tests
+against exact eigenpairs of the pixelated Hamiltonian.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from .hamiltonian import HamiltonianSpec, pair_potential, single_particle_potent
 from .propagator import kinetic_constant
 from .registers import RegisterLayout, Span, particle_layout, span_values
 
-DEFAULT_MAX_DIM = 4096
+MAX_DIM = 4096   # largest dense dimension built
+REFINE = 8       # fine-grid points per pixel of the projected potential
 
 
 def fourier_matrix(width: int) -> np.ndarray:
@@ -31,10 +32,6 @@ def _field_over_index(num_qubits: int, span: Span, per_pattern: np.ndarray) -> n
     lo = 1 << span.start
     return np.broadcast_to(per_pattern[None, :, None],
                            (hi, per_pattern.size, lo)).reshape(-1)
-
-
-def _default_layout(box: SimulationBox, spec: HamiltonianSpec):
-    return particle_layout(len(spec.particles), box.dims, box.n_r, box=box)
 
 
 def full_fourier(layout: RegisterLayout) -> np.ndarray:
@@ -80,50 +77,62 @@ def diagonal_vectors(layout: RegisterLayout, spec: HamiltonianSpec):
     return kin, pot
 
 
-def pixel_hamiltonian(box: SimulationBox, spec: HamiltonianSpec,
-                      layout: RegisterLayout | None = None, *,
-                      max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Dense Hamiltonian of the discretised model: Fourier-built kinetic part
-    plus the diagonal interaction potential."""
-    layout = layout or _default_layout(box, spec)
+def _dense_parts(box: SimulationBox, spec: HamiltonianSpec):
+    """(F, kinetic energies, diagonal potential, kinetic matrix F^dag K F)
+    over the standard packing of ``spec``'s particles."""
+    layout = particle_layout(len(spec.particles), box.dims, box.n_r, box=box)
     dim = 1 << layout.num_qubits
-    if dim > max_dim:
-        raise ConfigError(f"dense dimension {dim} exceeds threshold {max_dim}")
+    if dim > MAX_DIM:
+        raise ConfigError(f"dense dimension {dim} exceeds threshold {MAX_DIM}")
     f = full_fourier(layout)
     kin, pot = diagonal_vectors(layout, spec)
-    h = f.conj().T @ (kin[:, None] * f)
+    return f, kin, pot, f.conj().T @ (kin[:, None] * f)
+
+
+def _step_pair(f, kin, pot, h, dt: float):
+    """(U_ideal, U_SO, evals, evecs): the split cycle exactly as the stepper
+    applies it, and the exact step exp(-i h dt) from the eigenpairs of h."""
+    from scipy.linalg import eigh
+    u_so = np.exp(-1j * pot * dt)[:, None] \
+        * (f.conj().T @ (np.exp(-1j * kin * dt)[:, None] * f))
+    evals, evecs = eigh(h)
+    u_ideal = (evecs * np.exp(-1j * evals * dt)[None, :]) @ evecs.conj().T
+    return u_ideal, u_so, evals, evecs
+
+
+def pixel_hamiltonian(box: SimulationBox, spec: HamiltonianSpec) -> np.ndarray:
+    """Dense Hamiltonian of the discretised model: Fourier-built kinetic part
+    plus the diagonal interaction potential."""
+    _, _, pot, h = _dense_parts(box, spec)
     h[np.diag_indices_from(h)] += pot
     return h
 
 
-def hamiltonian_eig(box: SimulationBox, spec: HamiltonianSpec,
-                    layout: RegisterLayout | None = None, *,
-                    max_dim: int = DEFAULT_MAX_DIM):
+def hamiltonian_eig(box: SimulationBox, spec: HamiltonianSpec):
     """Eigenvalues and eigenvectors of the pixelated Hamiltonian."""
     from scipy.linalg import eigh
-    h = pixel_hamiltonian(box, spec, layout, max_dim=max_dim)
+    _, _, pot, h = _dense_parts(box, spec)
+    h[np.diag_indices_from(h)] += pot
     return eigh(h)
 
 
-def projected_potential_matrix(box: SimulationBox, spec: HamiltonianSpec, *,
-                               refine: int = 8,
-                               max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+def _projected_potential(box: SimulationBox, spec: HamiltonianSpec) -> np.ndarray:
     """Matrix elements of the interaction potential between grid basis
     functions, for a single particle.
 
     The diagonal-potential shortcut used by the split cycle is exact only for
     point-like basis functions; near a Coulomb singularity the finite width
     of the basis makes the true matrix elements differ appreciably.  They are
-    evaluated here by band-limited upsampling onto a ``refine``-times finer
+    evaluated here by band-limited upsampling onto a ``REFINE``-times finer
     grid (midpoint quadrature, exactly orthonormal for the band-limited
     factors).
     """
     if len(spec.particles) != 1:
         raise ConfigError("projected potential is built per particle")
+    if box.dims not in (1, 2):
+        raise ConfigError("projected potential supports 1D and 2D boxes")
     m = 1 << box.n_r
-    if (m ** box.dims) > max_dim:
-        raise ConfigError(f"dense dimension {m ** box.dims} exceeds {max_dim}")
-    nf = refine * m
+    nf = REFINE * m
     length = box.length
     hf = length / nf
     xj = (np.arange(nf) - nf / 2 + 0.5) * hf
@@ -137,15 +146,12 @@ def projected_potential_matrix(box: SimulationBox, spec: HamiltonianSpec, *,
     g1 = np.einsum("jp,jn->jpn", a1.conj(), a1)
     if box.dims == 1:
         return np.tensordot(vf, g1, axes=([0], [0]))
-    if box.dims == 2:
-        t1 = np.tensordot(vf, g1, axes=([1], [0]))       # (nf_y, m, m) over x
-        vt = np.tensordot(g1, t1, axes=([0], [0]))       # (my', my, mx', mx)
-        return np.ascontiguousarray(
-            vt.transpose(0, 2, 1, 3).reshape(m * m, m * m))
-    raise ConfigError("projected potential supports 1D and 2D boxes")
+    t1 = np.tensordot(vf, g1, axes=([1], [0]))       # (nf_y, m, m) over x
+    vt = np.tensordot(g1, t1, axes=([0], [0]))       # (my', my, mx', mx)
+    return np.ascontiguousarray(vt.transpose(0, 2, 1, 3).reshape(m * m, m * m))
 
 
-_REFERENCE_CACHE: dict = {}
+_REFERENCE_CACHE: dict = {}   # the latest configuration only
 
 
 def _spec_key(spec: HamiltonianSpec):
@@ -155,64 +161,31 @@ def _spec_key(spec: HamiltonianSpec):
             coup, spec.efield)
 
 
-def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float, *,
-                          refine: int = 8, max_dim: int = DEFAULT_MAX_DIM):
+def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float):
     """(U_ideal, U_SO, evals, evecs) with the ideal step generated by the
     reference Hamiltonian: Fourier kinetic part plus the projected (full
     matrix) potential.  This is the target the patch correction repairs
     towards; the plain :func:`build_dense_step_matrices` keeps the diagonal
-    potential on both sides.  Results are cached per configuration, since one
-    diagonalisation feeds state preparation, correction derivation and
-    anchoring alike."""
-    from scipy.linalg import eigh
-    key = ((box.dims, box.n_r, box.length, box.origin_offset),
-           _spec_key(spec), dt, refine)
+    potential on both sides.  The result for the latest configuration is
+    cached, since one diagonalisation feeds state preparation, correction
+    derivation and anchoring alike."""
+    key = ((box.dims, box.n_r, box.length, box.origin_offset), _spec_key(spec), dt)
     if key in _REFERENCE_CACHE:
         return _REFERENCE_CACHE[key]
-    layout = _default_layout(box, spec)
-    dim = 1 << layout.num_qubits
-    if dim > max_dim:
-        raise ConfigError(f"dense dimension {dim} exceeds threshold {max_dim}")
-    f = full_fourier(layout)
-    kin, pot = diagonal_vectors(layout, spec)
-    u_so = np.exp(-1j * pot * dt)[:, None] \
-        * (f.conj().T @ (np.exp(-1j * kin * dt)[:, None] * f))
-    h = f.conj().T @ (kin[:, None] * f)
-    h += projected_potential_matrix(box, spec, refine=refine, max_dim=max_dim)
-    evals, evecs = eigh(h)
-    u_ideal = (evecs * np.exp(-1j * evals * dt)[None, :]) @ evecs.conj().T
-    result = (u_ideal, u_so, evals, evecs)
+    _REFERENCE_CACHE.clear()
+    f, kin, pot, h = _dense_parts(box, spec)
+    h += _projected_potential(box, spec)
+    result = _step_pair(f, kin, pot, h, dt)
     _REFERENCE_CACHE[key] = result
     return result
 
 
-def build_dense_step_matrices(box: SimulationBox, spec: HamiltonianSpec, dt: float,
-                              layout: RegisterLayout | None = None, *,
-                              max_dim: int = DEFAULT_MAX_DIM):
+def build_dense_step_matrices(box: SimulationBox, spec: HamiltonianSpec, dt: float):
     """(U_ideal, U_SO) as dense matrices.
 
     U_ideal is the exact exponential of the pixelated Hamiltonian over one
     time step; U_SO is the split cycle exactly as the stepper applies it.
     """
-    from scipy.linalg import eigh
-    layout = layout or _default_layout(box, spec)
-    dim = 1 << layout.num_qubits
-    if dim > max_dim:
-        raise ConfigError(f"dense dimension {dim} exceeds threshold {max_dim}")
-    f = full_fourier(layout)
-    kin, pot = diagonal_vectors(layout, spec)
-    u_so = np.exp(-1j * pot * dt)[:, None] \
-        * (f.conj().T @ (np.exp(-1j * kin * dt)[:, None] * f))
-    h = f.conj().T @ (kin[:, None] * f)
+    f, kin, pot, h = _dense_parts(box, spec)
     h[np.diag_indices_from(h)] += pot
-    evals, evecs = eigh(h)
-    u_ideal = (evecs * np.exp(-1j * evals * dt)[None, :]) @ evecs.conj().T
-    return u_ideal, u_so
-
-
-def best_overlap_eigenpair(evals: np.ndarray, evecs: np.ndarray,
-                           target: np.ndarray):
-    """Eigenpair with the largest overlap against a target vector."""
-    overlaps = np.abs(evecs.conj().T @ target)
-    idx = int(np.argmax(overlaps))
-    return float(evals[idx]), evecs[:, idx], float(overlaps[idx] ** 2)
+    return _step_pair(f, kin, pot, h, dt)[:2]

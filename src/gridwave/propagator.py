@@ -26,6 +26,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from . import corrections
 from .errors import ConfigError, LayoutError, PostSelectionError
 from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           UniformEdgeRegion, pair_potential,
@@ -156,6 +157,11 @@ class StepKernel:
         if plan.attenuation is not None:
             self.damping = self._compile_damping(plan.attenuation)
 
+        # core patch: the statevector rows of its pixel window
+        self.window_rows = None
+        if plan.augmentation is not None:
+            self.window_rows = corrections.window_rows(layout, plan.augmentation)
+
     def _compile_damping(self, atten: AttenuationSpec) -> np.ndarray | None:
         """Real table over ``self.spans`` (axes as the position table): the
         factor cos(theta) = exp(-V dt) that the |0> outcome of the ancilla
@@ -186,6 +192,9 @@ class StepKernel:
                             field="attenuation.pixels")
                     idx = [0] * ndim
                     for v, s in zip(pix, spans):
+                        if not -(1 << (s.width - 1)) <= v < 1 << (s.width - 1):
+                            raise ConfigError(f"pixel {pix} lies outside the grid",
+                                              field="attenuation.pixels")
                         idx[axis[s]] = pattern_of_value(v, s.width)
                     table[tuple(idx)] = np.cos(atten.angle(strength, dt))
                 factors.append(table)
@@ -240,8 +249,9 @@ class StepKernel:
             if escape is not None:
                 escape.append(increment)
         if self.plan.augmentation is not None:
-            from .corrections import apply_core_correction
-            apply_core_correction(state, self.plan.augmentation)
+            # looked up at call time, where benchmark/tracing.py wraps it
+            corrections.apply_core_correction(state, self.plan.augmentation,
+                                              self.window_rows)
         return state
 
 

@@ -24,6 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config_text import Section, canonical_text, parse_config
+from .dense import MAX_DIM
 from .errors import CeilingExceededError, ConfigError
 from .grid import SimulationBox
 from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
@@ -245,12 +246,25 @@ def _only_block(sec: Section) -> Section:
     return sec.children[0][1]
 
 
-def _state(sec: Section, dims: int):
-    """The state a state block or an orbital describes, in a ``dims``-D box."""
+def _check_dense(sec: Section, key: str | None, particles: int, box: SimulationBox,
+                 projected: bool = False):
+    """Fail at ``sec`` unless the dense layer can build ``particles`` particles
+    in ``box``, and with ``projected`` also their projected potential."""
+    if projected and (particles != 1 or box.dims > 2):
+        _fail(sec, "the projected potential is built for one particle in a 1D "
+                   "or 2D box", key)
+    dim = 1 << (particles * box.dims * box.n_r)
+    if dim > MAX_DIM:
+        _fail(sec, f"needs a dense dimension of {dim}; the limit is {MAX_DIM}", key)
+
+
+def _state(sec: Section, box: SimulationBox):
+    """The state a state block or an orbital describes, in ``box``."""
     if sec.name == "orbital":
-        return _state(_only_block(sec), dims)
+        return _state(_only_block(sec), box)
     if sec.name == "step_eigenstate":
-        return StepEigenstate(_state(_only_block(sec), dims))
+        _check_dense(sec, None, 1, box)
+        return StepEigenstate(_state(_only_block(sec), box))
     if sec.name == "superposition":
         terms = sec.children_named("term")
         if not terms:
@@ -259,20 +273,20 @@ def _state(sec: Section, dims: int):
             if len(t.get("weight")) > 2:
                 _fail(t, "is a real part and an optional imaginary part", "weight")
         return st.Superposition(tuple((complex(*t.get("weight")),
-                                       _state(_only_block(t), dims)) for t in terms))
+                                       _state(_only_block(t), box)) for t in terms))
     if sec.name == "gaussian":
         a_im = sec.get("alpha_imag")
         alphas = tuple(complex(a, a_im[i] if i < len(a_im) else 0.0)
                        for i, a in enumerate(sec.get("alpha")))
-        return st.Gaussian(_vector(sec, "center", dims), sec.get("momentum"),
+        return st.Gaussian(_vector(sec, "center", box.dims), sec.get("momentum"),
                            alphas, tuple(complex(g) for g in sec.get("gamma")))
     need = 2 if sec.name == "hydrogen2d" else 3
-    if dims != need:
+    if box.dims != need:
         _fail(sec, f"needs a {need}D box")
     return _located(sec, st.Hydrogen2D if need == 2 else st.Hydrogen3D, **sec.entries)
 
 
-def _initial_state(sec: Section, n: int, dims: int) -> InitialState:
+def _initial_state(sec: Section, n: int, box: SimulationBox) -> InitialState:
     orbitals = sec.children_named("orbital")
     exchange = [k for k in ("antisymmetrize", "symmetrize") if sec.get(k)]
     if len(exchange) > 1:
@@ -287,15 +301,16 @@ def _initial_state(sec: Section, n: int, dims: int) -> InitialState:
     if orbitals and len(orbitals) == len(sec.children):
         if len(orbitals) != n:
             _fail(orbitals[-1], f"need one orbital block per particle ({n})")
-        return InitialState(tuple(_state(o, dims) for o in orbitals),
+        return InitialState(tuple(_state(o, box) for o in orbitals),
                             exchange[0] if exchange else "")
     if len(sec.children) != 1 or n != 1:
         _fail(sec, "single-particle scenarios take exactly one state block; "
                    "multi-particle ones use orbital blocks")
     name, block = sec.children[0]
     if name == "model_ground":
+        _check_dense(block, None, 1, box, projected=True)
         return InitialState(model_ground=True)
-    return InitialState((_state(block, dims),))
+    return InitialState((_state(block, box),))
 
 
 def _attenuation(sec: Section, box: SimulationBox) -> AttenuationSpec:
@@ -303,6 +318,10 @@ def _attenuation(sec: Section, box: SimulationBox) -> AttenuationSpec:
     if (uniform is None) == (not pixels):
         _fail(sec, "needs one uniform{} block or pixel{} blocks")
     if uniform is None:
+        half = 1 << (box.n_r - 1)   # an enlargement only widens this range
+        for p in pixels:
+            if not all(-half <= v < half for v in p.get("at")):
+                _fail(p, f"must lie in [-{half}, {half})", "at")
         return AttenuationSpec(ExplicitRegion(
             {_vector(p, "at", box.dims): p.get("strength") for p in pixels}))
     if uniform.get("msb") >= box.n_r:
@@ -336,6 +355,10 @@ def load_scenario(text: str) -> Scenario:
     dt, steps = plan.get("dt"), plan.get("steps")
     aug = plan.child("augmentation")
     patches = aug.get("patches") if aug else (0,)
+    if any(patches):
+        _check_dense(aug, "patches", n, box, projected=True)
+        if max(patches) > 1 << box.n_r:
+            _fail(aug, f"a patch is wider than the {1 << box.n_r}-pixel grid", "patches")
     attenuate = plan.get("attenuation")
     if attenuate is None:
         attenuate = attenuation is not None
@@ -358,6 +381,8 @@ def load_scenario(text: str) -> Scenario:
             _fail(sec, "needs the plain unitary cycle; plan.attenuation is on")
         if sec.name == "imaginary_time":
             _located(sec, ImaginaryTimeParams, sec.get("m0"), dt)
+            if sec.get("track_ground"):
+                _check_dense(sec, "track_ground", n, box)
     prep = SimpleNamespace(kind=preps[0].name, **preps[0].entries) if preps else None
 
     events = []
@@ -390,7 +415,7 @@ def load_scenario(text: str) -> Scenario:
         root=root, description=top.get("description"), seed=top.get("seed"),
         extended=top.get("extended"), box=box, spec=spec, plan_dt=dt,
         plan_steps=steps, aug_patches=patches, attenuate=attenuate,
-        initial=_initial_state(top.child("initial_state"), n, box.dims),
+        initial=_initial_state(top.child("initial_state"), n, box),
         observables=obs, events=tuple(events), prep=prep)
 
 

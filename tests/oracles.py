@@ -5,6 +5,8 @@ loops or textbook quadrature, deliberately avoiding the production code paths
 it is used to check.
 """
 
+from itertools import product
+
 import numpy as np
 
 
@@ -82,6 +84,41 @@ def dense_split_cycle(n_r: int, dims: int, particles: int, length: float,
                     pot[idx] += couplings[p][q] / (delta_r * np.sqrt(d2))
     return np.exp(-1j * pot * dt)[:, None] * (
         f.conj().T @ (np.exp(-1j * kin * dt)[:, None] * f))
+
+
+def add_to_registers(amps, starts, width: int, g: int) -> np.ndarray:
+    """Add the constant g, modulo 2^width, to each width-qubit register
+    starting at a qubit in ``starts``: a relabelling of the basis states."""
+    amps = np.asarray(amps, dtype=complex)
+    m = 1 << width
+    idx = np.arange(amps.size)
+    new = idx.copy()
+    for s in starts:
+        pattern = (idx >> s) & (m - 1)
+        new = new & ~((m - 1) << s) | (((pattern + g) % m) << s)
+    out = np.empty_like(amps)
+    out[new] = amps
+    return out
+
+
+def shifted_window_round(amps, starts, width: int, lo: int, n_l: int,
+                         u_core) -> np.ndarray:
+    """The paper's core patch as its circuit addresses the window.
+
+    Add G = -lo to every listed register, so the window pixels [lo, lo+2^n_l)
+    land on the patterns [0, 2^n_l); act with u_core on each block of basis
+    states whose listed registers all hold such patterns (blocks by ascending
+    setting of the other qubits, each ordered first register slowest); then
+    subtract G again.
+    """
+    shifted = add_to_registers(amps, starts, width, -lo)
+    mask = sum(((1 << width) - 1) << s for s in starts)
+    rest = np.array([i for i in range(shifted.size) if not i & mask])
+    window = np.array([sum(v << s for v, s in zip(values, starts))
+                       for values in product(range(1 << n_l), repeat=len(starts))])
+    rows = rest[:, None] | window[None, :]
+    shifted[rows] = shifted[rows] @ np.asarray(u_core).T
+    return add_to_registers(shifted, starts, width, lo)
 
 
 def free_gaussian_evolved(x, t, x_c, p_c, alpha, mass=1.0):

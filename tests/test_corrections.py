@@ -3,13 +3,14 @@ import pytest
 
 from gridwave.corrections import (CoreCorrection, apply_core_correction,
                                   derive_core_correction, derive_correction,
-                                  patch_indices, pick_core_window,
-                                  shift_subregisters)
+                                  patch_indices, pick_core_window, window_rows)
 from gridwave.errors import ConfigError
 from gridwave.grid import SimulationBox
+from gridwave.propagator import StepKernel, StepPlan
 from gridwave.registers import get_reg_val, particle_layout, pattern_of_value
 from gridwave.statevector import StateVector
-from .conftest import random_state
+from .conftest import hydrogen_spec, random_state
+from .oracles import add_to_registers, shifted_window_round
 
 
 def test_core_window_selection():
@@ -54,17 +55,15 @@ def test_rank_deficient_block_flagged(rng):
 def test_shift_maps_window_onto_low_patterns():
     # with G=1 the pixels (-1,-1),(-1,0),(0,-1),(0,0) land on
     # (0,0),(0,1),(1,0),(1,1)
-    layout = particle_layout(1, 2, 6)
-    spans = list(layout.particles[0].spans)
     cases = {(-1, -1): (0, 0), (-1, 0): (0, 1), (0, -1): (1, 0), (0, 0): (1, 1)}
     for (x, y), (ex, ey) in cases.items():
         idx = (pattern_of_value(y, 6) << 6) | pattern_of_value(x, 6)
-        state = StateVector.basis_state(12, idx, layout)
-        shift_subregisters(state, spans, 1)
-        out = int(np.argmax(np.abs(state.amps)))
+        amps = StateVector.basis_state(12, idx).amps
+        shifted = add_to_registers(amps, [0, 6], 6, 1)
+        out = int(np.argmax(np.abs(shifted)))
         assert (get_reg_val(out, 0, 6), get_reg_val(out, 6, 6)) == (ex, ey)
-        shift_subregisters(state, spans, -1)
-        assert int(np.argmax(np.abs(state.amps))) == idx
+        back = add_to_registers(shifted, [0, 6], 6, -1)
+        assert int(np.argmax(np.abs(back))) == idx
 
 
 def test_apply_identity_core_is_noop(rng):
@@ -73,7 +72,7 @@ def test_apply_identity_core_is_noop(rng):
     state = StateVector(random_state(rng, 6), layout)
     before = state.amps.copy()
     corr = CoreCorrection(2, -1, 1, np.eye(4, dtype=complex), dt=0.01)
-    apply_core_correction(state, corr)
+    apply_core_correction(state, corr, window_rows(layout, corr))
     assert np.abs(state.amps - before).max() < 1e-12
 
 
@@ -88,7 +87,7 @@ def test_apply_matches_dense_embedding(rng):
     dense[np.ix_(patch, patch)] = u_core
     psi = random_state(rng, 6)
     state = StateVector(psi.copy(), layout)
-    apply_core_correction(state, corr)
+    apply_core_correction(state, corr, window_rows(layout, corr))
     assert np.abs(state.amps - dense @ psi).max() < 1e-14
     assert abs(state.norm_sq() - 1.0) < 1e-12
 
@@ -101,7 +100,7 @@ def test_apply_with_spectator_ancilla(rng):
     corr = CoreCorrection(2, -1, 1, u_core, dt=0.01)
     half = random_state(rng, 6)
     state = StateVector(np.concatenate([half, half]) / np.sqrt(2), layout)
-    apply_core_correction(state, corr)
+    apply_core_correction(state, corr, window_rows(layout, corr))
     view = state.amps.reshape(2, 64)
     assert np.abs(view[0] - view[1]).max() < 1e-14
 
@@ -128,9 +127,30 @@ def test_derive_correction_small_case(hyd2d_spec):
     assert after < before
 
 
-def test_diagonal_reference_variant(hyd2d_spec):
-    box = SimulationBox(2, 3, 8.0, 0.5)
-    corr = derive_correction(box, hyd2d_spec, 0.01, 1, reference="diagonal")
-    assert corr.n_l == 1
+@pytest.mark.parametrize("dims, n_r, lo, n_l, ancilla", [
+    (1, 4, -2, 2, False), (2, 3, -1, 1, False), (2, 3, -2, 2, True)])
+def test_patched_step_matches_shift_round(rng, dims, n_r, lo, n_l, ancilla):
+    # the window rows the kernel gathers are where the paper's shift by
+    # G = -lo puts the window; the patched step is the plain step followed
+    # by that round, bit for bit
+    box = SimulationBox(dims, n_r, 8.0, 0.5)
+    layout = particle_layout(1, dims, n_r, box=box)
+    if ancilla:
+        layout = layout.with_ancilla("probe")
+    q = (1 << n_l) ** dims
+    u_core = np.linalg.qr(rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q)))[0]
+    corr = CoreCorrection(dims, lo, n_l, u_core, dt=0.01)
+    psi = random_state(rng, layout.num_qubits)
+    patched = StateVector(psi.copy(), layout)
+    plain = StateVector(psi.copy(), layout)
+    StepKernel(layout, StepPlan(0.01, augmentation=corr), hydrogen_spec(dims)).apply(patched)
+    StepKernel(layout, StepPlan(0.01), hydrogen_spec(dims)).apply(plain)
+    starts = [s.start for s in layout.particles[0].spans]
+    expect = shifted_window_round(plain.amps, starts, n_r, lo, n_l, u_core)
+    assert np.array_equal(patched.amps, expect)
+
+
+def test_window_wider_than_grid_rejected():
+    corr = CoreCorrection(1, -2, 2, np.eye(4, dtype=complex), dt=0.01)
     with pytest.raises(ConfigError):
-        derive_correction(box, hyd2d_spec, 0.01, 1, reference="bogus")
+        window_rows(particle_layout(1, 1, 1), corr)

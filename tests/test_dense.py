@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from gridwave.dense import (best_overlap_eigenpair, build_dense_step_matrices,
-                            fourier_matrix, pixel_hamiltonian)
+from gridwave import dense
+from gridwave.dense import (build_dense_step_matrices, fourier_matrix,
+                            pixel_hamiltonian, reference_step_matrix)
 from gridwave.errors import ConfigError
 from gridwave.grid import SimulationBox
+from gridwave.hamiltonian import HamiltonianSpec, Nucleus, ParticleSpec
 from .conftest import cached_eig
-from .oracles import qft_matrix_reference
+from .oracles import dense_split_cycle, qft_matrix_reference
 
 
 def test_fourier_matrix_is_reference_adjoint():
@@ -57,9 +59,25 @@ def test_hamiltonian_hermitian(hyd2d_spec):
     assert np.abs(h - h.conj().T).max() < 1e-12
 
 
-def test_best_overlap_eigenpair(hyd2d_spec):
-    box = SimulationBox(2, 4, 10.0, 0.5)
-    evals, evecs = cached_eig(box, hyd2d_spec)
-    e, vec, ov = best_overlap_eigenpair(evals, evecs, evecs[:, 3])
-    assert e == pytest.approx(evals[3])
-    assert ov == pytest.approx(1.0)
+def test_split_cycle_matches_oracle(hyd2d_spec):
+    # U_SO of both dense builders is the cycle the oracle assembles from
+    # per-basis-state sums
+    box = SimulationBox(2, 3, 10.0, 0.5)
+    u = dense_split_cycle(3, 2, 1, 10.0, 0.5, 0.01, [1.0], [-1.0],
+                          [((0.0, 0.0), 1.0)], [[0.0]])
+    assert np.abs(build_dense_step_matrices(box, hyd2d_spec, 0.01)[1] - u).max() < 1e-12
+    assert np.abs(reference_step_matrix(box, hyd2d_spec, 0.01)[1] - u).max() < 1e-12
+    # two coupled particles in 1D
+    box = SimulationBox(1, 3, 8.0, 0.5)
+    spec = HamiltonianSpec((ParticleSpec(1.0, -1.0), ParticleSpec(1.0, -1.0)),
+                           (Nucleus((0.0,), 1.0),))
+    u = dense_split_cycle(3, 1, 2, 8.0, 0.5, 0.02, [1.0, 1.0], [-1.0, -1.0],
+                          [((0.0,), 1.0)], [[0.0, 1.0], [1.0, 0.0]])
+    assert np.abs(build_dense_step_matrices(box, spec, 0.02)[1] - u).max() < 1e-12
+
+
+def test_reference_cache_keeps_latest_configuration(hyd2d_spec):
+    reference_step_matrix(SimulationBox(2, 2, 10.0, 0.5), hyd2d_spec, 0.01)
+    latest = reference_step_matrix(SimulationBox(2, 3, 10.0, 0.5), hyd2d_spec, 0.01)
+    assert len(dense._REFERENCE_CACHE) == 1
+    assert reference_step_matrix(SimulationBox(2, 3, 10.0, 0.5), hyd2d_spec, 0.01) is latest

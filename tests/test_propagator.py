@@ -366,6 +366,17 @@ def test_damp_matches_ancilla_circuit(rng, case, cap):
     assert abs(escape - expected_escape) <= 1e-15
 
 
+@pytest.mark.parametrize("pixel", [(99,), (8,), (-9,)])
+def test_damping_pixel_outside_grid_refused(pixel):
+    # a 1D n_r = 4 grid holds the pixels [-8, 8); none may wrap onto another
+    box = SimulationBox(1, 4, 10.0, 0.5)
+    atten = AttenuationSpec(ExplicitRegion({pixel: 1.0}))
+    spec = HamiltonianSpec((ParticleSpec(),), attenuation=atten)
+    with pytest.raises(ConfigError, match="outside the grid"):
+        compile_step(particle_layout(1, 1, 4, box=box), StepPlan(0.01, attenuation=atten),
+                      spec)
+
+
 # -- propagate loop -----------------------------------------------------------------
 
 def test_propagate_zero_steps(rng):

@@ -217,6 +217,49 @@ BAD_FIELDS = {
     "zero_edit_energy": (BASE + "prep { edit { energy = 0.0 } }",
                          "prep.edit.energy", 8),
 }
+# the dense layer builds at most MAX_DIM dimensions, and its projected
+# potential one particle in 1D or 2D; a patch fits inside the grid; a damped
+# pixel lies on it
+PATCHED = ("steps = 5 }", "steps = 5  augmentation { patches = 2 } }")
+
+
+def _on_grid(text, dims, n_r):
+    zeros = "0.0 " * dims
+    return (text.replace("dims = 1  n_r = 4", f"dims = {dims}  n_r = {n_r}")
+            .replace("position = 0.0 ", "position = " + zeros)
+            .replace("center = 0.0 ", "center = " + zeros))
+
+
+BAD_FIELDS.update({
+    "patch_two_particles": (
+        BASE.replace("particle { mass = 1.0  charge = -1.0 }", "particle { } particle { }")
+        .replace("initial_state { gaussian { center = 0.0  alpha = 1.0 } }",
+                 "initial_state { orbital { gaussian { center = 0.0  alpha = 1.0 } } "
+                 "orbital { gaussian { center = 1.0  alpha = 1.0 } } }")
+        .replace(*PATCHED), "plan.augmentation.patches", 6),
+    "patch_3d": (_on_grid(BASE.replace(*PATCHED), 3, 2), "plan.augmentation.patches", 6),
+    "patch_dense_too_large": (_on_grid(BASE.replace(*PATCHED), 2, 7),
+                              "plan.augmentation.patches", 6),
+    "patch_wider_than_grid": (
+        BASE.replace("n_r = 4", "n_r = 1").replace(
+            "steps = 5 }", "steps = 5  augmentation { patches = 4 } }"),
+        "plan.augmentation.patches", 6),
+    "model_ground_3d": (_on_grid(BASE, 3, 2).replace(
+        "gaussian { center = 0.0 0.0 0.0  alpha = 1.0 }", "model_ground { }"),
+        "initial_state.model_ground", 5),
+    "step_eigenstate_too_large": (_on_grid(BASE, 2, 7).replace(
+        "gaussian { center = 0.0 0.0  alpha = 1.0 }",
+        "orbital { step_eigenstate { gaussian { center = 0.0 0.0  alpha = 1.0 } } }"),
+        "initial_state.orbital.step_eigenstate", 5),
+    "track_ground_too_large": (
+        _on_grid(BASE, 2, 7)
+        + "prep { imaginary_time { m0 = 0.9  steps = 3  track_ground = true } }",
+        "prep.imaginary_time.track_ground", 8),
+    "damping_pixel_outside_grid": (BASE.replace(
+        "charge = 1.0 } }",
+        "charge = 1.0 }  attenuation { pixel { at = 99  strength = 1.0 } } }"),
+        "hamiltonian.attenuation.pixel.at", 4),
+})
 
 
 @pytest.mark.parametrize("name", BAD_FIELDS)
