@@ -30,8 +30,8 @@ from .states import (Gaussian, Hydrogen2D, Hydrogen3D, Superposition,
                      gaussian_wavepacket, generalized_laguerre,
                      hydrogen2d_eigenstate, hydrogen2d_energy,
                      hydrogen3d_eigenstate, spherical_harmonic)
-from .observables import (EnergyEstimate, EscapeTracker, TimeSeries,
-                          autocorrelation, escape_tracker,
+from .observables import (EnergyEstimate, TimeSeries, autocorrelation,
+                          escape_tracker,
                           fit_energy_from_signal, ipe_probability,
                           multi_qubit_phase_estimation, phase_probe_series,
                           phase_register_distribution, probability_density,

@@ -1,9 +1,17 @@
 """Dense matrix forms of the step operators, for derivations and anchors.
 
-Everything here scales as the cube of the grid size and refuses dense
-dimensions above ``MAX_DIM``; production stepping never goes through these
-matrices.  They exist to derive core patch corrections and to anchor tests
-against exact eigenpairs of the pixelated Hamiltonian.
+Every matrix here is built by the step kernel itself.  The identity is held
+as a state with one more register, ``column``, above the particle spans, so
+one call of a kernel sub-step acts on every column at once.  U_SO is the
+kernel's kinetic cycle then its interaction on that state; the kinetic
+matrix F^dag K F is the kernel's transform, the kinetic energies of
+``propagator.energy_tables`` and the transform back.  No term of the
+Hamiltonian is mapped onto the register a second time here.
+
+Everything scales as the cube of the grid size and refuses dense dimensions
+above ``MAX_DIM``; production stepping never goes through these matrices.
+They exist to derive core patch corrections, to pick step eigenstates and
+to anchor tests against exact eigenpairs of the pixelated Hamiltonian.
 """
 
 from __future__ import annotations
@@ -12,9 +20,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SimulationBox
-from .hamiltonian import HamiltonianSpec, pair_potential, single_particle_potential
-from .propagator import kinetic_constant
-from .registers import RegisterLayout, Span, particle_layout, span_values
+from .hamiltonian import HamiltonianSpec, single_particle_potential
+from .propagator import StepKernel, StepPlan, basis_energies, span_axes
+from .registers import particle_layout, span_values
+from .statevector import (StateVector, apply_inverse_qft, apply_phase_table,
+                          apply_qft)
 
 MAX_DIM = 4096   # largest dense dimension built
 REFINE = 8       # fine-grid points per pixel of the projected potential
@@ -27,93 +37,60 @@ def fourier_matrix(width: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)
 
 
-def _field_over_index(num_qubits: int, span: Span, per_pattern: np.ndarray) -> np.ndarray:
-    hi = 1 << (num_qubits - span.stop)
-    lo = 1 << span.start
-    return np.broadcast_to(per_pattern[None, :, None],
-                           (hi, per_pattern.size, lo)).reshape(-1)
-
-
-def full_fourier(layout: RegisterLayout) -> np.ndarray:
-    """Kronecker product of per-sub-register transforms over all particle spans."""
-    spans = sorted((s for p in layout.particles for s in p.spans),
-                   key=lambda s: -s.start)
-    f = np.ones((1, 1), dtype=np.complex128)
-    for s in spans:
-        f = np.kron(f, fourier_matrix(s.width))
-    return f
-
-
-def diagonal_vectors(layout: RegisterLayout, spec: HamiltonianSpec):
-    """(kinetic energies, interaction potential) over the full dense index."""
-    box = layout.box
-    n = layout.num_qubits
-    dim = 1 << n
-    kin = np.zeros(dim)
-    for p, particle in enumerate(layout.particles):
-        mass = spec.particles[p].mass
-        for s in particle.spans:
-            k = span_values(s.width).astype(np.float64)
-            kin += _field_over_index(n, s, kinetic_constant(box, s.width, mass) * k ** 2)
-    pot = np.zeros(dim)
-    for p, particle in enumerate(layout.particles):
-        coords = [_field_over_index(n, s, box.coordinates(s.width))
-                  for s in particle.spans]
-        v, singular = single_particle_potential(spec, p, coords)
-        pot += np.where(singular, 0.0, v)
-    for p in range(len(layout.particles)):
-        for q in range(p + 1, len(layout.particles)):
-            if spec.coupling(p, q) == 0.0:
-                continue
-            deltas = []
-            for sa, sb in zip(layout.particles[p].spans, layout.particles[q].spans):
-                va = _field_over_index(n, sa, span_values(sa.width))
-                vb = _field_over_index(n, sb, span_values(sb.width))
-                # the relative coordinate lives in a register of the same
-                # width, so differences wrap modulo the box (minimum image)
-                half = 1 << (sa.width - 1)
-                deltas.append((va - vb + half) % (2 * half) - half)
-            pot += pair_potential(spec, p, q, box.delta_r, deltas)
-    return kin, pot
-
-
-def _dense_parts(box: SimulationBox, spec: HamiltonianSpec):
-    """(F, kinetic energies, diagonal potential, kinetic matrix F^dag K F)
-    over the standard packing of ``spec``'s particles."""
+def _identity(box: SimulationBox, spec: HamiltonianSpec):
+    """(layout, state, matrix): the standard packing of ``spec``'s particles,
+    and the identity held as a state whose ``column`` register, above the
+    particle spans, indexes the columns.  ``matrix`` views the same amplitudes,
+    so the in-place sub-steps of the kernel on the state act on its columns."""
     layout = particle_layout(len(spec.particles), box.dims, box.n_r, box=box)
-    dim = 1 << layout.num_qubits
-    if dim > MAX_DIM:
-        raise ConfigError(f"dense dimension {dim} exceeds threshold {MAX_DIM}")
-    f = full_fourier(layout)
-    kin, pot = diagonal_vectors(layout, spec)
-    return f, kin, pot, f.conj().T @ (kin[:, None] * f)
+    n = layout.num_qubits
+    if 1 << n > MAX_DIM:
+        raise ConfigError(f"dense dimension {1 << n} exceeds threshold {MAX_DIM}")
+    eye = np.eye(1 << n, dtype=np.complex128)
+    return layout, StateVector(eye.reshape(-1), layout.with_ancilla("column", n)), eye.T
 
 
-def _step_pair(f, kin, pot, h, dt: float):
-    """(U_ideal, U_SO, evals, evecs): the split cycle exactly as the stepper
-    applies it, and the exact step exp(-i h dt) from the eigenpairs of h."""
-    from scipy.linalg import eigh
-    u_so = np.exp(-1j * pot * dt)[:, None] \
-        * (f.conj().T @ (np.exp(-1j * kin * dt)[:, None] * f))
-    evals, evecs = eigh(h)
-    u_ideal = (evecs * np.exp(-1j * evals * dt)[None, :]) @ evecs.conj().T
-    return u_ideal, u_so, evals, evecs
+def split_cycle_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float) -> np.ndarray:
+    """U_SO: the kernel's kinetic cycle then its interaction, applied to every
+    column of the identity, so exactly the cycle the stepper applies."""
+    layout, columns, matrix = _identity(box, spec)
+    kernel = StepKernel(layout, StepPlan(dt), spec)
+    kernel.interaction(kernel.kinetic_cycle(columns))
+    return matrix
+
+
+def _kinetic_matrix(box: SimulationBox, spec: HamiltonianSpec):
+    """(F^dag K F, position energy) over the standard packing's dense index.
+
+    The kinetic matrix is real, since k^2 is even under k -> -k mod 2^w; the
+    transforms leave only rounding in its imaginary part, which is dropped.
+    """
+    layout, columns, matrix = _identity(box, spec)
+    axes = span_axes(layout)
+    kinetic, position = basis_energies(layout, spec)
+    apply_inverse_qft(columns, axes)
+    apply_phase_table(columns, axes, kinetic.reshape([1 << s.width for s in axes]))
+    apply_qft(columns, axes)
+    return np.ascontiguousarray(matrix.real), position
 
 
 def pixel_hamiltonian(box: SimulationBox, spec: HamiltonianSpec) -> np.ndarray:
-    """Dense Hamiltonian of the discretised model: Fourier-built kinetic part
-    plus the diagonal interaction potential."""
-    _, _, pot, h = _dense_parts(box, spec)
-    h[np.diag_indices_from(h)] += pot
+    """Dense Hamiltonian of the discretised model, real symmetric: the
+    kinetic matrix plus the diagonal position energy."""
+    h, potential = _kinetic_matrix(box, spec)
+    h[np.diag_indices_from(h)] += potential
     return h
 
 
 def hamiltonian_eig(box: SimulationBox, spec: HamiltonianSpec):
-    """Eigenvalues and eigenvectors of the pixelated Hamiltonian."""
+    """Eigenvalues and (real) eigenvectors of the pixelated Hamiltonian."""
     from scipy.linalg import eigh
-    _, _, pot, h = _dense_parts(box, spec)
-    h[np.diag_indices_from(h)] += pot
-    return eigh(h)
+    return eigh(pixel_hamiltonian(box, spec))
+
+
+def _ideal_step(evals: np.ndarray, evecs: np.ndarray, dt: float) -> np.ndarray:
+    """The exact step exp(-i h dt) from the eigenpairs of h."""
+    return (evecs * np.exp(-1j * evals * dt)[None, :]) @ evecs.conj().T
 
 
 def _projected_potential(box: SimulationBox, spec: HamiltonianSpec) -> np.ndarray:
@@ -141,8 +118,7 @@ def _projected_potential(box: SimulationBox, spec: HamiltonianSpec) -> np.ndarra
     a1 = e1 @ fourier_matrix(box.n_r)   # pixel -> fine samples
     # fine-grid potential, axes ordered (highest dim ... x) to match kron order
     grids = np.meshgrid(*([xj] * box.dims), indexing="ij")
-    vf, singular = single_particle_potential(spec, 0, grids[::-1])
-    vf = np.where(singular, 0.0, vf)
+    vf = single_particle_potential(spec, 0, grids[::-1])
     g1 = np.einsum("jp,jn->jpn", a1.conj(), a1)
     if box.dims == 1:
         return np.tensordot(vf, g1, axes=([0], [0]))
@@ -163,29 +139,27 @@ def _spec_key(spec: HamiltonianSpec):
 
 def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float):
     """(U_ideal, U_SO, evals, evecs) with the ideal step generated by the
-    reference Hamiltonian: Fourier kinetic part plus the projected (full
-    matrix) potential.  This is the target the patch correction repairs
-    towards; the plain :func:`build_dense_step_matrices` keeps the diagonal
-    potential on both sides.  The result for the latest configuration is
-    cached, since one diagonalisation feeds state preparation, correction
-    derivation and anchoring alike."""
+    reference Hamiltonian: the kinetic matrix plus the projected (full
+    matrix, complex) potential.  This is the target the patch correction
+    repairs towards; the plain :func:`build_dense_step_matrices` keeps the
+    diagonal potential on both sides.  The result for the latest
+    configuration is cached, since one diagonalisation feeds state
+    preparation, correction derivation and anchoring alike."""
+    from scipy.linalg import eigh
     key = ((box.dims, box.n_r, box.length, box.origin_offset), _spec_key(spec), dt)
     if key in _REFERENCE_CACHE:
         return _REFERENCE_CACHE[key]
     _REFERENCE_CACHE.clear()
-    f, kin, pot, h = _dense_parts(box, spec)
-    h += _projected_potential(box, spec)
-    result = _step_pair(f, kin, pot, h, dt)
+    kinetic, _ = _kinetic_matrix(box, spec)
+    evals, evecs = eigh(kinetic + _projected_potential(box, spec))
+    result = (_ideal_step(evals, evecs, dt), split_cycle_matrix(box, spec, dt),
+              evals, evecs)
     _REFERENCE_CACHE[key] = result
     return result
 
 
 def build_dense_step_matrices(box: SimulationBox, spec: HamiltonianSpec, dt: float):
-    """(U_ideal, U_SO) as dense matrices.
-
-    U_ideal is the exact exponential of the pixelated Hamiltonian over one
-    time step; U_SO is the split cycle exactly as the stepper applies it.
-    """
-    f, kin, pot, h = _dense_parts(box, spec)
-    h[np.diag_indices_from(h)] += pot
-    return _step_pair(f, kin, pot, h, dt)[:2]
+    """(U_ideal, U_SO) as dense matrices: the exact exponential of the
+    pixelated Hamiltonian over one time step, and :func:`split_cycle_matrix`."""
+    evals, evecs = hamiltonian_eig(box, spec)
+    return _ideal_step(evals, evecs, dt), split_cycle_matrix(box, spec, dt)

@@ -125,9 +125,8 @@ def single_particle_potential(spec: HamiltonianSpec, particle: int,
     """Nuclear Coulomb plus static-field potential on one particle's grid.
 
     ``coords`` holds one pixel-coordinate array per dimension (broadcastable
-    meshgrid).  Returns (potential array, mask of exactly singular pixels);
-    the mask marks pixels where a nucleus sits exactly on a grid point, which
-    callers must override.
+    meshgrid).  A pixel where a nucleus sits exactly on the grid point gets
+    potential 0 (its phase is overridden to zero).
     """
     q_p = spec.particles[particle].charge
     shape = np.broadcast_shapes(*(c.shape for c in coords))
@@ -140,13 +139,12 @@ def single_particle_potential(spec: HamiltonianSpec, particle: int,
             r2 = r2 + (c - pos) ** 2
         zero = r2 == 0.0
         singular |= zero
-        with np.errstate(divide="ignore"):
-            v += np.where(zero, 0.0, q_p * nuc.charge / np.sqrt(np.where(zero, 1.0, r2)))
+        v += q_p * nuc.charge / np.sqrt(np.where(zero, 1.0, r2))
     for d, c in enumerate(coords):
         e_d = spec.efield[d] if d < len(spec.efield) else 0.0
         if e_d:
             v = v + q_p * e_d * c
-    return v, singular
+    return np.where(singular, 0.0, v)
 
 
 def pair_potential(spec: HamiltonianSpec, p: int, q: int, delta_r: float,
@@ -158,7 +156,5 @@ def pair_potential(spec: HamiltonianSpec, p: int, q: int, delta_r: float,
     for dv in deltas:
         d2 = d2 + dv.astype(np.float64) ** 2
     zero = d2 == 0.0
-    with np.errstate(divide="ignore"):
-        v = np.where(zero, coupling / delta_r,
-                     coupling / (delta_r * np.sqrt(np.where(zero, 1.0, d2))))
-    return v
+    return np.where(zero, coupling / delta_r,
+                    coupling / (delta_r * np.sqrt(np.where(zero, 1.0, d2))))

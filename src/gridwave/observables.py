@@ -12,15 +12,17 @@ real device pays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, GridwaveError, LayoutError
 from .hamiltonian import HamiltonianSpec
-from .propagator import StepKernel, StepPlan, compile_step
+from .propagator import (StepKernel, StepPlan, basis_energies, compile_step,
+                         span_axes)
 from .registers import span_values
-from .statevector import StateVector, inner_product, pairwise_sum
+from .statevector import (StateVector, apply_inverse_qft, inner_product,
+                          pairwise_sum)
 # unused here; benchmark/tracing.py wraps this name in this module's namespace
 from .statevector import controlled_apply  # noqa: F401
 
@@ -274,15 +276,11 @@ def sampled_energy_expectation(state: StateVector, spec: HamiltonianSpec,
                                shots: int | None = None,
                                rng: np.random.Generator | None = None) -> EnergyEstimate:
     """<H_kin> from momentum-space probabilities plus <H_int> from position
-    ones.  Exact from amplitudes by default; with ``shots`` the probabilities
-    are estimated from that many samples of each register instead."""
-    from .dense import diagonal_vectors
-    from .statevector import apply_inverse_qft
-
-    layout = state.layout
-    kin_diag, pot_diag = diagonal_vectors(layout, spec)
-    work = apply_inverse_qft(state.copy(),
-                             [s for p in layout.particles for s in p.spans])
+    ones, weighted by the energy tables the step kernel exponentiates.
+    Exact from amplitudes by default; with ``shots`` the probabilities are
+    estimated from that many samples of each register instead."""
+    kin_diag, pot_diag = basis_energies(state.layout, spec)
+    work = apply_inverse_qft(state.copy(), span_axes(state.layout))
     pk = np.abs(work.amps) ** 2
     px = np.abs(state.amps) ** 2
     if shots is not None:
@@ -337,31 +335,14 @@ def probability_density(state: StateVector, particle: int,
     return marg
 
 
-@dataclass
-class EscapeTracker:
-    """Accumulates per-step detection probabilities into a cumulative curve."""
-
-    times: list = field(default_factory=list)
-    cumulative: list = field(default_factory=list)
-    _survival: float = 1.0
-
-    def record(self, t: float, increment: float):
-        if not 0.0 <= increment <= 1.0:
-            raise ValueError(f"increment {increment} outside [0, 1]")
-        self._survival *= 1.0 - increment
-        self.times.append(t)
-        self.cumulative.append(1.0 - self._survival)
-
-    def series(self) -> TimeSeries:
-        return TimeSeries(np.array(self.times), np.array(self.cumulative),
-                          label="escape_probability")
-
-
 def escape_tracker(increments, times=None) -> TimeSeries:
     """Cumulative escape probability from a stream of per-step detection
     probabilities (survival-product accumulation)."""
-    tracker = EscapeTracker()
-    for i, inc in enumerate(increments):
-        t = times[i] if times is not None else float(i + 1)
-        tracker.record(t, float(inc))
-    return tracker.series()
+    increments = np.asarray(increments, dtype=np.float64)
+    bad = ~((increments >= 0.0) & (increments <= 1.0))
+    if bad.any():
+        raise ValueError(f"increment {increments[bad][0]} outside [0, 1]")
+    if times is None:
+        times = np.arange(1, increments.size + 1, dtype=np.float64)
+    return TimeSeries(times, 1.0 - np.cumprod(1.0 - increments),
+                      label="escape_probability")

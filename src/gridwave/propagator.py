@@ -9,6 +9,12 @@ subtract / relative-coordinate phase / add circuit produces
 (``statevector.register_add_sub`` keeps that circuit as the reference);
 here they are gathered once into the position table.
 
+:func:`energy_tables` is the one place where the Hamiltonian is mapped onto
+the register axes.  The kernel's tables are exp(-i dt E) of its real
+energies; ``observables.sampled_energy_expectation`` reads the energies
+themselves, and ``dense`` builds its matrices by running the kernel's
+sub-steps on the identity.
+
 Boundary damping is the paper's conditioned-ancilla round: an ancilla
 rotated by arccos(exp(-V dt)) on the edge pixels, then post-selected to |0>.
 That outcome leaves the particle registers multiplied by the real diagonal
@@ -32,8 +38,8 @@ from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           UniformEdgeRegion, pair_potential,
                           single_particle_potential)
 from .registers import RegisterLayout, pattern_of_value, span_values
-from .statevector import (StateVector, apply_inverse_qft, apply_phase_table,
-                          apply_qft)
+from .statevector import (StateVector, _span_axes, apply_inverse_qft,
+                          apply_phase_table, apply_qft)
 # unused here; benchmark/tracing.py wraps these by name in this module's namespace
 from .statevector import register_add_sub  # noqa: F401
 from .statevector import masked_ancilla_x_rotation, measure_qubit  # noqa: F401
@@ -82,12 +88,85 @@ def kinetic_constant(box, width: int, mass: float) -> float:
     return 2.0 * np.pi ** 2 / (box_width ** 2 * mass)
 
 
+def span_axes(layout: RegisterLayout) -> list:
+    """Every particle span, highest start first: the axis order of the
+    reshaped state, so tables over these axes broadcast onto it as views."""
+    return sorted((s for particle in layout.particles for s in particle.spans),
+                  key=lambda s: s.start, reverse=True)
+
+
+def energy_tables(layout: RegisterLayout, spec: HamiltonianSpec):
+    """The one map from the Hamiltonian onto the register: real energy tables
+    on the axes of :func:`span_axes`.
+
+    Returns (kinetic, position).  ``kinetic`` holds one (spans, table) pair
+    per particle: its kinetic energy over the momentum patterns of its own
+    spans.  ``position`` lists the terms of the joint position energy as
+    (table, index) pairs, each term's energy on the axes being
+    ``table[index]``.  A pair term is its relative-coordinate table gathered
+    at (pattern_p - pattern_q) mod 2^w per dimension (two's complement makes
+    that the value difference, wrapped to the minimum image); a particle's
+    nuclear and field term broadcasts onto the axes as it is (index ``()``).
+    Kept as small terms, they are exponentiated before the gather or
+    broadcast, not once per basis state.
+    """
+    box = layout.box
+    axes = span_axes(layout)
+    axis = {s: i for i, s in enumerate(axes)}
+    ndim = len(axes)
+    kinetic = []
+    for p, particle in enumerate(layout.particles):
+        mass = spec.particles[p].mass
+        spans = [s for s in axes if s in particle.spans]
+        terms = [_along(kinetic_constant(box, s.width, mass)
+                        * span_values(s.width).astype(np.float64) ** 2, i, len(spans))
+                 for i, s in enumerate(spans)]
+        kinetic.append((spans, reduce(np.add, terms)))
+
+    terms = []
+    for p in range(len(layout.particles)):
+        for q in range(p + 1, len(layout.particles)):
+            if spec.coupling(p, q) == 0.0:
+                continue
+            spans_p, spans_q = layout.particles[p].spans, layout.particles[q].spans
+            if [s.width for s in spans_p] != [s.width for s in spans_q]:
+                raise LayoutError("paired particles need equal-shape registers")
+            deltas = np.meshgrid(*[span_values(s.width) for s in spans_p], indexing="ij")
+            index = []
+            for sp, sq in zip(spans_p, spans_q):
+                patterns = np.arange(1 << sp.width)
+                index.append((_along(patterns, axis[sp], ndim)
+                              - _along(patterns, axis[sq], ndim)) % patterns.size)
+            terms.append((pair_potential(spec, p, q, box.delta_r, deltas), tuple(index)))
+    if spec.nuclei or any(spec.efield):
+        for p, particle in enumerate(layout.particles):
+            coords = [_along(box.coordinates(s.width), axis[s], ndim)
+                      for s in particle.spans]
+            terms.append((single_particle_potential(spec, p, coords), ()))
+    return kinetic, terms
+
+
+def basis_energies(layout: RegisterLayout, spec: HamiltonianSpec):
+    """(kinetic, position): the energies of :func:`energy_tables` at every
+    basis index of a ``layout`` register, each summed over its terms (0
+    without any)."""
+    kinetic, position = energy_tables(layout, spec)
+
+    def spread(spans, table):
+        full_shape, table_shape, _ = _span_axes(layout.num_qubits, spans)
+        table = np.broadcast_to(table, [1 << s.width for s in spans])
+        return np.broadcast_to(table.reshape(table_shape), full_shape).reshape(-1)
+
+    return (sum(spread(spans, e) for spans, e in kinetic),
+            sum(spread(span_axes(layout), e[index]) for e, index in position))
+
+
 class StepKernel:
-    """Phase tables for one (layout, plan, spec) triple, reused across steps."""
+    """Phase tables for one (layout, plan, spec) triple, reused across steps:
+    exp(-i dt E) of the tables of :func:`energy_tables`."""
 
     def __init__(self, layout: RegisterLayout, plan: StepPlan, spec: HamiltonianSpec):
-        box = layout.box
-        if box is None:
+        if layout.box is None:
             raise LayoutError("propagation needs a layout with an attached box")
         if len(spec.particles) != len(layout.particles):
             raise ConfigError("particle count differs between layout and spec")
@@ -98,59 +177,13 @@ class StepKernel:
         self.layout = layout
         self.plan = plan
         self.spec = spec
-        dt = plan.dt
-
-        # every particle span, highest start first: the axis order of the
-        # reshaped state, so the tables below broadcast onto it as views
-        self.spans = sorted((s for particle in layout.particles for s in particle.spans),
-                            key=lambda s: s.start, reverse=True)
-        axis = {s: i for i, s in enumerate(self.spans)}
-        ndim = len(self.spans)
-
-        # kinetic factors: per particle, the outer product of its 1D span factors
-        self.kinetic = []
-        for p, particle in enumerate(layout.particles):
-            mass = spec.particles[p].mass
-            spans = [s for s in self.spans if s in particle.spans]
-            factors = []
-            for i, s in enumerate(spans):
-                k = span_values(s.width).astype(np.float64)
-                c = kinetic_constant(box, s.width, mass)
-                factors.append(_along(np.exp(-1j * c * dt * k ** 2), i, len(spans)))
-            self.kinetic.append((spans, reduce(np.multiply, factors)))
-
-        # one position table over all particle spans: pairwise factors gathered
-        # from the relative-coordinate table at (pattern_p - pattern_q) mod 2^w
-        # per dimension (two's complement makes that the value difference),
-        # times the nuclear + field factors of each particle
-        factors = []
-        for p in range(len(layout.particles)):
-            for q in range(p + 1, len(layout.particles)):
-                coupling = spec.coupling(p, q)
-                if coupling == 0.0:
-                    continue
-                spans_p = layout.particles[p].spans
-                spans_q = layout.particles[q].spans
-                if [s.width for s in spans_p] != [s.width for s in spans_q]:
-                    raise LayoutError("paired particles need equal-shape registers")
-                deltas = np.meshgrid(*[span_values(s.width) for s in spans_p],
-                                     indexing="ij")
-                relative = np.exp(-1j * pair_potential(spec, p, q, box.delta_r, deltas) * dt)
-                index = []
-                for sp, sq in zip(spans_p, spans_q):
-                    patterns = np.arange(1 << sp.width)
-                    index.append((_along(patterns, axis[sp], ndim)
-                                  - _along(patterns, axis[sq], ndim)) % patterns.size)
-                factors.append(relative[tuple(index)])
-        if spec.nuclei or any(spec.efield):
-            for p, particle in enumerate(layout.particles):
-                coords = [_along(box.coordinates(s.width), axis[s], ndim)
-                          for s in particle.spans]
-                v, singular = single_particle_potential(spec, p, coords)
-                v = np.where(singular, 0.0, v)   # zero-phase override at exact zeros
-                factors.append(np.exp(-1j * v * dt))
+        self.spans = span_axes(layout)
         self.shape = tuple(1 << s.width for s in self.spans)
-        self.position = _product_table(factors, self.shape) if factors else None
+        kinetic, position = energy_tables(layout, spec)
+        self.kinetic = [(spans, np.exp(-1j * plan.dt * e)) for spans, e in kinetic]
+        self.position = _product_table(
+            [np.exp(-1j * plan.dt * e)[index] for e, index in position],
+            self.shape) if position else None
 
         # boundary damping
         self.damping = None

@@ -25,11 +25,11 @@ import numpy as np
 
 from .config_text import Section, canonical_text, parse_config
 from .dense import MAX_DIM
-from .errors import CeilingExceededError, ConfigError
+from .errors import CeilingExceededError, ConfigError, DegenerateStateError
 from .grid import SimulationBox
 from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           Nucleus, ParticleSpec, UniformEdgeRegion)
-from .observables import EscapeTracker, TimeSeries
+from .observables import TimeSeries, escape_tracker
 from .prep import ImaginaryTimeParams
 from .propagator import StepPlan
 from .registers import particle_layout
@@ -37,6 +37,7 @@ from .statevector import StateVector, enlarge_particle
 from . import states as st
 
 DEFAULT_CEILING = 26
+EIGENSPACE_TOL = 1e-8   # step eigenvalues closer than this span one eigenspace
 CEILING_ENV = "GRIDWAVE_MAX_QUBITS"
 
 
@@ -460,12 +461,10 @@ def build_initial_state(scen: Scenario) -> StateVector:
         return StateVector(amps, layout)
 
     vecs = []
-    used_columns: set[int] = set()
-    schur_vectors: dict[ParticleSpec, np.ndarray] = {}
+    kinds: dict[ParticleSpec, tuple] = {}
     for particle_idx, orbital in enumerate(init.orbitals):
         if isinstance(orbital, StepEigenstate):
-            vecs.append(_step_eigenvector(scen, particle_idx, orbital.target,
-                                          used_columns, schur_vectors))
+            vecs.append(_step_eigenvector(scen, particle_idx, orbital.target, kinds))
         else:
             vecs.append(st.discretize(orbital, box)[0])
     if init.exchange:
@@ -477,30 +476,47 @@ def build_initial_state(scen: Scenario) -> StateVector:
 
 
 def _step_eigenvector(scen: Scenario, particle_idx: int, target_state,
-                      used_columns: set, schur_vectors: dict) -> np.ndarray:
+                      kinds: dict) -> np.ndarray:
     """Eigenvector of this particle's free split cycle nearest a target state.
 
     Such orbitals are exactly stationary when pair couplings are off, which
     isolates the interaction as the only source of density dynamics.  The
-    Schur vectors of each distinct particle's cycle are kept in
-    ``schur_vectors`` and reused by the other orbitals of that particle kind.
+    target, less its components along the orbitals already picked for this
+    particle kind, is projected onto the eigenspace (Schur columns whose
+    eigenvalues lie within ``EIGENSPACE_TOL``) that holds the largest share
+    of it.  Rounding in U_SO rotates the Schur columns inside a degenerate
+    eigenspace but leaves that projection in place.  ``kinds`` keeps, per
+    particle kind, the Schur vectors, their eigenspace labels and the
+    orbitals picked so far.
     """
     particle = scen.spec.particles[particle_idx]
-    if particle not in schur_vectors:
+    if particle not in kinds:
         from scipy.linalg import schur
-        from .dense import build_dense_step_matrices
+        from .dense import split_cycle_matrix
         single = HamiltonianSpec((particle,), scen.spec.nuclei, None,
                                  scen.spec.efield)
-        _, u_single = build_dense_step_matrices(scen.box, single, scen.plan_dt)
-        schur_vectors[particle] = schur(u_single, output="complex")[1]
-    q = schur_vectors[particle]
+        t, q = schur(split_cycle_matrix(scen.box, single, scen.plan_dt),
+                     output="complex")
+        # by phase, an eigenvalue far from the one before it opens an eigenspace;
+        # those before the first opening close the circle into the last one
+        order = np.argsort(np.angle(np.diag(t)))
+        lam = np.diag(t)[order]
+        opens = np.abs(lam - np.roll(lam, 1)) > EIGENSPACE_TOL
+        labels = (np.cumsum(opens) % max(int(opens.sum()), 1))[np.argsort(order)]
+        kinds[particle] = (q, labels, [])
+    q, labels, picked = kinds[particle]
     target, _ = st.discretize(target_state, scen.box)
-    overlaps = np.abs(q.conj().T @ target)
-    for col in used_columns:
-        overlaps[col] = -1.0
-    idx = int(np.argmax(overlaps))
-    used_columns.add(idx)
-    return q[:, idx].astype(np.complex128)
+    for orbital in picked:
+        target = target - orbital * np.vdot(orbital, target)
+    coeffs = q.conj().T @ target
+    keep = labels == np.argmax(np.bincount(labels, np.abs(coeffs) ** 2))
+    vec = q[:, keep] @ coeffs[keep]
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        raise DegenerateStateError(f"orbital {particle_idx}: no part of its target "
+                                   "lies outside the orbitals already picked")
+    picked.append(vec / norm)
+    return picked[-1]
 
 
 # -- execution --------------------------------------------------------------------
@@ -559,8 +575,8 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
         # series name -> (times, values), written as <name><suffix>.csv
         series = {name: ([], []) for name in
                   ("autocorrelation", "sampled_energy", "bhattacharyya", "swap")}
-        tracker = EscapeTracker()
-        escape_inc: list[float] = []
+        escape_inc: list[float] = []   # each damped step appends its increment
+        step_times: list[float] = []
 
         def dump_density(step_idx: int, current: StateVector):
             dens = probability_density(current, 0)
@@ -576,8 +592,7 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
             dump_density(0, state)
 
         def callback(step: int, t: float, current: StateVector):
-            if escape_inc:
-                tracker.record(t, escape_inc.pop())
+            step_times.append(t)
             readings = {}
             if obs.autocorrelation and step % obs.autocorrelation == 0 or \
                obs.ipe and step % obs.ipe == 0:
@@ -606,8 +621,6 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
                           events={ev.at_step: partial(_apply_event, ev)
                                   for ev in scen.events} or None,
                           escape=escape_inc)
-        if escape_inc:   # increment from the final step
-            tracker.record(scen.plan_steps * scen.plan_dt, escape_inc.pop())
 
         if obs.ipe:
             times, values = series["autocorrelation"]
@@ -625,9 +638,9 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
                 "energy,uncertainty,method\n"
                 f"{est.energy:.17g},{est.uncertainty:.17g},{est.method}\n")
             outputs[name] = {}
-        if tracker.times:
-            series = tracker.series()
-            iofmt.write_timeseries_csv(out / f"escape{suffix}.csv", series)
+        if escape_inc:
+            iofmt.write_timeseries_csv(out / f"escape{suffix}.csv",
+                                       escape_tracker(escape_inc, step_times))
             outputs[f"escape{suffix}.csv"] = {}
         if obs.dump_state:
             name = f"final_state{suffix}.gwsv"

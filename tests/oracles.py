@@ -35,12 +35,11 @@ def wrapped_difference(a: int, b: int, width: int) -> int:
     return (a - b + half) % m - half
 
 
-def dense_split_cycle(n_r: int, dims: int, particles: int, length: float,
-                      offset: float, dt: float, masses, charges,
-                      nuclei, couplings, efield=()) -> np.ndarray:
-    """The product  e^{-i D_int dt} F^dag e^{-i D_kin dt} F  assembled from
-    explicit per-basis-state sums (position-to-momentum F = conj-transpose of
-    the reference transform above, per sub-register)."""
+def _dense_terms(n_r: int, dims: int, particles: int, length: float,
+                 offset: float, masses, charges, nuclei, couplings, efield=()):
+    """(F, kinetic energies, potential) over the dense index, from explicit
+    per-basis-state sums (position-to-momentum F = conj-transpose of the
+    reference transform above, per sub-register)."""
     m = 1 << n_r
     delta_r = length / m
     width_total = n_r * dims * particles
@@ -82,8 +81,27 @@ def dense_split_cycle(n_r: int, dims: int, particles: int, length: float,
                     pot[idx] += couplings[p][q] / delta_r
                 else:
                     pot[idx] += couplings[p][q] / (delta_r * np.sqrt(d2))
+    return f, kin, pot
+
+
+def dense_split_cycle(n_r: int, dims: int, particles: int, length: float,
+                      offset: float, dt: float, masses, charges,
+                      nuclei, couplings, efield=()) -> np.ndarray:
+    """The product  e^{-i D_int dt} F^dag e^{-i D_kin dt} F  of the terms
+    above."""
+    f, kin, pot = _dense_terms(n_r, dims, particles, length, offset, masses,
+                               charges, nuclei, couplings, efield)
     return np.exp(-1j * pot * dt)[:, None] * (
         f.conj().T @ (np.exp(-1j * kin * dt)[:, None] * f))
+
+
+def dense_hamiltonian(n_r: int, dims: int, particles: int, length: float,
+                      offset: float, masses, charges, nuclei, couplings,
+                      efield=()) -> np.ndarray:
+    """The pixel Hamiltonian  F^dag D_kin F + D_int  of the terms above."""
+    f, kin, pot = _dense_terms(n_r, dims, particles, length, offset, masses,
+                               charges, nuclei, couplings, efield)
+    return f.conj().T @ (kin[:, None] * f) + np.diag(pot)
 
 
 def add_to_registers(amps, starts, width: int, g: int) -> np.ndarray:

@@ -7,8 +7,14 @@ from gridwave.dense import (build_dense_step_matrices, fourier_matrix,
 from gridwave.errors import ConfigError
 from gridwave.grid import SimulationBox
 from gridwave.hamiltonian import HamiltonianSpec, Nucleus, ParticleSpec
+from gridwave.propagator import StepPlan, compile_step
+from gridwave.registers import particle_layout
+from gridwave.statevector import StateVector
 from .conftest import cached_eig
-from .oracles import dense_split_cycle, qft_matrix_reference
+from .oracles import dense_hamiltonian, dense_split_cycle, qft_matrix_reference
+
+PAIR_1D = HamiltonianSpec((ParticleSpec(1.0, -1.0), ParticleSpec(1.0, -1.0)),
+                          (Nucleus((0.0,), 1.0),))
 
 
 def test_fourier_matrix_is_reference_adjoint():
@@ -74,6 +80,30 @@ def test_split_cycle_matches_oracle(hyd2d_spec):
     u = dense_split_cycle(3, 1, 2, 8.0, 0.5, 0.02, [1.0, 1.0], [-1.0, -1.0],
                           [((0.0,), 1.0)], [[0.0, 1.0], [1.0, 0.0]])
     assert np.abs(build_dense_step_matrices(box, spec, 0.02)[1] - u).max() < 1e-12
+
+
+def test_split_cycle_matrix_is_the_kernel_cycle_bit_for_bit(hyd2d_spec):
+    # U_SO of both dense builders is the kernel's kinetic cycle then its
+    # interaction, applied to each basis vector, to the last bit
+    for box, spec, dt in ((SimulationBox(2, 3, 10.0, 0.5), hyd2d_spec, 0.01),
+                          (SimulationBox(1, 3, 8.0, 0.5), PAIR_1D, 0.02)):
+        layout = particle_layout(len(spec.particles), box.dims, box.n_r, box=box)
+        kernel = compile_step(layout, StepPlan(dt), spec)
+        expected = np.empty((1 << layout.num_qubits,) * 2, dtype=complex)
+        for j in range(expected.shape[1]):
+            state = StateVector.basis_state(layout.num_qubits, j, layout)
+            expected[:, j] = kernel.interaction(kernel.kinetic_cycle(state)).amps
+        assert np.array_equal(build_dense_step_matrices(box, spec, dt)[1], expected)
+        if len(spec.particles) == 1:
+            assert np.array_equal(reference_step_matrix(box, spec, dt)[1], expected)
+
+
+def test_pixel_hamiltonian_matches_oracle(hyd2d_spec):
+    h = dense_hamiltonian(3, 2, 1, 10.0, 0.5, [1.0], [-1.0], [((0.0, 0.0), 1.0)], [[0.0]])
+    assert np.abs(pixel_hamiltonian(SimulationBox(2, 3, 10.0, 0.5), hyd2d_spec) - h).max() < 1e-12
+    h = dense_hamiltonian(3, 1, 2, 8.0, 0.5, [1.0, 1.0], [-1.0, -1.0], [((0.0,), 1.0)],
+                          [[0.0, 1.0], [1.0, 0.0]])
+    assert np.abs(pixel_hamiltonian(SimulationBox(1, 3, 8.0, 0.5), PAIR_1D) - h).max() < 1e-12
 
 
 def test_reference_cache_keeps_latest_configuration(hyd2d_spec):

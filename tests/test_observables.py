@@ -368,3 +368,14 @@ def test_escape_tracker_monotone(incs):
     series = escape_tracker(incs)
     assert np.all(np.diff(series.values) >= -1e-15)
     assert series.values[-1] <= 1.0 + 1e-12
+    survival, expected = 1.0, []
+    for inc in incs:   # the survival product one step at a time, to the last bit
+        survival *= 1.0 - inc
+        expected.append(1.0 - survival)
+    assert series.values.tolist() == expected
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+def test_escape_tracker_rejects_increments_outside_unit_interval(bad):
+    with pytest.raises(ValueError, match="outside"):
+        escape_tracker([0.1, bad])

@@ -438,15 +438,19 @@ plan { dt = 0.01  steps = 4 }
 
 
 def test_step_eigenstate_orbitals_share_one_schur_form(monkeypatch):
+    import scipy.linalg
     from gridwave import dense
-    calls = []
-    inner = dense.build_dense_step_matrices
+    calls = {"cycle": 0, "schur": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(dense, "build_dense_step_matrices", counted)
+    monkeypatch.setattr(dense, "split_cycle_matrix",
+                        counted("cycle", dense.split_cycle_matrix))
+    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
     text = """
 seed = 5
 box { dims = 1  n_r = 3  length = 8.0 }
@@ -463,10 +467,64 @@ initial_state {
 plan { dt = 0.01  steps = 0 }
 """
     state = build_initial_state(load_scenario(text))
-    assert len(calls) == 1
+    assert calls == {"cycle": 1, "schur": 1}
     from gridwave.statevector import inner_product, swap_particle_registers
     swapped = swap_particle_registers(state, 0, 1)
     assert inner_product(state, swapped).real == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("offset", [0.5, 0.426873])
+def test_step_eigenstate_pick_ignores_rounding_in_the_cycle(monkeypatch, offset):
+    # helium's 2p eigenphases agree to 1e-11, so rounding in U_SO rotates the
+    # Schur columns inside that eigenspace; the picked orbitals must not move
+    from gridwave import dense
+    scen = load_scenario(bundled_scenarios()["helium_reduced"].replace(
+        "origin_offset = 0.5", f"origin_offset = {offset}"))
+    clean = build_initial_state(scen).amps
+    inner = dense.split_cycle_matrix
+    rng = np.random.default_rng(11)
+
+    def noisy(*args):
+        u = inner(*args)
+        return u + 1e-15 * (rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape))
+
+    monkeypatch.setattr(dense, "split_cycle_matrix", noisy)
+    assert np.abs(build_initial_state(scen).amps - clean).max() < 1e-12
+
+
+def test_step_eigenstate_picks_are_kept_per_particle_kind():
+    # two nearly equal masses are two particle kinds: each orbital is the one
+    # its particle picks when alone
+    def state(masses):
+        particles = "".join(f"particle {{ mass = {m}  charge = -1.0 }}" for m in masses)
+        orbitals = "orbital { step_eigenstate { gaussian { center = 0.0  alpha = 1.0 } } }"
+        return build_initial_state(load_scenario(f"""
+seed = 5
+box {{ dims = 1  n_r = 4  length = 8.0 }}
+particles {{ {particles} }}
+hamiltonian {{ nucleus {{ position = 0.0  charge = 1.0 }}  couplings = none }}
+initial_state {{ {orbitals * len(masses)} }}
+plan {{ dt = 0.01  steps = 0 }}
+""")).amps
+    alone = np.kron(state([1.001]), state([1.0]))
+    assert abs(np.vdot(alone, state([1.0, 1.001]))) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_step_eigenstate_with_nothing_left_to_pick_is_refused():
+    # a 2-pixel grid has two step eigenstates; a third orbital of the same
+    # kind has no part of its target left outside the first two
+    from gridwave.errors import DegenerateStateError
+    orbital = "orbital { step_eigenstate { gaussian { center = 0.0  alpha = 1.0 } } }"
+    particle = "particle { mass = 1.0  charge = -1.0 }"
+    with pytest.raises(DegenerateStateError):
+        build_initial_state(load_scenario(f"""
+seed = 5
+box {{ dims = 1  n_r = 1  length = 8.0 }}
+particles {{ {particle * 3} }}
+hamiltonian {{ nucleus {{ position = 0.3  charge = 1.0 }}  couplings = none }}
+initial_state {{ {orbital * 3} }}
+plan {{ dt = 0.01  steps = 0 }}
+"""))
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-0.01", "0.0"])
