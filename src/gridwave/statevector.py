@@ -97,14 +97,18 @@ def pairwise_sum(values: np.ndarray):
     """Sum a power-of-two-length array by repeated halving.
 
     The reduction tree shape depends only on the length, so the result is
-    reproducible across thread counts and platforms.
+    reproducible across thread counts and platforms.  The first level writes
+    a new half-length array, which the later levels halve in place, so
+    ``values`` is left as it was.
     """
     x = np.asarray(values)
     if x.size & (x.size - 1):
         raise ValueError("pairwise_sum expects a power-of-two length")
+    if x.size > 1:
+        x = x[:x.size >> 1] + x[x.size >> 1:]
     while x.size > 1:
         half = x.size >> 1
-        x = x[:half] + x[half:]
+        x = np.add(x[:half], x[half:], out=x[:half])
     return x[0]
 
 

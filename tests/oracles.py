@@ -104,6 +104,40 @@ def dense_hamiltonian(n_r: int, dims: int, particles: int, length: float,
     return f.conj().T @ (kin[:, None] * f) + np.diag(pot)
 
 
+def pairwise_sum_reference(values):
+    """Sum of a power-of-two-length array by repeated halving, each level a
+    new array: x[:half] + x[half:] until one element is left."""
+    x = np.asarray(values)
+    while x.size > 1:
+        half = x.size >> 1
+        x = x[:half] + x[half:]
+    return x[0]
+
+
+def kinetic_cycle_reference(amps, registers, dt: float) -> np.ndarray:
+    """The split cycle's kinetic part on every listed register: the
+    position-to-momentum DFT of each, the phase exp(-i dt sum_r c_r k_r^2)
+    per basis state, and the inverse DFT of each.  ``registers`` lists
+    (start qubit, width, c) with c = 2 pi^2 / (L^2 m); k_r is the signed
+    value of register r's bits."""
+    psi = np.array(amps, dtype=complex)
+    size = psi.size
+    for start, width, _ in registers:
+        view = psi.reshape(size >> (start + width), 1 << width, 1 << start)
+        view[...] = np.fft.fft(view, axis=1, norm="ortho")
+    idx = np.arange(size)
+    energy = np.zeros(size)
+    for start, width, c in registers:
+        pattern = (idx >> start) & ((1 << width) - 1)
+        k = np.where(pattern < 1 << (width - 1), pattern, pattern - (1 << width))
+        energy += c * k * k
+    psi *= np.exp(-1j * dt * energy)
+    for start, width, _ in registers:
+        view = psi.reshape(size >> (start + width), 1 << width, 1 << start)
+        view[...] = np.fft.ifft(view, axis=1, norm="ortho")
+    return psi
+
+
 def add_to_registers(amps, starts, width: int, g: int) -> np.ndarray:
     """Add the constant g, modulo 2^width, to each width-qubit register
     starting at a qubit in ``starts``: a relabelling of the basis states."""

@@ -410,23 +410,21 @@ def test_reduced_helium_interaction_signature():
     """Stand-in for the 36-qubit run: with the pair coupling zeroed the
     one-particle distribution is frozen; enabling it drives the
     spread-and-partial-return dip."""
-    from gridwave.dense import build_dense_step_matrices
-    from scipy.linalg import schur
+    from types import SimpleNamespace
+    from gridwave.scenario import _step_eigenvector
     t0 = time.time()
     box = SimulationBox(3, 3, 25.0, 0.5)
-    single = HamiltonianSpec((ParticleSpec(1.0, -1.0),), (Nucleus((0.0, 0.0, 0.0), 2.0),))
-    _, u_single = build_dense_step_matrices(box, single, 0.05)
-    tmat, q = schur(u_single, output="complex")
-    a_s, _ = discretize(Hydrogen3D(2, 1, 0, 2.0), box)
-    b_s, _ = discretize(Hydrogen3D(2, 1, -1, 2.0), box)
-    ia = int(np.argmax(np.abs(q.conj().T @ a_s)))
-    ib = int(np.argmax(np.abs(q.conj().T @ b_s)))
-    assert ia != ib
-    va, vb = q[:, ia].copy(), q[:, ib].copy()
-    combined, _ = antisymmetrize_direct(va, vb)
-    layout = particle_layout(2, 3, 3, box=box)
     pair = HamiltonianSpec((ParticleSpec(1.0, -1.0), ParticleSpec(1.0, -1.0)),
                            (Nucleus((0.0, 0.0, 0.0), 2.0),))
+    # the orbitals as helium_reduced's initial state picks them: projected onto
+    # whole eigenspaces of the free cycle, which rounding in U_SO leaves in place
+    scen = SimpleNamespace(spec=pair, box=box, plan_dt=0.05)
+    kinds = {}
+    va = _step_eigenvector(scen, 0, Hydrogen3D(2, 1, 0, 2.0), kinds)
+    vb = _step_eigenvector(scen, 1, Hydrogen3D(2, 1, -1, 2.0), kinds)
+    assert abs(np.vdot(va, vb)) < 1e-12     # two distinct orbitals
+    combined, _ = antisymmetrize_direct(va, vb)
+    layout = particle_layout(2, 3, 3, box=box)
     results = {}
     for label, spec in (("off", pair.with_couplings_zeroed()), ("on", pair)):
         state = StateVector(combined.copy(), layout)

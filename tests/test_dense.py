@@ -84,9 +84,11 @@ def test_split_cycle_matches_oracle(hyd2d_spec):
 
 def test_split_cycle_matrix_is_the_kernel_cycle_bit_for_bit(hyd2d_spec):
     # U_SO of both dense builders is the kernel's kinetic cycle then its
-    # interaction, applied to each basis vector, to the last bit
+    # interaction, applied to each basis vector, to the last bit; the last
+    # layout's second kinetic block acts on rounded amplitudes
     for box, spec, dt in ((SimulationBox(2, 3, 10.0, 0.5), hyd2d_spec, 0.01),
-                          (SimulationBox(1, 3, 8.0, 0.5), PAIR_1D, 0.02)):
+                          (SimulationBox(1, 3, 8.0, 0.5), PAIR_1D, 0.02),
+                          (SimulationBox(1, 5, 8.0, 0.5), PAIR_1D, 0.02)):
         layout = particle_layout(len(spec.particles), box.dims, box.n_r, box=box)
         kernel = compile_step(layout, StepPlan(dt), spec)
         expected = np.empty((1 << layout.num_qubits,) * 2, dtype=complex)

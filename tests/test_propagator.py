@@ -1,18 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gridwave
 from gridwave.errors import ConfigError
 from gridwave.grid import SimulationBox
 from gridwave.hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                                   Nucleus, ParticleSpec, UniformEdgeRegion)
 from gridwave.propagator import (StepPlan, compile_step, kinetic_constant,
                                  propagate, split_step_inverse)
-from gridwave.registers import particle_layout, pattern_of_value
-from gridwave.statevector import (StateVector, apply_diagonal_phase, apply_qft,
-                                  inner_product, register_add_sub)
+from gridwave.registers import (Particle, RegisterLayout, Span, particle_layout,
+                                pattern_of_value, span_values)
+from gridwave.statevector import (StateVector, apply_diagonal_phase,
+                                  apply_inverse_qft, apply_phase_table,
+                                  apply_qft, inner_product, register_add_sub)
 from .conftest import cached_eig, hydrogen_spec, random_state
 from .oracles import (ancilla_damping_round, dense_split_cycle,
-                      free_gaussian_evolved)
+                      free_gaussian_evolved, kinetic_cycle_reference)
 
 
 def _random_sv(rng, layout):
@@ -47,6 +55,111 @@ def test_kinetic_phase_on_momentum_component():
     uniform = _plane_wave(0, layout)
     state0 = kernel.kinetic_cycle(uniform.copy())
     assert np.abs(state0.amps - uniform.amps).max() < 1e-15
+
+
+KINETIC_LAYOUTS = {
+    # name: (box, layout, masses); nuclei sit at the origin of every box
+    "3d_pair": (SimulationBox(3, 3, 25.0, 0.5), particle_layout(2, 3, 3), (1.0, 1.0)),
+    "2d_pair_cap": (SimulationBox(2, 4, 16.0, 0.5),
+                    particle_layout(2, 2, 4).with_ancilla("cap"), (1.0, 1.0)),
+    "ancilla_between": (SimulationBox(2, 2, 6.0, 0.5),
+                        RegisterLayout((Particle((Span(0, 2), Span(2, 2))),
+                                        Particle((Span(5, 2), Span(7, 2)))),
+                                       {"tag": Span(4, 1)}), (1.0, 1.0)),
+    "column_above": (SimulationBox(2, 3, 10.0, 0.5),
+                     particle_layout(1, 2, 3).with_ancilla("column", 6), (1.0,)),
+    # one block spans both particles: particle 1's two axes, particle 0's y
+    "mixed_masses": (SimulationBox(2, 2, 6.0, 0.5), particle_layout(2, 2, 2), (1.0, 7.5)),
+    "1d_wide": (SimulationBox(1, 9, 40.0, 0.5), particle_layout(1, 1, 9), (1.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KINETIC_LAYOUTS))
+def test_kinetic_cycle_matches_fft_oracle(rng, name):
+    box, layout, masses = KINETIC_LAYOUTS[name]
+    layout = layout.with_box(box)
+    spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses),
+                           (Nucleus((0.0,) * box.dims, 1.0),))
+    dt = 0.05
+    kernel = compile_step(layout, StepPlan(dt), spec)
+    psi = random_state(rng, layout.num_qubits)
+    registers = [(s.start, s.width, 2.0 * np.pi ** 2 / (box.length ** 2 * m))
+                 for particle, m in zip(layout.particles, masses) for s in particle.spans]
+    state = kernel.kinetic_cycle(StateVector(psi.copy(), layout))
+    assert np.abs(state.amps - kinetic_cycle_reference(psi, registers, dt)).max() < 1e-13
+    kernel.adjoint.kinetic_cycle(state)
+    assert np.abs(state.amps - psi).max() < 1e-14
+
+
+def test_kinetic_cycle_of_wide_axes_is_the_joint_transform_bit_for_bit(rng):
+    # axes wider than a block keep the transform, the exp of the summed
+    # energies and the transform back, to the last bit
+    box, layout, _ = KINETIC_LAYOUTS["1d_wide"]
+    layout = layout.with_box(box)
+    spans = [layout.span(0, 0)]
+    kernel = compile_step(layout, StepPlan(0.05), hydrogen_spec(1))
+    psi = random_state(rng, layout.num_qubits)
+    expected = apply_inverse_qft(StateVector(psi.copy(), layout), spans)
+    energy = kinetic_constant(box, 9, 1.0) * span_values(9).astype(np.float64) ** 2
+    apply_qft(apply_phase_table(expected, spans, np.exp(-1j * 0.05 * energy)), spans)
+    assert not kernel.blocks
+    assert np.array_equal(kernel.kinetic_cycle(StateVector(psi, layout)).amps, expected.amps)
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("3d_pair", [64, 64, 64]), ("2d_pair_cap", [16, 16, 16, 16]),
+    ("ancilla_between", [16, 16]), ("mixed_masses", [64, 4]), ("column_above", [64]),
+    ("1d_wide", [])])
+def test_narrow_axes_run_into_blocks(name, sizes):
+    # adjacent axes join a block up to 64 points; an ancilla between them
+    # breaks the run (without it, the 4-point axes would make 64 + 4)
+    box, layout, masses = KINETIC_LAYOUTS[name]
+    spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses))
+    kernel = compile_step(layout.with_box(box), StepPlan(0.05), spec)
+    assert [len(block) for _, block in kernel.blocks] == sizes
+
+
+_DETERMINISM_SCRIPT = """
+import hashlib
+import numpy as np
+from gridwave.dense import split_cycle_matrix
+from gridwave.grid import SimulationBox
+from gridwave.hamiltonian import HamiltonianSpec, Nucleus, ParticleSpec
+from gridwave.propagator import StepPlan, compile_step
+from gridwave.registers import particle_layout
+from gridwave.statevector import StateVector
+
+digest = hashlib.sha256()
+for dims, n_r, length in ((3, 3, 25.0), (2, 4, 16.0)):
+    box = SimulationBox(dims, n_r, length, 0.5)
+    electron = ParticleSpec(1.0, -1.0)
+    nucleus = (Nucleus((0.0,) * dims, 2.0),)
+    layout = particle_layout(2, dims, n_r, box=box)
+    rng = np.random.default_rng(3)
+    # not normalised: np.linalg.norm itself goes through BLAS
+    psi = rng.normal(size=1 << layout.num_qubits) + 1j * rng.normal(size=1 << layout.num_qubits)
+    state = StateVector(psi, layout)
+    kernel = compile_step(layout, StepPlan(0.05), HamiltonianSpec((electron,) * 2, nucleus))
+    for _ in range(20):
+        kernel.apply(state)
+    digest.update(state.amps.tobytes())
+    digest.update(split_cycle_matrix(box, HamiltonianSpec((electron,), nucleus), 0.05).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_block_cycle_is_byte_identical_across_blas_threads():
+    # the block products run on the BLAS pool, sized when the process starts
+    src = str(Path(gridwave.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_split_step_identity_at_zero_dt(rng):

@@ -16,7 +16,7 @@ from gridwave.statevector import (StateVector, apply_diagonal_phase,
                                   multi_controlled_x_rotation, pairwise_sum,
                                   register_add_sub, swap_particle_registers)
 from .conftest import random_state
-from .oracles import qft_matrix_reference
+from .oracles import pairwise_sum_reference, qft_matrix_reference
 
 
 # -- reductions ----------------------------------------------------------------
@@ -24,6 +24,19 @@ from .oracles import qft_matrix_reference
 def test_pairwise_sum_matches_fsum(rng):
     x = rng.normal(size=1 << 12)
     assert pairwise_sum(x) == pytest.approx(math.fsum(x), abs=1e-12)
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_pairwise_sum_is_the_halving_tree_bit_for_bit(rng, complex_values):
+    # halving in place after the first level keeps every sum of the tree
+    for n in range(21):
+        x = rng.normal(size=1 << n)
+        if complex_values:
+            x = x + 1j * rng.normal(size=1 << n)
+        before = x.copy()
+        got = pairwise_sum(x)
+        assert got == pairwise_sum_reference(x), n
+        assert np.array_equal(x, before), n   # the caller's array is untouched
 
 
 def test_pairwise_sum_requires_power_of_two():
