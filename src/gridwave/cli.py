@@ -2,9 +2,9 @@
 
 --threads only exports the OMP/OpenBLAS/MKL/numexpr thread-count variables.
 numpy is already loaded by the package import when they are written, so the
-running process keeps its BLAS pool size.  The kinetic blocks of narrow
-registers run as matrix products on that pool, sized when the process
-starts; --threads cannot resize it.  numpy's FFT is single-threaded.
+running process keeps its BLAS pool size, set when the process starts.
+The kinetic blocks of narrow registers run their matrix products on one
+BLAS thread whatever that size, and numpy's FFT is single-threaded.
 Results are bit-identical at any count.
 """
 

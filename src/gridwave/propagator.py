@@ -7,11 +7,11 @@ optional core patch correction.
 The kinetic cycle is the paper's transform / quadratic kinetic phase /
 inverse transform on every sub-register.  The kinetic energy is a sum over
 axes, so on each axis that sandwich is one unitary F^dag exp(-i dt C k^2) F,
-and adjacent axes combine by Kronecker product.  Runs of adjacent narrow
-axes (at most ``BLOCK`` points together) are applied as such dense blocks,
-by matrix products on the state in place; the wide axes go through one
-joint transform, one kinetic phase table per particle and the joint
-transform back.  The pairwise factors are what the paper's register
+and adjacent axes combine by Kronecker product.  Runs of adjacent axes
+narrower than ``BLOCK`` points (at most ``BLOCK`` points together) are
+applied as such dense blocks, by matrix products on the state in place, on
+one BLAS thread; the other axes go through one joint transform, one kinetic
+phase table per particle and the joint transform back.  The pairwise factors are what the paper's register
 subtract / relative-coordinate phase / add circuit produces
 (``statevector.register_add_sub`` keeps that circuit as the reference);
 here they are gathered once into the position table.
@@ -33,9 +33,12 @@ circuit as the reference).
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -52,10 +55,12 @@ from .statevector import register_add_sub  # noqa: F401
 from .statevector import masked_ancilla_x_rotation, measure_qubit  # noqa: F401
 
 # Largest run of adjacent axes, in grid points, applied as one dense block;
-# wider axes keep the transform.  Per axis of a 2^16-amplitude state on 2
-# vCPUs (2 BLAS threads), dense block against transform pair (ms): 8 points
-# 0.92 vs 2.05, 16 points 0.52 vs 1.30, 32 points 0.62 vs 1.26, 64 points
-# 0.82 vs 1.16, 128 points 1.26 vs 1.18, 256 points 2.19 vs 1.35.
+# an axis joins a block only if it is narrower than this, so a lone 64-point
+# axis keeps the transform (helium's 8 x 8 axes still make 64).  Per axis,
+# one BLAS thread on 2 vCPUs, dense block against transform pair (ms), on
+# 2^16 amplitudes: 8 points 0.28 vs 1.09, 16 points 0.38 vs 1.00, 32 points
+# 0.53 vs 1.20, 64 points 0.92 vs 1.10, 128 points 1.69 vs 1.19; on 2^22
+# amplitudes: 32 points 43 vs 93, 64 points 70 vs 95, 128 points 97 vs 85.
 BLOCK = 64
 # amplitudes per matrix product of a block: its scratch stays cache-sized
 CHUNK = 1 << 15
@@ -207,6 +212,42 @@ def _apply_block(amps: np.ndarray, block: np.ndarray, post: int) -> None:
             part[...] = block @ part
 
 
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy's
+    wheels, or None where numpy links another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+            put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+def _apply_blocks(amps: np.ndarray, blocks: list) -> None:
+    """Apply each (post, block) pass on one BLAS thread, then restore the
+    pool's size.  Each product is cache-sized, and a pool of several threads
+    stalls on such products whenever other processes hold the CPUs: on 2
+    vCPUs beside two busy processes, ``scattering_reduced`` took 2 s on one
+    thread and up to 40 s on two."""
+    pool = _openblas_threads()
+    threads = pool[0]() if pool is not None else 1
+    if threads > 1:
+        pool[1](1)
+    try:
+        for post, block in blocks:
+            _apply_block(amps, block, post)
+    finally:
+        if threads > 1:
+            pool[1](threads)
+
+
 class StepKernel:
     """Kinetic blocks and phase tables for one (layout, plan, spec) triple,
     reused across steps: built from exp(-i dt E) of the tables of
@@ -244,22 +285,23 @@ class StepKernel:
 
     def _compile_kinetic(self, kinetic: list) -> None:
         """The kinetic cycle as passes.  ``blocks`` holds (post, matrix) for
-        each run of adjacent narrow axes in ``self.spans`` (no qubit between
-        them, at most ``BLOCK`` points together): the Kronecker product of its
-        axes' operators, ``post`` the amplitudes below the run.  ``wide``
-        holds (spans, table) per particle for the axes wider than ``BLOCK``:
+        each run of adjacent axes narrower than ``BLOCK`` points in
+        ``self.spans`` (no qubit between them, at most ``BLOCK`` points
+        together): the Kronecker product of its axes' operators, ``post`` the
+        amplitudes below the run.  ``wide`` holds (spans, table) per particle
+        for the axes of ``BLOCK`` points or more:
         exp(-i dt E) of their summed energies, applied between one joint
         transform of ``wide_spans`` and the transform back."""
         dt = self.plan.dt
         operators = {}
         self.wide = []
         for axes in kinetic:
-            wide = [(s, e) for s, e in axes if 1 << s.width > BLOCK]
+            wide = [(s, e) for s, e in axes if 1 << s.width >= BLOCK]
             if wide:
                 self.wide.append(([s for s, _ in wide],
                                   np.exp(-1j * dt * _particle_table(wide))))
             operators.update((s, _axis_operator(np.exp(-1j * dt * e)))
-                             for s, e in axes if 1 << s.width <= BLOCK)
+                             for s, e in axes if 1 << s.width < BLOCK)
         self.wide_spans = [s for s in self.spans if s not in operators]
         runs = []
         for s in self.spans:
@@ -330,8 +372,8 @@ class StepKernel:
     # -- application --------------------------------------------------------
 
     def kinetic_cycle(self, state: StateVector) -> StateVector:
-        for post, block in self.blocks:
-            _apply_block(state.amps, block, post)
+        if self.blocks:
+            _apply_blocks(state.amps, self.blocks)
         if self.wide:
             apply_inverse_qft(state, self.wide_spans)
             for spans, factors in self.wide:

@@ -420,9 +420,13 @@ def test_reduced_helium_interaction_signature():
     # whole eigenspaces of the free cycle, which rounding in U_SO leaves in place
     scen = SimpleNamespace(spec=pair, box=box, plan_dt=0.05)
     kinds = {}
-    va = _step_eigenvector(scen, 0, Hydrogen3D(2, 1, 0, 2.0), kinds)
-    vb = _step_eigenvector(scen, 1, Hydrogen3D(2, 1, -1, 2.0), kinds)
-    assert abs(np.vdot(va, vb)) < 1e-12     # two distinct orbitals
+    targets = (Hydrogen3D(2, 1, 0, 2.0), Hydrogen3D(2, 1, -1, 2.0))
+    va, vb = (_step_eigenvector(scen, p, t, kinds) for p, t in enumerate(targets))
+    # two distinct orbitals, each mostly its own target (0.974 seen), not a
+    # leftover of a target that lies along the other orbital
+    assert abs(np.vdot(va, vb)) < 1e-12
+    for target, orbital in zip(targets, (va, vb)):
+        assert abs(np.vdot(discretize(target, box)[0], orbital)) > 0.9
     combined, _ = antisymmetrize_direct(va, vb)
     layout = particle_layout(2, 3, 3, box=box)
     results = {}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gridwave
+from gridwave import propagator
 from gridwave.errors import ConfigError
 from gridwave.grid import SimulationBox
 from gridwave.hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
@@ -71,6 +72,8 @@ KINETIC_LAYOUTS = {
     # one block spans both particles: particle 1's two axes, particle 0's y
     "mixed_masses": (SimulationBox(2, 2, 6.0, 0.5), particle_layout(2, 2, 2), (1.0, 7.5)),
     "1d_wide": (SimulationBox(1, 9, 40.0, 0.5), particle_layout(1, 1, 9), (1.0,)),
+    # a lone axis of BLOCK points keeps the transform
+    "1d_64": (SimulationBox(1, 6, 20.0, 0.5), particle_layout(1, 1, 6), (1.0,)),
 }
 
 
@@ -91,16 +94,18 @@ def test_kinetic_cycle_matches_fft_oracle(rng, name):
     assert np.abs(state.amps - psi).max() < 1e-14
 
 
-def test_kinetic_cycle_of_wide_axes_is_the_joint_transform_bit_for_bit(rng):
-    # axes wider than a block keep the transform, the exp of the summed
-    # energies and the transform back, to the last bit
-    box, layout, _ = KINETIC_LAYOUTS["1d_wide"]
+@pytest.mark.parametrize("name", ["1d_wide", "1d_64"])
+def test_kinetic_cycle_of_wide_axes_is_the_joint_transform_bit_for_bit(rng, name):
+    # axes of a block's points or more keep the transform, the exp of the
+    # summed energies and the transform back, to the last bit
+    box, layout, _ = KINETIC_LAYOUTS[name]
     layout = layout.with_box(box)
     spans = [layout.span(0, 0)]
+    width = spans[0].width
     kernel = compile_step(layout, StepPlan(0.05), hydrogen_spec(1))
     psi = random_state(rng, layout.num_qubits)
     expected = apply_inverse_qft(StateVector(psi.copy(), layout), spans)
-    energy = kinetic_constant(box, 9, 1.0) * span_values(9).astype(np.float64) ** 2
+    energy = kinetic_constant(box, width, 1.0) * span_values(width).astype(np.float64) ** 2
     apply_qft(apply_phase_table(expected, spans, np.exp(-1j * 0.05 * energy)), spans)
     assert not kernel.blocks
     assert np.array_equal(kernel.kinetic_cycle(StateVector(psi, layout)).amps, expected.amps)
@@ -109,10 +114,11 @@ def test_kinetic_cycle_of_wide_axes_is_the_joint_transform_bit_for_bit(rng):
 @pytest.mark.parametrize("name, sizes", [
     ("3d_pair", [64, 64, 64]), ("2d_pair_cap", [16, 16, 16, 16]),
     ("ancilla_between", [16, 16]), ("mixed_masses", [64, 4]), ("column_above", [64]),
-    ("1d_wide", [])])
+    ("1d_wide", []), ("1d_64", [])])
 def test_narrow_axes_run_into_blocks(name, sizes):
-    # adjacent axes join a block up to 64 points; an ancilla between them
-    # breaks the run (without it, the 4-point axes would make 64 + 4)
+    # adjacent axes narrower than 64 points join a block up to 64 points; an
+    # ancilla between them breaks the run (without it, the 4-point axes
+    # would make 64 + 4)
     box, layout, masses = KINETIC_LAYOUTS[name]
     spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses))
     kernel = compile_step(layout.with_box(box), StepPlan(0.05), spec)
@@ -148,8 +154,31 @@ print(digest.hexdigest())
 """
 
 
+def test_block_products_run_on_one_blas_thread(monkeypatch, rng):
+    pool = propagator._openblas_threads()
+    if pool is None:
+        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+    box, layout, masses = KINETIC_LAYOUTS["3d_pair"]
+    layout = layout.with_box(box)
+    spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses))
+    kernel = compile_step(layout, StepPlan(0.05), spec)
+    seen = []
+    apply_block = propagator._apply_block
+    monkeypatch.setattr(propagator, "_apply_block",
+                        lambda *args: (seen.append(pool[0]()), apply_block(*args)))
+    before = pool[0]()
+    pool[1](2)
+    try:
+        kernel.kinetic_cycle(StateVector(random_state(rng, layout.num_qubits), layout))
+        assert seen == [1, 1, 1]
+        assert pool[0]() == 2       # the pool's size is restored
+    finally:
+        pool[1](before)
+
+
 def test_block_cycle_is_byte_identical_across_blas_threads():
-    # the block products run on the BLAS pool, sized when the process starts
+    # the block products run on one thread; the dense step matrix's products
+    # run on the BLAS pool, sized when the process starts
     src = str(Path(gridwave.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):
