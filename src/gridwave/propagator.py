@@ -186,9 +186,13 @@ def basis_energies(layout: RegisterLayout, spec: HamiltonianSpec):
 
 def _axis_operator(phases: np.ndarray) -> np.ndarray:
     """F^dag diag(phases) F on one sub-register, F the position-to-momentum
-    transform of ``apply_inverse_qft``: that cycle as one dense matrix."""
-    f = np.fft.fft(np.eye(phases.size), axis=0, norm="ortho")
-    return np.fft.ifft(phases[:, None] * f, axis=0, norm="ortho")
+    transform of ``apply_inverse_qft`` (the orthonormal DFT matrix): that
+    cycle as one dense matrix.  Built without ``np.fft``, so layouts of
+    narrow axes only never load it."""
+    m = phases.size
+    k = np.arange(m)
+    f = np.exp(-2j * np.pi * (np.outer(k, k) % m) / m) / np.sqrt(m)
+    return f.conj().T @ (phases[:, None] * f)
 
 
 def _apply_block(amps: np.ndarray, block: np.ndarray, post: int) -> None:
@@ -226,6 +230,8 @@ def _openblas_threads():
             get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
             put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
             if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
                 return get, put
     return None
 
