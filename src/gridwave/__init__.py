@@ -2,9 +2,10 @@
 
 Wavefunctions live on registers of qubits as 2^N complex amplitudes; time
 evolution alternates diagonal kinetic phases in momentum space and diagonal
-potential phases on the position grid, linked by one joint Fourier transform
-of all particle registers.  On top of that cycle sit phase-probe energy
-estimation, measurement-based boundary damping, imaginary-time state
+potential phases on the position grid.  Runs of narrow register axes take
+their kinetic step as one dense block matrix each; wider axes go through a
+joint Fourier transform.  On top of that cycle sit phase-probe energy
+estimation, boundary damping by a real absorbing table, imaginary-time state
 preparation, exchange symmetrisation, per-step patch corrections, and
 closed-form resource audits.
 """

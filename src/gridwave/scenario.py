@@ -573,8 +573,8 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
                         attenuation=scen.spec.attenuation if scen.attenuate else None)
 
         # series name -> (times, values), written as <name><suffix>.csv
-        series = {name: ([], []) for name in
-                  ("autocorrelation", "sampled_energy", "bhattacharyya", "swap")}
+        series = {name: ([], []) for name in ("autocorrelation", "sampled_energy",
+                                              "bhattacharyya", "swap", "ipe")}
         escape_inc: list[float] = []   # each damped step appends its increment
         step_times: list[float] = []
 
@@ -594,9 +594,15 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
         def callback(step: int, t: float, current: StateVector):
             step_times.append(t)
             readings = {}
-            if obs.autocorrelation and step % obs.autocorrelation == 0 or \
-               obs.ipe and step % obs.ipe == 0:
-                readings["autocorrelation"] = inner_product(initial, current)
+            # one overlap serves both cadences; each series keeps its own steps
+            auto = obs.autocorrelation and step % obs.autocorrelation == 0
+            probe = obs.ipe and step % obs.ipe == 0
+            if auto or probe:
+                overlap = inner_product(initial, current)
+                if auto:
+                    readings["autocorrelation"] = overlap
+                if probe:
+                    readings["ipe"] = plus_probability(overlap)
             if obs.sampled_energy and step % obs.sampled_energy == 0:
                 from .observables import sampled_energy_expectation
                 readings["sampled_energy"] = sampled_energy_expectation(
@@ -622,9 +628,6 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
                                   for ev in scen.events} or None,
                           escape=escape_inc)
 
-        if obs.ipe:
-            times, values = series["autocorrelation"]
-            series["ipe"] = (times, plus_probability(np.asarray(values)))
         for name, (times, values) in series.items():
             if len(times):
                 iofmt.write_timeseries_csv(out / f"{name}{suffix}.csv", TimeSeries(

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gridwave.cli import build_parser, main
+from gridwave.scenario import load_scenario, validate_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,3 +103,26 @@ def test_script_help(script):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+
+
+def test_study_points_validate():
+    # each study point is a bundled scenario with keys set, so all of them
+    # pass validate, ceiling included, without running anything
+    path = ROOT / "scripts" / "studies.py"
+    spec = importlib.util.spec_from_file_location("studies", path)
+    studies = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(studies)
+    texts = studies.study_texts()
+    assert len(texts) == 23
+    for text in texts:
+        validate_scenario(text)
+    ground = load_scenario(studies.resolution_texts()["ground", 8, 1e-4])
+    assert (ground.box.n_r, ground.box.length, ground.plan_steps) == (8, 10.0, 15000)
+    assert ground.observables.ipe == 117 and ground.initial.orbitals[0].n == 0
+    survivor = load_scenario(studies.scattering_text(321))
+    assert survivor.plan_steps == 721 and survivor.observables.density == 1
+    (event,) = survivor.events
+    assert (event.at_step, event.dt, event.enlarge_particle, event.drop_couplings) \
+        == (321, 0.05, 0, True)
+    with pytest.raises(KeyError):
+        studies.scenario_text("scattering_reduced", {"particles.particle.mass": 2.0})

@@ -334,6 +334,25 @@ def test_run_scenario_deterministic_and_seed_independent(tmp_path):
                           tmp_path / "c" / "manifest.json") == []
 
 
+def test_run_scenario_keeps_each_cadence(tmp_path):
+    # the overlap every 3 steps and the probe every 2: over 24 steps each CSV
+    # holds its own 8 and 12 rows, and the fit reads the probe's rows only
+    from gridwave.iofmt import read_timeseries_csv
+    from gridwave.observables import TimeSeries, fit_energy_from_signal
+    text = MINIMAL.replace("steps = 5", "steps = 24").replace(
+        "autocorrelation = 1", "autocorrelation = 3  ipe { every = 2 }")
+    run_scenario(text, tmp_path)
+    auto = read_timeseries_csv(tmp_path / "autocorrelation.csv")
+    probe = read_timeseries_csv(tmp_path / "ipe.csv")
+    assert (len(auto), len(probe)) == (8, 12)
+    assert np.allclose(auto.times, 0.03 * np.arange(1, 9))
+    assert np.allclose(probe.times, 0.02 * np.arange(1, 13))
+    # where the cadences meet, both read the same overlap
+    assert np.array_equal((1 + auto.values[1::2].real) / 2, probe.values[2::3])
+    fit = float((tmp_path / "ipe_fit.csv").read_text().splitlines()[1].split(",")[0])
+    assert fit == fit_energy_from_signal(TimeSeries(probe.times, probe.values)).energy
+
+
 def test_resolve_scenario_names(tmp_path):
     assert "box" in resolve_scenario("gaussian_cap_1d")
     path = tmp_path / "custom.cfg"
