@@ -93,16 +93,30 @@ def test_console_script_entry():
     assert "psi11_resolution_nr7" in proc.stdout
 
 
-@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")),
-                         ids=lambda p: p.name)
+# the retired per-study scripts, each now a study of scripts/studies.py
+RETIRED_SCRIPTS = {"origin_offset_study.py": "origin_offset",
+                   "patch_correction_study.py": "patch_correction",
+                   "resolution_sweep.py": "resolution",
+                   "two_particle_scattering.py": "scattering"}
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+                         + sorted(RETIRED_SCRIPTS))
 def test_script_help(script):
     # the scripts import gridwave's public names at start-up, so --help
-    # catches an API change that breaks them
+    # catches an API change that breaks them; a retired script's case
+    # checks that the driver still offers its study as a --study choice
+    study = RETIRED_SCRIPTS.get(script)
+    path = ROOT / "scripts" / ("studies.py" if study else script)
+    assert not study or not (ROOT / "scripts" / script).exists()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
+    proc = subprocess.run([sys.executable, str(path), "--help"], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+    if study:
+        choices = proc.stdout.split("--study {", 1)[1].split("}", 1)[0]
+        assert study in choices.split(",")
 
 
 def test_study_points_validate():
