@@ -12,18 +12,16 @@ closed-form resource audits.
 
 from .errors import (CeilingExceededError, ConfigError, DegenerateStateError,
                      GridwaveError, LayoutError, PostSelectionError,
-                     ResolutionWarning, SingularPhaseError)
+                     ResolutionWarning)
 from .grid import SimulationBox, pixel_function
 from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           Nucleus, ParticleSpec, UniformEdgeRegion)
-from .registers import (Particle, RegisterLayout, Span, get_reg_val,
-                        particle_layout, span_values)
-from .statevector import (MeasurementRecord, StateVector, apply_diagonal_phase,
-                          apply_inverse_qft, apply_qft, controlled_apply,
-                          enlarge_particle, fidelity, inner_product,
-                          measure_qubit, multi_controlled_x_rotation,
-                          pairwise_sum, register_add_sub,
-                          swap_particle_registers)
+from .registers import (Particle, RegisterLayout, Span, particle_layout,
+                        span_values)
+from .statevector import (MeasurementRecord, StateVector, apply_inverse_qft,
+                          apply_qft, controlled_apply, enlarge_particle,
+                          inner_product, measure_qubit, pairwise_sum,
+                          register_add_sub, swap_particle_registers)
 from .propagator import (StepPlan, compile_step, kinetic_constant, propagate,
                          split_step_inverse)
 from .states import (Gaussian, Hydrogen2D, Hydrogen3D, Superposition,

@@ -9,17 +9,6 @@ class LayoutError(GridwaveError):
     """A register span is malformed, overlapping, or out of range."""
 
 
-class SingularPhaseError(GridwaveError):
-    """A diagonal phase came out non-finite at a value tuple with no override."""
-
-    def __init__(self, values):
-        self.values = tuple(int(v) for v in values)
-        super().__init__(
-            f"non-finite phase at sub-register values {self.values}; "
-            "add an override for this tuple"
-        )
-
-
 class PostSelectionError(GridwaveError):
     """A forced measurement outcome has (numerically) zero probability."""
 

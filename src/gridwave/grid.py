@@ -52,11 +52,6 @@ class SimulationBox:
         """Box width represented by a sub-register of ``span_width`` qubits."""
         return self.delta_r * (1 << span_width)
 
-    def ascending_order(self, width: int | None = None) -> np.ndarray:
-        """Raw patterns sorted by increasing coordinate (for grid exports)."""
-        w = self.n_r if width is None else width
-        return np.argsort(span_values(w), kind="stable")
-
 
 def pixel_function(n: int, n_r: int, length: float, x, origin_offset: float = 0.0):
     """Value (with complex phase) of the sharp basis function peaked at pixel ``n``.

@@ -126,7 +126,7 @@ def single_particle_potential(spec: HamiltonianSpec, particle: int,
 
     ``coords`` holds one pixel-coordinate array per dimension (broadcastable
     meshgrid).  A pixel where a nucleus sits exactly on the grid point gets
-    potential 0 (its phase is overridden to zero).
+    potential 0.
     """
     q_p = spec.particles[particle].charge
     shape = np.broadcast_shapes(*(c.shape for c in coords))

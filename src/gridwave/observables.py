@@ -4,8 +4,8 @@ The paper's |+>-controlled evolutions (the single-qubit phase probe and the
 S-qubit phase register) run here without their ancillas: the |0> branch
 never moves, so every readout is a function of the autocorrelation
 c(k) = <psi|U^k|psi> along one evolved copy of the state
-(``statevector.controlled_apply`` keeps the controlled circuit as the
-reference).  These exact probabilities are what an emulator can read that
+(``tests/oracles.py`` keeps the controlled circuit, ``controlled_evolution_plus``
+and ``phase_register_readout``, as the reference).  These exact probabilities are what an emulator can read that
 hardware cannot; the shot-sampled mode exists to show the statistical cost a
 real device pays.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridwaveError, LayoutError
+from .errors import ConfigError, GridwaveError
 from .hamiltonian import HamiltonianSpec
 from .propagator import (StepKernel, StepPlan, basis_energies, compile_step,
                          span_axes)
@@ -165,16 +165,15 @@ def _unfold_cosine_phase(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_energy_from_signal(series: TimeSeries, mode: str = "fit",
-                           assume_bound: bool = True) -> EnergyEstimate:
+def fit_energy_from_signal(series: TimeSeries, mode: str = "fit") -> EnergyEstimate:
     """Extract |E| from a(t) = cos^2(E t/2) and sign it by convention.
 
     ``fit`` tracks the accumulated phase arccos(2a-1) = |E|t (fold-unwrapped),
     then refines by least squares against the cosine model; this resolves
     even signals far shorter than one period.  ``spectrum`` reports the
     interpolated dominant Fourier peak and needs at least half a period.
-    The signal is even in E, so the sign is a convention: bound-state
-    negative by default.
+    The signal is even in E, so the sign is a convention: negative, as for
+    a bound state.
     """
     if len(series) < 8:
         raise ConfigError("need at least 8 samples", field="observables.ipe")
@@ -216,8 +215,7 @@ def fit_energy_from_signal(series: TimeSeries, mode: str = "fit",
             pass
     else:
         raise ValueError("mode must be 'fit' or 'spectrum'")
-    sign = -1.0 if assume_bound else 1.0
-    return EnergyEstimate(sign * omega, "phase-fit" if mode == "fit" else "spectrum-peak",
+    return EnergyEstimate(-omega, "phase-fit" if mode == "fit" else "spectrum-peak",
                           resolution)
 
 
@@ -300,39 +298,17 @@ def sampled_energy_expectation(state: StateVector, spec: HamiltonianSpec,
 
 # -- densities and escape --------------------------------------------------------
 
-def probability_density(state: StateVector, particle: int,
-                        ascending: bool = True) -> np.ndarray:
-    """Marginal position distribution of one particle, axes ordered (x, y, z).
-
-    With ``ascending`` the grid axes are reordered by increasing coordinate,
-    ready for export; otherwise raw register order is kept.
-    """
-    layout = state.layout
-    spans = layout.particles[particle].spans
-    n = state.num_qubits
-    probs = np.abs(state.amps) ** 2
-    shape = []
-    keep_axes = {}
-    pos = n
-    for s in sorted((x for x in layout.all_spans()), key=lambda x: -x.start):
-        if s.stop > pos:
-            raise LayoutError("layout spans overlap")
-        if pos > s.stop:
-            shape.append(1 << (pos - s.stop))
-        keep_axes[(s.start, s.width)] = len(shape)
-        shape.append(1 << s.width)
-        pos = s.start
-    if pos > 0:
-        shape.append(1 << pos)
-    grid_axes = [keep_axes[(s.start, s.width)] for s in spans]
-    other = tuple(a for a in range(len(shape)) if a not in grid_axes)
-    marg = probs.reshape(shape).sum(axis=other)
-    # axes currently ordered by descending start, i.e. (z, y, x); flip to (x, y, z)
-    marg = np.transpose(marg, axes=tuple(reversed(range(marg.ndim))))
-    if ascending:
-        for d, s in enumerate(spans):
-            order = np.argsort(span_values(s.width), kind="stable")
-            marg = np.take(marg, order, axis=d)
+def probability_density(state: StateVector, particle: int) -> np.ndarray:
+    """Marginal position distribution of one particle, axes ordered (x, y, z),
+    each by increasing coordinate, ready for export."""
+    spans = state.layout.particles[particle].spans
+    full_shape, table_shape, order = statevector._span_axes(state.num_qubits, list(spans))
+    other = tuple(a for a, t in enumerate(table_shape) if t == 1)
+    marg = (np.abs(state.amps) ** 2).reshape(full_shape).sum(axis=other)
+    # the kept axes run by descending start (span ``order[j]`` on axis j)
+    marg = np.transpose(marg, axes=np.argsort(order))
+    for d, s in enumerate(spans):
+        marg = np.take(marg, np.argsort(span_values(s.width), kind="stable"), axis=d)
     return marg
 
 

@@ -27,8 +27,8 @@ rotated by arccos(exp(-V dt)) on the edge pixels, then post-selected to |0>.
 That outcome leaves the particle registers multiplied by the real diagonal
 exp(-V dt) with the ancilla back in |0>, so the kernel applies that diagonal
 and renormalises instead of carrying the always-zero ancilla half
-(``statevector.masked_ancilla_x_rotation`` and ``measure_qubit`` keep the
-circuit as the reference).
+(``tests/oracles.py`` keeps the round, ``ancilla_damping_round``, as the
+reference).
 """
 
 from __future__ import annotations

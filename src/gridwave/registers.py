@@ -38,21 +38,6 @@ class Span:
         return self.start < other.stop and other.start < self.stop
 
 
-def get_reg_val(basis_index: int, start_qubit: int, n_r: int) -> int:
-    """Signed value of the ``n_r`` contiguous qubits starting at ``start_qubit``.
-
-    Two's complement: sum the low n_r-1 bits, then subtract 2^(n_r-1) if the
-    top bit is set.
-    """
-    if basis_index < 0:
-        raise LayoutError("basis index must be non-negative")
-    raw = (basis_index >> start_qubit) & ((1 << n_r) - 1)
-    v = raw & ((1 << (n_r - 1)) - 1)
-    if raw >> (n_r - 1):
-        v -= 1 << (n_r - 1)
-    return v
-
-
 def span_values(width: int) -> np.ndarray:
     """Vector of signed values indexed by raw bit pattern, for one span."""
     raw = np.arange(1 << width, dtype=np.int64)

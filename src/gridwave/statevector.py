@@ -74,24 +74,6 @@ class StateVector:
     def norm_sq(self) -> float:
         return float(pairwise_sum(np.abs(self.amps) ** 2).real)
 
-    def normalize(self) -> "StateVector":
-        n2 = self.norm_sq()
-        if n2 <= 0.0:
-            raise PostSelectionError("cannot normalise a zero state")
-        self.amps *= 1.0 / np.sqrt(n2)
-        return self
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-    def _view(self, span: Span):
-        """amps reshaped to (above, 2^width, below) for one span."""
-        if span.stop > self.num_qubits:
-            raise LayoutError(f"span {span} exceeds {self.num_qubits} qubits")
-        hi = 1 << (self.num_qubits - span.stop)
-        lo = 1 << span.start
-        return self.amps.reshape(hi, 1 << span.width, lo)
-
 
 def pairwise_sum(values: np.ndarray):
     """Sum a power-of-two-length array by repeated halving.
@@ -119,11 +101,7 @@ def inner_product(state_a: StateVector, state_b: StateVector) -> complex:
     return complex(pairwise_sum(np.conj(state_a.amps) * state_b.amps))
 
 
-def fidelity(state_a: StateVector, state_b: StateVector) -> float:
-    return abs(inner_product(state_a, state_b)) ** 2
-
-
-# -- diagonal phases ---------------------------------------------------------
+# -- the axis map and factor tables --------------------------------------------
 
 def _span_axes(num_qubits: int, spans: list[Span]):
     """Shapes that let a joint table over ``spans`` broadcast over the state.
@@ -156,39 +134,6 @@ def _broadcast_table(state: StateVector, spans: list[Span], table: np.ndarray):
     full_shape, table_shape, order = _span_axes(state.num_qubits, spans)
     t = np.transpose(table, axes=order) if len(spans) > 1 else table
     return state.amps.reshape(full_shape), np.ascontiguousarray(t).reshape(table_shape)
-
-
-def value_table(spans: list[Span]):
-    """Meshgrid of signed sub-register values, one axis per span (given order)."""
-    vecs = [span_values(s.width) for s in spans]
-    return np.meshgrid(*vecs, indexing="ij")
-
-
-def apply_diagonal_phase(state: StateVector, phase_fn, spans: list[Span],
-                         overrides: dict[tuple, float] | None = None) -> StateVector:
-    """Multiply amplitude i by exp(-i * theta(values(i))).
-
-    ``phase_fn`` receives one value array per span (broadcast meshgrid) and
-    returns the phase array.  ``overrides`` pins the phase at designated value
-    tuples; any non-finite phase elsewhere raises naming the offending tuple.
-    """
-    from .errors import SingularPhaseError
-
-    grids = value_table(spans)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.asarray(phase_fn(*grids), dtype=np.float64)
-    theta = np.broadcast_to(theta, grids[0].shape).copy()
-    if overrides:
-        for tup, val in overrides.items():
-            idx = tuple(pattern_of_value(v, s.width) for v, s in zip(tup, spans))
-            theta[idx] = val
-    if not np.all(np.isfinite(theta)):
-        bad = np.argwhere(~np.isfinite(theta))[0]
-        values = tuple(int(g[tuple(bad)]) for g in grids)
-        raise SingularPhaseError(values)
-    view, factor = _broadcast_table(state, spans, np.exp(-1j * theta))
-    view *= factor
-    return state
 
 
 def apply_phase_table(state: StateVector, spans: list[Span], factors: np.ndarray) -> StateVector:
@@ -350,22 +295,6 @@ def masked_ancilla_x_rotation(state: StateVector, spans: list[Span],
     view[:, 0, :][m2] = c * a0 + 1j * s_ * a1
     view[:, 1, :][m2] = 1j * s_ * a0 + c * a1
     return state
-
-
-def multi_controlled_x_rotation(state: StateVector, spans: list[Span],
-                                control_values: tuple[int, ...], ancilla: int,
-                                theta: float) -> StateVector:
-    """X-rotation by theta on the ancilla, applied only on the branch where
-    each span holds the given signed value."""
-    hot = []
-    for s, v in zip(spans, control_values):
-        vec = np.zeros(1 << s.width, dtype=bool)
-        vec[pattern_of_value(v, s.width)] = True
-        hot.append(vec)
-    table = hot[0]
-    for vec in hot[1:]:
-        table = np.multiply.outer(table, vec)
-    return masked_ancilla_x_rotation(state, spans, table, ancilla, theta)
 
 
 # -- register arithmetic -------------------------------------------------------

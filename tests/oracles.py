@@ -28,6 +28,18 @@ def signed_value(pattern: int, width: int) -> int:
     return pattern if pattern < half else pattern - (1 << width)
 
 
+def value_phase(amps, registers, phase_fn) -> np.ndarray:
+    """Multiply each amplitude by exp(-i theta), theta = phase_fn of the signed
+    values its basis state holds in ``registers`` ((start qubit, width) each),
+    one basis state at a time."""
+    psi = np.array(amps, dtype=complex)
+    for idx in range(psi.size):
+        values = [signed_value((idx >> start) & ((1 << width) - 1), width)
+                  for start, width in registers]
+        psi[idx] *= np.exp(-1j * phase_fn(*values))
+    return psi
+
+
 def wrapped_difference(a: int, b: int, width: int) -> int:
     """a - b folded back into the signed range of a width-qubit register."""
     m = 1 << width

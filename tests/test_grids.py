@@ -6,6 +6,9 @@ from scipy.integrate import quad
 
 from gridwave.errors import ConfigError
 from gridwave.grid import SimulationBox, pixel_function
+from gridwave.observables import probability_density
+from gridwave.registers import particle_layout
+from gridwave.statevector import StateVector
 
 
 def test_box_invariants():
@@ -82,9 +85,18 @@ def test_pixel_family_orthonormal_under_grid_sampling():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=2, max_value=6))
+@given(st.integers(min_value=2, max_value=5))
 def test_ascending_order_sorts_coordinates(n_r):
-    box = SimulationBox(1, n_r, 4.0)
-    order = box.ascending_order()
-    coords = box.coordinates()[order]
-    assert np.all(np.diff(coords) > 0)
+    # an exported density runs by increasing coordinate along x and along y:
+    # give basis state i the probability (i + 1) / Z, so each entry of the
+    # density names the basis state, hence the two pixels, it came from
+    box = SimulationBox(2, n_r, 4.0)
+    size = 1 << 2 * n_r
+    probs = np.arange(1, size + 1) / (size * (size + 1) / 2)
+    state = StateVector(np.sqrt(probs), particle_layout(1, 2, n_r, box=box))
+    index = np.rint(probability_density(state, 0) * size * (size + 1) / 2) - 1
+    index = index.astype(np.int64)
+    coords = box.coordinates()
+    x, y = coords[index & ((1 << n_r) - 1)], coords[index >> n_r]
+    assert np.all(np.diff(x, axis=0) > 0) and np.all(np.diff(x, axis=1) == 0)
+    assert np.all(np.diff(y, axis=1) > 0) and np.all(np.diff(y, axis=0) == 0)

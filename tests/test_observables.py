@@ -20,7 +20,7 @@ from gridwave.registers import particle_layout, pattern_of_value
 from gridwave.statevector import StateVector
 from .conftest import cached_eig, hydrogen_spec, random_state
 from .oracles import (controlled_evolution_plus, phase_register_kernel,
-                      phase_register_readout)
+                      phase_register_readout, signed_value)
 
 
 def test_timeseries_validation():
@@ -312,14 +312,19 @@ def test_sampled_energy_shot_mode_reproducible(hyd2d_spec, rng):
 
 # -- densities -------------------------------------------------------------------------
 
+def _ascending(marginal, width):
+    """A register's marginal reordered by increasing signed value."""
+    return marginal[sorted(range(1 << width), key=lambda p: signed_value(p, width))]
+
+
 def test_density_product_state(rng):
     layout = particle_layout(2, 1, 3)
     a, b = random_state(rng, 3), random_state(rng, 3)
     state = StateVector(np.kron(b, a), layout)
     box = SimulationBox(1, 3, 8.0)
     state.layout = layout.with_box(box)
-    d0 = probability_density(state, 0, ascending=False)
-    assert np.abs(d0 - np.abs(a) ** 2).max() < 1e-12
+    d0 = probability_density(state, 0)
+    assert np.abs(d0 - _ascending(np.abs(a) ** 2, 3)).max() < 1e-12
     assert d0.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -331,8 +336,11 @@ def test_density_antisymmetric_marginals_equal(rng):
     combined, _ = antisymmetrize_direct(a, b)
     layout = particle_layout(2, 1, 4)
     state = StateVector(combined, layout)
-    d0 = probability_density(state, 0, ascending=False)
-    d1 = probability_density(state, 1, ascending=False)
+    d0 = probability_density(state, 0)
+    d1 = probability_density(state, 1)
+    probs = np.abs(combined.reshape(16, 16)) ** 2     # [particle 1, particle 0]
+    assert np.abs(d0 - _ascending(probs.sum(axis=0), 4)).max() < 1e-12
+    assert np.abs(d1 - _ascending(probs.sum(axis=1), 4)).max() < 1e-12
     assert np.abs(d0 - d1).max() < 1e-12
 
 

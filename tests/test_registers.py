@@ -3,29 +3,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridwave.errors import LayoutError
-from gridwave.registers import (Particle, RegisterLayout, Span, get_reg_val,
-                                particle_layout, pattern_of_value, span_values)
+from gridwave.registers import (Particle, RegisterLayout, Span, particle_layout,
+                                pattern_of_value, span_values)
+from .oracles import signed_value
 
 
 def test_get_reg_val_examples():
-    # bit-sum then sign branch
-    assert get_reg_val(0b011, 0, 3) == 3
-    assert get_reg_val(0b111, 0, 3) == -1    # 3 - 4
-    assert get_reg_val(0b000, 0, 3) == 0
+    # two's complement: the top bit weighs -2^(w-1), in the oracle's decoding
+    # and in span_values' table alike
+    for pattern, value in ((0b011, 3), (0b111, -1), (0b000, 0)):    # 0b111: 3 - 4
+        assert signed_value(pattern, 3) == value
+        assert span_values(3)[pattern] == value
 
 
 def test_get_reg_val_respects_start():
     idx = 0b111_000
-    assert get_reg_val(idx, 3, 3) == -1
-    assert get_reg_val(idx, 0, 3) == 0
+    assert signed_value((idx >> 3) & 0b111, 3) == -1
+    assert signed_value(idx & 0b111, 3) == 0
+    assert (pattern_of_value(-1, 3) << 3) | pattern_of_value(0, 3) == idx
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
 def test_get_reg_val_roundtrip(width, data):
     half = 1 << (width - 1)
     value = data.draw(st.integers(min_value=-half, max_value=half - 1))
-    pattern = pattern_of_value(value, width)
-    assert get_reg_val(pattern << 2, 2, width) == value
+    idx = pattern_of_value(value, width) << 2
+    assert signed_value((idx >> 2) & ((1 << width) - 1), width) == value
 
 
 @given(st.integers(min_value=1, max_value=10))

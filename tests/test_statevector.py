@@ -2,21 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gridwave.errors import LayoutError, PostSelectionError, SingularPhaseError
+from gridwave.errors import LayoutError, PostSelectionError
 from gridwave.grid import SimulationBox
-from gridwave.registers import (Particle, RegisterLayout, Span, get_reg_val,
-                                particle_layout)
-from gridwave.statevector import (StateVector, apply_diagonal_phase,
-                                  apply_inverse_qft, apply_qft,
-                                  controlled_apply, enlarge_particle, fidelity,
-                                  inner_product, measure_qubit,
-                                  multi_controlled_x_rotation, pairwise_sum,
+from gridwave.registers import Particle, RegisterLayout, Span, particle_layout
+from gridwave.statevector import (StateVector, apply_inverse_qft, apply_qft,
+                                  controlled_apply, enlarge_particle,
+                                  inner_product, masked_ancilla_x_rotation,
+                                  measure_qubit, pairwise_sum,
                                   register_add_sub, swap_particle_registers)
 from .conftest import random_state
-from .oracles import pairwise_sum_reference, qft_matrix_reference
+from .oracles import pairwise_sum_reference, qft_matrix_reference, signed_value
 
 
 # -- reductions ----------------------------------------------------------------
@@ -98,46 +94,6 @@ def test_qft_zero_state_uniform():
     apply_qft(state, Span(0, 3))
     expect = np.full(8, 1 / np.sqrt(8))
     assert np.abs(state.amps - expect).max() < 1e-12
-
-
-# -- diagonal phases --------------------------------------------------------------
-
-def test_zero_phase_is_identity(rng):
-    a = random_state(rng, 6)
-    state = StateVector(a.copy(), particle_layout(1, 2, 3))
-    apply_diagonal_phase(state, lambda vx, vy: 0.0 * vx, list(state.layout.particles[0].spans))
-    assert np.abs(state.amps - a).max() == 0.0
-
-
-def test_z_gate_via_phase():
-    # theta(0)=0, theta(1)=pi on |+> gives |->
-    state = StateVector(np.array([1, 1]) / np.sqrt(2), particle_layout(1, 1, 1))
-    apply_diagonal_phase(state, lambda v: np.where(v == -1, np.pi, 0.0), [Span(0, 1)])
-    expect = np.array([1, -1]) / np.sqrt(2)
-    assert np.abs(state.amps - expect).max() < 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_diagonal_phase_preserves_moduli(seed):
-    rng = np.random.default_rng(seed)
-    a = random_state(rng, 6)
-    state = StateVector(a.copy(), particle_layout(1, 2, 3))
-    apply_diagonal_phase(state, lambda vx, vy: 0.3 * vx ** 2 - 1.7 * vy,
-                         list(state.layout.particles[0].spans))
-    assert np.abs(np.abs(state.amps) - np.abs(a)).max() < 1e-12
-    assert abs(state.norm_sq() - 1.0) < 1e-12
-
-
-def test_singular_phase_names_offender():
-    state = StateVector.zero_state(4, particle_layout(1, 2, 2))
-    spans = list(state.layout.particles[0].spans)
-    with pytest.raises(SingularPhaseError) as err:
-        apply_diagonal_phase(state, lambda vx, vy: 1.0 / (vx ** 2 + vy ** 2), spans)
-    assert err.value.values == (0, 0)
-    # an override at the singular tuple silences it
-    apply_diagonal_phase(state, lambda vx, vy: 1.0 / (vx ** 2 + vy ** 2), spans,
-                         overrides={(0, 0): 0.0})
 
 
 # -- controlled application -------------------------------------------------------
@@ -234,16 +190,18 @@ def test_measure_requires_rng_or_forcing():
 def test_x_rotation_identity_and_split():
     layout = particle_layout(1, 1, 2).with_ancilla("cap")
     spans = [Span(0, 2)]
+    one_hot = np.zeros(4, dtype=bool)   # only the register value 1
+    one_hot[1] = True
     state = StateVector.basis_state(3, 0b01, layout)   # value 1, ancilla 0
-    multi_controlled_x_rotation(state, spans, (1,), 2, 0.0)
+    masked_ancilla_x_rotation(state, spans, one_hot, 2, 0.0)
     assert state.amps[0b01] == pytest.approx(1.0)
     theta = np.pi / 2 * 0.5
-    multi_controlled_x_rotation(state, spans, (1,), 2, theta)
+    masked_ancilla_x_rotation(state, spans, one_hot, 2, theta)
     assert state.amps[0b001] == pytest.approx(np.cos(theta))
     assert state.amps[0b101] == pytest.approx(1j * np.sin(theta))
     # non-matching value untouched
     other = StateVector.basis_state(3, 0b10, layout)
-    multi_controlled_x_rotation(other, spans, (1,), 2, theta)
+    masked_ancilla_x_rotation(other, spans, one_hot, 2, theta)
     assert other.amps[0b10] == pytest.approx(1.0)
 
 
@@ -268,7 +226,7 @@ def test_add_sub_examples():
 
     def read(state):
         idx = int(np.argmax(np.abs(state.amps)))
-        return get_reg_val(idx, 0, 4), get_reg_val(idx, 4, 4)
+        return signed_value(idx & 15, 4), signed_value(idx >> 4, 4)
 
     st1 = mk(3, 5)
     register_add_sub(st1, a_span, b_span, "subtract")
@@ -282,7 +240,7 @@ def test_add_sub_wraparound():
     state = StateVector.basis_state(6, (0b001 << 3) | 0b100, layout)  # |-4>|1>
     register_add_sub(state, layout.span(0, 0), layout.span(1, 0), "subtract")
     idx = int(np.argmax(np.abs(state.amps)))
-    assert get_reg_val(idx, 0, 3) == 3 and get_reg_val(idx, 3, 3) == 1
+    assert signed_value(idx & 7, 3) == 3 and signed_value(idx >> 3, 3) == 1
 
 
 def test_add_sub_is_permutation():
@@ -320,7 +278,7 @@ def test_enlarge_sign_extension(value):
     grown = enlarge_particle(state, 0, 1)
     assert grown.num_qubits == 4
     idx = int(np.argmax(np.abs(grown.amps)))
-    assert get_reg_val(idx, 0, 4) == value
+    assert signed_value(idx, 4) == value
 
 
 def test_enlarge_preserves_marginals(rng):
@@ -362,9 +320,3 @@ def test_statevector_length_validation():
     with pytest.raises(LayoutError):
         StateVector(np.ones(3))
 
-
-def test_fidelity_symmetry(rng):
-    a = StateVector(random_state(rng, 5))
-    b = StateVector(random_state(rng, 5))
-    assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-14)
-    assert 0.0 <= fidelity(a, b) <= 1.0
