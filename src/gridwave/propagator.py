@@ -444,19 +444,22 @@ def propagate(state: StateVector, plan: StepPlan, spec: HamiltonianSpec,
     (the state must be treated as read-only).  ``events`` maps a step index
     to a callable (state, plan, spec) -> (state, plan, spec) applied after
     that step completes; the kernel is recompiled, so mid-run dt changes,
-    register enlargement and coupling changes are supported.
+    register enlargement and coupling changes are supported.  The time is
+    counted, not summed: t0 + (step - s) * dt from the step s and time t0 of
+    the last event (the start, before any), so it carries no rounding drift.
     """
     if steps < 0:
         raise ConfigError("steps must be non-negative", field="plan.steps")
     kernel = compile_step(state.layout, plan, spec) if steps else None
-    t = t0
+    start = 0
     for step in range(1, steps + 1):
         kernel.apply(state, escape)
-        t += plan.dt
+        t = t0 + (step - start) * plan.dt
         for cb in callbacks:
             cb(step, t, state)
         if events and step in events:
             state, plan, spec = events[step](state, plan, spec)
+            t0, start = t, step
             if step < steps:
                 kernel = compile_step(state.layout, plan, spec)
     return state

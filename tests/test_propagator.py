@@ -556,6 +556,24 @@ def test_propagate_callbacks_and_events(rng):
     assert abs(out.norm_sq() - 1.0) < 1e-12
 
 
+def test_propagate_clock_counts_steps_from_the_last_event(rng):
+    # ten steps of 0.1 sum to 0.9999999999999999; counted, they make 1.0, and
+    # after the event at step 10 the time counts on from there at the new dt
+    box = SimulationBox(1, 3, 8.0)
+    layout = particle_layout(1, 1, 3, box=box)
+    times = []
+
+    def halve_dt(state_, plan_, spec_):
+        return state_, plan_.with_dt(0.05), spec_
+
+    propagate(_random_sv(rng, layout), StepPlan(0.1), hydrogen_spec(1), 30,
+              callbacks=[lambda step, t, current: times.append(t)],
+              events={10: halve_dt}, t0=2.0)
+    assert times == ([2.0 + k * 0.1 for k in range(1, 11)]
+                     + [(2.0 + 10 * 0.1) + k * 0.05 for k in range(1, 21)])
+    assert times[9] == 3.0
+
+
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.01])
 def test_step_plan_rejects_bad_dt(dt):
     with pytest.raises(ConfigError):

@@ -377,6 +377,31 @@ observables { autocorrelation = 2 }
     assert {"autocorrelation_patch0.csv", "autocorrelation_patch2.csv"} <= names
 
 
+def test_run_probe_series_is_phase_probe_series(tmp_path):
+    # the run's clock counts steps, so its probe series and energy fit are the
+    # library's phase_probe_series and fit, times included, bit for bit
+    from gridwave.iofmt import read_timeseries_csv
+    from gridwave.observables import fit_energy_from_signal, phase_probe_series
+    from gridwave.propagator import StepPlan
+    text = """
+box { dims = 2  n_r = 5  length = 20.0 }
+hamiltonian { nucleus { position = 0.0 0.0 } }
+initial_state { hydrogen2d { n = 1  m = 1 } }
+plan { dt = 0.01  steps = 3000 }
+observables { ipe { every = 10 } }
+"""
+    run_scenario(text, tmp_path)
+    scen = load_scenario(text)
+    series = phase_probe_series(build_initial_state(scen), StepPlan(0.01), scen.spec,
+                                3000, 10)
+    written = read_timeseries_csv(tmp_path / "ipe.csv")
+    assert written.times.tolist() == series.times.tolist()
+    assert written.values.tolist() == series.values.tolist()
+    est = fit_energy_from_signal(series)
+    assert (tmp_path / "ipe_fit.csv").read_text().splitlines()[1] == (
+        f"{est.energy:.17g},{est.uncertainty:.17g},{est.method}")
+
+
 def test_run_imaginary_time_prep_logs_both_clocks(tmp_path):
     text = """
 seed = 2
