@@ -356,6 +356,8 @@ def load_scenario(text: str) -> Scenario:
     dt, steps = plan.get("dt"), plan.get("steps")
     aug = plan.child("augmentation")
     patches = aug.get("patches") if aug else (0,)
+    if len(set(patches)) < len(patches):
+        _fail(aug, "lists a patch size twice; each variant runs once", "patches")
     if any(patches):
         _check_dense(aug, "patches", n, box, projected=True)
         if max(patches) > 1 << box.n_r:

@@ -240,6 +240,8 @@ BAD_FIELDS.update({
     "patch_3d": (_on_grid(BASE.replace(*PATCHED), 3, 2), "plan.augmentation.patches", 6),
     "patch_dense_too_large": (_on_grid(BASE.replace(*PATCHED), 2, 7),
                               "plan.augmentation.patches", 6),
+    "patch_repeated": (BASE.replace("steps = 5 }", "steps = 5  augmentation { patches = 2 2 } }"),
+                       "plan.augmentation.patches", 6),
     "patch_wider_than_grid": (
         BASE.replace("n_r = 4", "n_r = 1").replace(
             "steps = 5 }", "steps = 5  augmentation { patches = 4 } }"),
