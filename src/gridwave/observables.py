@@ -4,8 +4,9 @@ The paper's |+>-controlled evolutions (the single-qubit phase probe and the
 S-qubit phase register) run here without their ancillas: the |0> branch
 never moves, so every readout is a function of the autocorrelation
 c(k) = <psi|U^k|psi> along one evolved copy of the state
-(``tests/oracles.py`` keeps the controlled circuit, ``controlled_evolution_plus``
-and ``phase_register_readout``, as the reference).  These exact probabilities are what an emulator can read that
+(``tests/oracles.py`` keeps the controlled circuits,
+``controlled_evolution_plus`` and ``phase_register_readout``, as the
+reference).  These exact probabilities are what an emulator can read that
 hardware cannot; the shot-sampled mode exists to show the statistical cost a
 real device pays.
 """

@@ -85,7 +85,7 @@ def test_pixel_family_orthonormal_under_grid_sampling():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=2, max_value=5))
+@given(st.integers(min_value=2, max_value=6))
 def test_ascending_order_sorts_coordinates(n_r):
     # an exported density runs by increasing coordinate along x and along y:
     # give basis state i the probability (i + 1) / Z, so each entry of the
@@ -94,8 +94,7 @@ def test_ascending_order_sorts_coordinates(n_r):
     size = 1 << 2 * n_r
     probs = np.arange(1, size + 1) / (size * (size + 1) / 2)
     state = StateVector(np.sqrt(probs), particle_layout(1, 2, n_r, box=box))
-    index = np.rint(probability_density(state, 0) * size * (size + 1) / 2) - 1
-    index = index.astype(np.int64)
+    index = (np.rint(probability_density(state, 0) * size * (size + 1) / 2) - 1).astype(int)
     coords = box.coordinates()
     x, y = coords[index & ((1 << n_r) - 1)], coords[index >> n_r]
     assert np.all(np.diff(x, axis=0) > 0) and np.all(np.diff(x, axis=1) == 0)

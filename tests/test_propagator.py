@@ -557,8 +557,9 @@ def test_propagate_callbacks_and_events(rng):
 
 
 def test_propagate_clock_counts_steps_from_the_last_event(rng):
-    # ten steps of 0.1 sum to 0.9999999999999999; counted, they make 1.0, and
-    # after the event at step 10 the time counts on from there at the new dt
+    # from t0 = 2, ten steps of 0.1 summed reach 3.000000000000001; counted,
+    # they reach 3.0, and after the event at step 10 the time counts on from
+    # there at the new dt
     box = SimulationBox(1, 3, 8.0)
     layout = particle_layout(1, 1, 3, box=box)
     times = []
