@@ -30,11 +30,10 @@ from .states import (Gaussian, Hydrogen2D, Hydrogen3D, Superposition,
                      hydrogen2d_eigenstate, hydrogen2d_energy,
                      hydrogen3d_eigenstate, spherical_harmonic)
 from .observables import (EnergyEstimate, TimeSeries, autocorrelation,
-                          escape_tracker,
-                          fit_energy_from_signal, ipe_probability,
+                          escape_tracker, fit_energy_from_signal,
                           multi_qubit_phase_estimation, phase_probe_series,
                           phase_register_distribution, probability_density,
-                          sampled_energy_expectation, signal_spectrum)
+                          sampled_energy_expectation)
 from .prep import (ImaginaryTimeParams, ImaginaryTimeRun, SynthSpectrum,
                    align_energies, antisymmetrize_tagged, ideal_exchange_state,
                    imaginary_time_run, imaginary_time_step,

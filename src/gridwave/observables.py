@@ -1,14 +1,15 @@
 """Autocorrelation, phase-probe energy estimation, densities, escape tracking.
 
-The paper's |+>-controlled evolutions (the single-qubit phase probe and the
-S-qubit phase register) run here without their ancillas: the |0> branch
-never moves, so every readout is a function of the autocorrelation
-c(k) = <psi|U^k|psi> along one evolved copy of the state
-(``tests/oracles.py`` keeps the controlled circuits,
-``controlled_evolution_plus`` and ``phase_register_readout``, as the
-reference).  These exact probabilities are what an emulator can read that
-hardware cannot; the shot-sampled mode exists to show the statistical cost a
-real device pays.
+The paper's |+>-controlled evolutions (the single-qubit phase probe, the
+S-qubit phase register and, in ``prep``, the state edit) run here without
+their ancillas: the |0> branch never moves, so each readout comes off one
+copy of the state that ``propagator.propagate`` evolves, and the probe and
+register readouts are functions of the autocorrelation c(k) = <psi|U^k|psi>
+that a callback collects along it (``tests/oracles.py`` keeps the controlled
+circuits, ``controlled_evolution_plus`` and ``phase_register_readout``, as
+the reference).  The probe's energy comes from one cosine-phase fit.  These
+exact probabilities are what an emulator can read that hardware cannot; the
+shot-sampled mode exists to show the statistical cost a real device pays.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, GridwaveError
 from .hamiltonian import HamiltonianSpec
-from .propagator import (StepKernel, StepPlan, basis_energies, compile_step,
-                         span_axes)
+from .propagator import StepPlan, basis_energies, propagate, span_axes
 from .registers import span_values
 from . import statevector
 from .statevector import StateVector, apply_inverse_qft, pairwise_sum
@@ -49,7 +49,7 @@ class TimeSeries:
 @dataclass
 class EnergyEstimate:
     energy: float          # Hartree
-    method: str            # phase-fit | spectrum-peak | phase-register | sampled-expectation
+    method: str            # phase-fit | phase-register | sampled-expectation
     uncertainty: float = 0.0
 
     def __post_init__(self):
@@ -66,18 +66,20 @@ def autocorrelation(initial: StateVector, current: StateVector) -> complex:
 
 # -- single-ancilla phase probe ----------------------------------------------
 
-def compile_unitary_step(state: StateVector, plan: StepPlan,
-                         spec: HamiltonianSpec) -> StepKernel:
-    """The cycle U of a |+>-controlled evolution on ``state``.
+def _controlled_evolution(state: StateVector, plan: StepPlan, spec: HamiltonianSpec,
+                          steps: int, callbacks=()) -> StateVector:
+    """The moving branch of a |+>-controlled U^steps on ``state``: a copy
+    evolved by ``propagate`` (``callbacks`` read it after each cycle);
+    ``state`` is left untouched.
 
-    The readouts below are exact functions of c(k) and U^k psi only for a
-    unitary U, so a damped plan is refused.
+    The readouts are exact functions of c(k) and U^k psi only for a unitary
+    U, so a damped plan is refused.
     """
     if plan.attenuation is not None:
         raise ConfigError("controlled evolution needs the unitary cycle; "
                           "boundary damping is not supported here",
                           field="plan.attenuation")
-    return compile_step(state.layout, plan, spec)
+    return propagate(state.copy(), plan, spec, steps, callbacks=callbacks)
 
 
 def plus_probability(c):
@@ -85,20 +87,6 @@ def plus_probability(c):
     state: (1 + Re c)/2 for the autocorrelation c = <psi|U^k|psi>
     (elementwise on an array of them)."""
     return (1.0 + np.real(c)) / 2.0
-
-
-def ipe_probability(state: StateVector, plan: StepPlan, spec: HamiltonianSpec,
-                    steps: int) -> float:
-    """<+| probability of a |+> probe after ``steps`` cycles conditioned on it.
-
-    The probe's |0> branch never moves, so this is plus_probability of
-    c(steps), read off one evolved copy; ``state`` is left untouched.
-    """
-    kernel = compile_unitary_step(state, plan, spec)
-    work = state.copy()
-    for _ in range(steps):
-        kernel.apply(work)
-    return plus_probability(autocorrelation(state, work))
 
 
 def phase_probe_series(initial: StateVector, plan: StepPlan, spec: HamiltonianSpec,
@@ -111,41 +99,19 @@ def phase_probe_series(initial: StateVector, plan: StepPlan, spec: HamiltonianSp
     """
     if every < 1:
         raise ConfigError("cadence must be >= 1", field="observables.ipe.every")
-    kernel = compile_unitary_step(initial, plan, spec)
-    work = initial.copy()
-    times, values = [], []
-    for step in range(1, total_steps + 1):
-        kernel.apply(work)
+    times, lags = [], []
+
+    def read(step, t, current):
         if step % every == 0:
-            times.append(step * plan.dt)
-            values.append(plus_probability(autocorrelation(initial, work)))
-    return TimeSeries(np.array(times), np.array(values), label="plus_probability")
+            times.append(t)
+            lags.append(autocorrelation(initial, current))
+
+    _controlled_evolution(initial, plan, spec, total_steps, callbacks=(read,))
+    return TimeSeries(np.array(times), plus_probability(np.array(lags)),
+                      label="plus_probability")
 
 
 # -- energy extraction from a(t) ----------------------------------------------
-
-def signal_spectrum(series: TimeSeries):
-    """Power spectrum of 2a(t)-1 with the DC term removed.
-
-    Returns (angular frequencies >= 0, power).  The frequency spacing
-    2*pi/(M*dt_sample) is the stated resolution of any peak read off it.
-    """
-    y = 2.0 * np.asarray(series.values, dtype=np.float64) - 1.0
-    m = y.size
-    dt = float(series.times[1] - series.times[0])
-    power = np.abs(np.fft.rfft(y - y.mean())) ** 2
-    freqs = 2.0 * np.pi * np.fft.rfftfreq(m, d=dt)
-    return freqs, power
-
-
-def _parabolic_peak(freqs: np.ndarray, power: np.ndarray, idx: int) -> float:
-    if 0 < idx < power.size - 1:
-        a, b, c = power[idx - 1], power[idx], power[idx + 1]
-        denom = a - 2 * b + c
-        if denom != 0:
-            return float(freqs[idx] + 0.5 * (a - c) / denom * (freqs[1] - freqs[0]))
-    return float(freqs[idx])
-
 
 def _unfold_cosine_phase(y: np.ndarray) -> np.ndarray:
     """Monotone phase p_k with cos(p_k) = y_k, assuming the true phase only
@@ -166,58 +132,41 @@ def _unfold_cosine_phase(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_energy_from_signal(series: TimeSeries, mode: str = "fit") -> EnergyEstimate:
+def fit_energy_from_signal(series: TimeSeries) -> EnergyEstimate:
     """Extract |E| from a(t) = cos^2(E t/2) and sign it by convention.
 
-    ``fit`` tracks the accumulated phase arccos(2a-1) = |E|t (fold-unwrapped),
-    then refines by least squares against the cosine model; this resolves
-    even signals far shorter than one period.  ``spectrum`` reports the
-    interpolated dominant Fourier peak and needs at least half a period.
-    The signal is even in E, so the sign is a convention: negative, as for
-    a bound state.
+    Tracks the accumulated phase arccos(2a-1) = |E|t (fold-unwrapped), then
+    refines by least squares against the cosine model; this resolves even
+    signals far shorter than one period.  The signal is even in E, so the
+    sign is a convention: negative, as for a bound state.
     """
     if len(series) < 8:
         raise ConfigError("need at least 8 samples", field="observables.ipe")
     y = 2.0 * np.asarray(series.values, dtype=np.float64) - 1.0
     t = series.times
-    span = float(t[-1] - t[0])
     if np.ptp(y) < 1e-13:
         raise GridwaveError("flat phase-probe signal: energy unresolvable")
-    resolution = 2.0 * np.pi / span
-    if mode == "spectrum":
-        freqs, power = signal_spectrum(series)
-        if power.size < 2 or not np.any(power[1:] > 0):
-            raise GridwaveError("flat phase-probe signal: energy unresolvable")
-        idx = 1 + int(np.argmax(power[1:]))
-        omega = _parabolic_peak(freqs, power, idx)
-        if omega * span < np.pi:
-            raise GridwaveError("signal spans less than half a period; "
-                                "the spectrum cannot resolve it")
-    elif mode == "fit":
-        from scipy.optimize import least_squares
-        phase = _unfold_cosine_phase(y)
-        # slope through the origin (a(0)=1 pins the zero intercept)
-        omega0 = float(np.dot(phase, t) / np.dot(t, t))
-        if omega0 <= 0.0:
-            raise GridwaveError("phase tracking found no accumulation")
+    from scipy.optimize import least_squares
+    phase = _unfold_cosine_phase(y)
+    # slope through the origin (a(0)=1 pins the zero intercept)
+    omega0 = float(np.dot(phase, t) / np.dot(t, t))
+    if omega0 <= 0.0:
+        raise GridwaveError("phase tracking found no accumulation")
 
-        def resid(p):
-            amp, omega, phi = p
-            return amp * np.cos(omega * t + phi) - y
+    def resid(p):
+        amp, omega, phi = p
+        return amp * np.cos(omega * t + phi) - y
 
-        sol = least_squares(resid, x0=[1.0, omega0, 0.0],
-                            bounds=([0.0, 0.0, -np.pi], [2.0, np.inf, np.pi]))
-        omega = float(abs(sol.x[1]))
-        jac = sol.jac
-        try:
-            cov = np.linalg.inv(jac.T @ jac) * 2 * sol.cost / max(len(t) - 3, 1)
-            resolution = float(np.sqrt(max(cov[1, 1], 0.0)))
-        except np.linalg.LinAlgError:
-            pass
-    else:
-        raise ValueError("mode must be 'fit' or 'spectrum'")
-    return EnergyEstimate(-omega, "phase-fit" if mode == "fit" else "spectrum-peak",
-                          resolution)
+    sol = least_squares(resid, x0=[1.0, omega0, 0.0],
+                        bounds=([0.0, 0.0, -np.pi], [2.0, np.inf, np.pi]))
+    omega = float(abs(sol.x[1]))
+    jac = sol.jac
+    try:
+        cov = np.linalg.inv(jac.T @ jac) * 2 * sol.cost / max(len(t) - 3, 1)
+        resolution = float(np.sqrt(max(cov[1, 1], 0.0)))
+    except np.linalg.LinAlgError:
+        resolution = 2.0 * np.pi / float(t[-1] - t[0])
+    return EnergyEstimate(-omega, "phase-fit", resolution)
 
 
 # -- multi-qubit phase register ------------------------------------------------
@@ -237,14 +186,16 @@ def phase_register_distribution(state: StateVector, plan: StepPlan,
     """
     if s_qubits < 1:
         raise ConfigError("need at least one phase qubit")
+    if base_steps < 1:
+        raise ConfigError("base_steps must be >= 1")
     m = 1 << s_qubits
-    kernel = compile_unitary_step(state, plan, spec)
-    work = state.copy()
-    lags = [autocorrelation(state, work)]
-    for _ in range(m - 1):
-        for _ in range(base_steps):
-            kernel.apply(work)
-        lags.append(autocorrelation(state, work))
+    lags = [autocorrelation(state, state)]
+
+    def read(step, t, current):
+        if step % base_steps == 0:
+            lags.append(autocorrelation(state, current))
+
+    _controlled_evolution(state, plan, spec, (m - 1) * base_steps, callbacks=(read,))
     # the d < 0 terms are the conjugates of the d > 0 ones: 2 Re of a one-sided
     # sum, with the d = 0 weight halved
     weights = (m - np.arange(m)).astype(np.float64)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, PostSelectionError
 from .hamiltonian import HamiltonianSpec
-from .observables import TimeSeries, compile_unitary_step
+from .observables import TimeSeries, _controlled_evolution
 from .propagator import StepPlan, compile_step, split_step_inverse
 from .statevector import StateVector, pairwise_sum
 # unused here; benchmark/tracing.py wraps this name in this module's namespace
@@ -50,10 +50,7 @@ def state_edit_remove(state: StateVector, e_remove: float, plan: StepPlan,
             f"removal time snapped to {n_steps} steps leaves phase "
             f"{achieved:.4f} rad instead of pi; suppression is partial",
             stacklevel=2)
-    kernel = compile_unitary_step(state, plan, spec)
-    edited = state.copy()
-    for _ in range(n_steps):
-        kernel.apply(edited)
+    edited = _controlled_evolution(state, plan, spec, n_steps)
     edited.amps += state.amps
     edited.amps *= 0.5
     p = min(edited.norm_sq(), 1.0)
@@ -155,6 +152,8 @@ def imaginary_time_run(state: StateVector, params: ImaginaryTimeParams,
     recorded every ``record_every`` steps.  The cumulative success
     probability underflows fast, so its log10 is returned.
     """
+    if record_every < 1:
+        raise ConfigError("record_every must be >= 1", field="prep.imaginary_time.record")
     kernel = compile_step(state.layout, plan, spec)
     references = references or {}
     times, probs = [], []

@@ -118,11 +118,6 @@ class RegisterLayout:
         anc[name] = Span(self.num_qubits, width)
         return RegisterLayout(self.particles, anc, self.box)
 
-    def without_ancilla(self, name: str) -> "RegisterLayout":
-        anc = dict(self.ancillas)
-        anc.pop(name)
-        return RegisterLayout(self.particles, anc, self.box)
-
     def with_box(self, box) -> "RegisterLayout":
         return RegisterLayout(self.particles, dict(self.ancillas), box)
 

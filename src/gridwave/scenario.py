@@ -413,6 +413,10 @@ def load_scenario(text: str) -> Scenario:
         if n > 1 and not uncoupled and not any(e.drop_couplings for e in events):
             _fail(esec, "pair couplings are still on; drop them at or before "
                         "the enlargement", "enlarge_particle")
+    if obs.ipe and obs.ipe_fit and steps // obs.ipe < 8:
+        _fail(ipe, f"the energy fit needs 8 probe samples; {steps} steps every "
+                   f"{obs.ipe} give {steps // obs.ipe} (fit = false keeps the "
+                   "series)", "fit")
 
     return Scenario(
         root=root, description=top.get("description"), seed=top.get("seed"),
@@ -636,7 +640,7 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
                     np.asarray(times), np.asarray(values)))
                 sampled = name == "sampled_energy" and obs.sampled_energy_shots > 0
                 outputs[f"{name}{suffix}.csv"] = {"sampled": sampled}
-        if obs.ipe and obs.ipe_fit and len(series["ipe"][0]) >= 8:
+        if obs.ipe and obs.ipe_fit:
             est = fit_energy_from_signal(TimeSeries(*map(np.asarray, series["ipe"])))
             name = f"ipe_fit{suffix}.csv"
             (out / name).write_text(

@@ -8,14 +8,14 @@ from gridwave.grid import SimulationBox
 from gridwave.hamiltonian import (AttenuationSpec, HamiltonianSpec, ParticleSpec,
                                   UniformEdgeRegion)
 from gridwave.observables import (TimeSeries, autocorrelation, escape_tracker,
-                                  fit_energy_from_signal, ipe_probability,
+                                  fit_energy_from_signal,
                                   multi_qubit_phase_estimation,
                                   phase_probe_series,
                                   phase_register_distribution,
                                   probability_density,
-                                  sampled_energy_expectation, signal_spectrum)
+                                  sampled_energy_expectation)
 from gridwave.prep import state_edit_remove
-from gridwave.propagator import StepPlan, compile_step, kinetic_constant
+from gridwave.propagator import StepKernel, StepPlan, compile_step, kinetic_constant
 from gridwave.registers import particle_layout, pattern_of_value
 from gridwave.statevector import StateVector
 from .conftest import cached_eig, hydrogen_spec, random_state
@@ -56,20 +56,18 @@ def _eigen_setup(hyd2d_spec, k=0, n_r=3):
     return box, evals[k], state
 
 
+def _probe(state, plan, spec, steps):
+    """The probe's <+| probability after ``steps`` conditioned cycles."""
+    return phase_probe_series(state, plan, spec, steps, steps).values[0]
+
+
 def test_ipe_probability_eigenstate_cosine(hyd2d_spec):
     box, energy, state = _eigen_setup(hyd2d_spec)
     steps = 40
     dt = 0.01
-    p = ipe_probability(state, StepPlan(dt), hyd2d_spec, steps)
+    p = _probe(state, StepPlan(dt), hyd2d_spec, steps)
     # the probe traces cos^2(E t / 2) up to Trotter error
     assert p == pytest.approx(np.cos(energy * steps * dt / 2) ** 2, abs=1e-5)
-
-
-def test_ipe_probability_zero_steps(hyd2d_spec, rng):
-    box = SimulationBox(2, 3, 10.0, 0.5)
-    layout = particle_layout(1, 2, 3, box=box)
-    state = StateVector(random_state(rng, 6), layout)
-    assert ipe_probability(state, StepPlan(0.01), hyd2d_spec, 0) == pytest.approx(1.0)
 
 
 def test_ipe_two_component_average(hyd2d_spec):
@@ -80,7 +78,7 @@ def test_ipe_two_component_average(hyd2d_spec):
     mix = (evecs[:, 0] + evecs[:, 4]) / np.sqrt(2)
     state = StateVector(mix.astype(complex), layout)
     steps, dt = 30, 0.01
-    p = ipe_probability(state, StepPlan(dt), hyd2d_spec, steps)
+    p = _probe(state, StepPlan(dt), hyd2d_spec, steps)
     t = steps * dt
     expect = 0.5 * (np.cos(evals[0] * t / 2) ** 2 + np.cos(evals[4] * t / 2) ** 2)
     assert p == pytest.approx(expect, abs=1e-5)
@@ -123,21 +121,16 @@ def dense_cycle():
     return spec, plan, u, psi
 
 
-def test_ipe_probability_matches_controlled_circuit(dense_cycle):
-    spec, plan, u, psi = dense_cycle
-    before = psi.amps.copy()
-    for steps in (1, 7, 20):
-        _, expected = controlled_evolution_plus(u, psi.amps, steps)
-        assert abs(ipe_probability(psi, plan, spec, steps) - expected) < 1e-12
-    assert np.array_equal(psi.amps, before)
-
-
 def test_phase_probe_series_matches_controlled_circuit(dense_cycle):
     spec, plan, u, psi = dense_cycle
-    series = phase_probe_series(psi, plan, spec, total_steps=24, every=4)
-    expected = [controlled_evolution_plus(u, psi.amps, n)[1] for n in range(4, 25, 4)]
-    assert np.allclose(series.times, plan.dt * np.arange(4, 25, 4), rtol=0, atol=1e-15)
-    assert np.abs(series.values - np.asarray(expected)).max() < 1e-12
+    before = psi.amps.copy()
+    for every in (1, 4):
+        series = phase_probe_series(psi, plan, spec, total_steps=24, every=every)
+        lags = range(every, 25, every)
+        expected = [controlled_evolution_plus(u, psi.amps, n)[1] for n in lags]
+        assert np.allclose(series.times, plan.dt * np.array(lags), rtol=0, atol=1e-15)
+        assert np.abs(series.values - np.asarray(expected)).max() < 1e-12
+    assert np.array_equal(psi.amps, before)
 
 
 def test_state_edit_matches_controlled_circuit(dense_cycle):
@@ -155,19 +148,35 @@ def test_state_edit_matches_controlled_circuit(dense_cycle):
 @pytest.mark.parametrize("s_qubits", [1, 3, 5])
 def test_phase_register_matches_register_circuit(dense_cycle, s_qubits, monkeypatch):
     spec, plan, u, psi = dense_cycle
-    from gridwave.propagator import StepKernel
-    cycles = []
-    inner = StepKernel.apply
+    kernels, cycles = [], []
+    init, apply = StepKernel.__init__, StepKernel.apply
+    monkeypatch.setattr(StepKernel, "__init__",
+                        lambda self, *a: kernels.append(self) or init(self, *a))
     monkeypatch.setattr(StepKernel, "apply",
-                        lambda self, *a, **k: cycles.append(1) or inner(self, *a, **k))
-    dist = phase_register_distribution(psi, plan, spec, s_qubits, base_steps=2)
+                        lambda self, *a: cycles.append(self) or apply(self, *a))
+    before = psi.amps.copy()
+
+    def counted(run, count):
+        # one compiled kernel runs exactly ``count`` cycles on a copy
+        kernels.clear()
+        cycles.clear()
+        out = run()
+        assert len(kernels) == 1 and cycles == kernels * count
+        assert np.array_equal(psi.amps, before)
+        return out
+
+    # as many cycles as the circuit's controlled gates: (2^S - 1) * base for
+    # the register, the probe's total and the edit's removal time
+    n = (1 << s_qubits) - 1
+    dist = counted(lambda: phase_register_distribution(psi, plan, spec, s_qubits,
+                                                       base_steps=2), 2 * n)
     expected = phase_register_readout(u, psi.amps, s_qubits, 2)
     assert np.abs(dist - expected).max() < 1e-12
-    # as many cycles as the circuit's controlled gates: (2^S - 1) * base
-    assert len(cycles) == ((1 << s_qubits) - 1) * 2
+    counted(lambda: phase_probe_series(psi, plan, spec, total_steps=n + 2, every=3), n + 2)
+    counted(lambda: state_edit_remove(psi, -np.pi / (n * plan.dt), plan, spec), n)
 
 
-@pytest.mark.parametrize("name", ["ipe_probability", "phase_probe_series",
+@pytest.mark.parametrize("name", ["phase_probe_series",
                                   "phase_register_distribution",
                                   "state_edit_remove"])
 def test_controlled_evolution_rejects_damped_plan(name):
@@ -177,7 +186,6 @@ def test_controlled_evolution_rejects_damped_plan(name):
     plan = StepPlan(0.05, attenuation=AttenuationSpec(UniformEdgeRegion(2, 1.0)))
     state = StateVector(random_state(np.random.default_rng(5), 4), layout)
     calls = {
-        "ipe_probability": lambda: ipe_probability(state, plan, spec, 3),
         "phase_probe_series": lambda: phase_probe_series(state, plan, spec, 4, 2),
         "phase_register_distribution":
             lambda: phase_register_distribution(state, plan, spec, 2, 1),
@@ -211,19 +219,6 @@ def test_fit_needs_enough_samples():
         fit_energy_from_signal(TimeSeries(t, np.cos(t) ** 2))
 
 
-def test_two_component_spectrum_peaks():
-    e1, e2 = 1.3, 3.7
-    t = np.linspace(0.0, 40.0, 512)
-    a = 0.5 * (np.cos(e1 * t / 2) ** 2 + np.cos(e2 * t / 2) ** 2)
-    freqs, power = signal_spectrum(TimeSeries(t, a))
-    resolution = freqs[1] - freqs[0]
-    # the two strongest non-DC peaks sit within one bin of the energies
-    order = np.argsort(power[1:])[::-1] + 1
-    found = sorted(freqs[order[:2]])
-    assert abs(found[0] - e1) <= resolution
-    assert abs(found[1] - e2) <= resolution
-
-
 def test_fit_roundtrip_precision():
     t = np.linspace(0.0, 12.0, 256)
     series = TimeSeries(t, np.cos(0.731 * t) / 2 + 0.5)
@@ -255,7 +250,7 @@ def test_phase_register_s1_is_single_probe(hyd2d_spec):
     box, energy, state = _eigen_setup(hyd2d_spec)
     dt, steps = 0.01, 8
     dist = phase_register_distribution(state, StepPlan(dt), hyd2d_spec, 1, steps)
-    p_plus = ipe_probability(state, StepPlan(dt), hyd2d_spec, steps)
+    p_plus = _probe(state, StepPlan(dt), hyd2d_spec, steps)
     assert dist[0] == pytest.approx(p_plus, abs=1e-12)
 
 
@@ -270,6 +265,14 @@ def test_phase_register_between_bins_matches_kernel(hyd2d_spec):
     phi = energy * base * dt          # accumulated per unit weight
     kernel = phase_register_kernel(phi, s_qubits)
     assert np.abs(dist - kernel).max() < 2e-4
+
+
+@pytest.mark.parametrize("base_steps", [0, -3])
+def test_phase_register_refuses_non_positive_base(hyd2d_spec, base_steps):
+    box, energy, state = _eigen_setup(hyd2d_spec)
+    for readout in (phase_register_distribution, multi_qubit_phase_estimation):
+        with pytest.raises(ConfigError, match="base_steps"):
+            readout(state, StepPlan(0.01), hyd2d_spec, 2, base_steps)
 
 
 def test_mqpe_energy_estimate(hyd2d_spec):

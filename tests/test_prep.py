@@ -194,6 +194,18 @@ def test_imaginary_time_guard_rails(hyd2d_spec):
         imaginary_time_step(state, params, StepPlan(2e-3), hyd2d_spec)
 
 
+@pytest.mark.parametrize("record_every", [0, -2])
+def test_imaginary_time_run_refuses_non_positive_cadence(hyd2d_spec, record_every):
+    box = SimulationBox(2, 2, 10.0, 0.5)
+    layout = particle_layout(1, 2, 2, box=box)
+    state = StateVector.basis_state(4, 5, layout)
+    params = ImaginaryTimeParams(0.9, 1e-3)
+    with pytest.raises(ConfigError) as err:
+        imaginary_time_run(state, params, StepPlan(1e-3), hyd2d_spec, 4,
+                           record_every=record_every)
+    assert err.value.field == "prep.imaginary_time.record"
+
+
 # -- tagged exchange symmetrisation ---------------------------------------------------
 
 def _orthonormal_states(rng, count, dim):

@@ -66,5 +66,3 @@ def test_particle_layout_packing():
     grown = layout.with_ancilla("cap")
     assert grown.ancillas["cap"] == Span(24, 1)
     assert grown.num_qubits == 25
-    back = grown.without_ancilla("cap")
-    assert back.num_qubits == 24

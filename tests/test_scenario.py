@@ -216,6 +216,9 @@ BAD_FIELDS = {
                         "event.at_step", 9),
     "zero_edit_energy": (BASE + "prep { edit { energy = 0.0 } }",
                          "prep.edit.energy", 8),
+    # 20 steps every 4 give 5 probe samples, short of the fit's 8
+    "ipe_fit_too_few_samples": (BASE.replace("steps = 5", "steps = 20").replace(
+        "density = 1", "ipe { every = 4  fit = true }"), "observables.ipe.fit", 7),
 }
 # the dense layer builds at most MAX_DIM dimensions, and its projected
 # potential one particle in 1D or 2D; a patch fits inside the grid; a damped
@@ -272,6 +275,18 @@ def test_bad_field_rejected_at_validate(name):
         validate_scenario(text)
     assert err.value.field == field
     assert f"line {line}:" in str(err.value)
+
+
+def test_ipe_fit_refusal_counts_samples():
+    short = BASE.replace("steps = 5", "steps = 20").replace("density = 1",
+                                                            "ipe { every = 4 }")
+    # fit defaults to true, so the error names the ipe block's line
+    with pytest.raises(ConfigError, match=r"line 7: .*8 probe samples.* give 5"
+                                          r".*fit = false") as err:
+        validate_scenario(short)
+    assert err.value.field == "observables.ipe.fit"
+    validate_scenario(short.replace("every = 4", "every = 4  fit = false"))
+    validate_scenario(short.replace("steps = 20", "steps = 32"))
 
 
 def test_enlargement_counts_toward_the_ceiling():
