@@ -121,6 +121,16 @@ def dense_cycle():
     return spec, plan, u, psi
 
 
+def test_ipe_probability_matches_controlled_circuit(dense_cycle):
+    # one probe sample after ``steps`` cycles is the circuit's <+| probability
+    spec, plan, u, psi = dense_cycle
+    before = psi.amps.copy()
+    for steps in (1, 7, 20):
+        _, expected = controlled_evolution_plus(u, psi.amps, steps)
+        assert abs(_probe(psi, plan, spec, steps) - expected) < 1e-12
+    assert np.array_equal(psi.amps, before)
+
+
 def test_phase_probe_series_matches_controlled_circuit(dense_cycle):
     spec, plan, u, psi = dense_cycle
     before = psi.amps.copy()
