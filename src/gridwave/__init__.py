@@ -25,7 +25,7 @@ from .statevector import (MeasurementRecord, StateVector, apply_inverse_qft,
 from .propagator import (StepPlan, compile_step, kinetic_constant, propagate,
                          split_step_inverse)
 from .states import (Gaussian, Hydrogen2D, Hydrogen3D, Superposition,
-                     antisymmetrize_direct, bhattacharyya, discretize,
+                     bhattacharyya, discretize, exchange_product,
                      gaussian_wavepacket, generalized_laguerre,
                      hydrogen2d_eigenstate, hydrogen2d_energy,
                      hydrogen3d_eigenstate, spherical_harmonic)
@@ -35,9 +35,8 @@ from .observables import (EnergyEstimate, TimeSeries, autocorrelation,
                           phase_register_distribution, probability_density,
                           sampled_energy_expectation)
 from .prep import (ImaginaryTimeParams, ImaginaryTimeRun, SynthSpectrum,
-                   align_energies, antisymmetrize_tagged, ideal_exchange_state,
-                   imaginary_time_run, imaginary_time_step,
-                   permuted_tagged_state, state_edit_remove)
+                   align_energies, antisymmetrize_tagged, imaginary_time_run,
+                   imaginary_time_step, state_edit_remove)
 from .corrections import (CoreCorrection, apply_core_correction,
                           derive_core_correction, derive_correction,
                           patch_indices, pick_core_window)

@@ -81,7 +81,8 @@ class AttenuationSpec:
         """Ancilla rotation angle arccos(exp(-V*dt)); lies in [0, pi/2)."""
         theta = float(np.arccos(np.exp(-strength * dt)))
         if not 0.0 <= theta < np.pi / 2:
-            raise ConfigError(f"rotation angle {theta} outside [0, pi/2)",
+            raise ConfigError(f"damping strength {strength} over dt {dt} gives "
+                              f"rotation angle {theta}, outside [0, pi/2)",
                               field="attenuation")
         return theta
 

@@ -1,17 +1,18 @@
 """State preparation: component removal, imaginary-time filtering, exchange
-symmetrisation with tag registers.
+symmetrisation by the tag protocol.
 
 Every method here is probabilistic on hardware; the emulator post-selects the
 success branch deterministically and reports the probability it paid for it.
 Component removal needs no ancilla in the emulation: its |+> branch is the
-plain-state sum (psi + U^n psi)/2.
+plain-state sum (psi + U^n psi)/2.  Exchange symmetrisation needs no tag
+qubits either: its post-selected branch is an exchange product of P
+single-particle vectors, one per slot (``antisymmetrize_tagged``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import ConfigError, PostSelectionError
 from .hamiltonian import HamiltonianSpec
 from .observables import TimeSeries, _controlled_evolution
 from .propagator import StepPlan, compile_step, split_step_inverse
+from .states import exchange_product
 from .statevector import StateVector, pairwise_sum
 # unused here; benchmark/tracing.py wraps this name in this module's namespace
 from .statevector import controlled_apply  # noqa: F401
@@ -211,14 +213,13 @@ class SynthSpectrum:
             raise ConfigError("energies must be aligned so E_0 is near 0")
         if energies[-1] > (1 << self.tag_width) - 0.5:
             raise ConfigError("top energy exceeds the tag register range")
+        if len({round(e) for e in energies}) != p:
+            raise ConfigError("rounded tag integers collide; increase tag width")
         gaps = np.diff(energies)
         if gaps.min() < 1.0 - 1e-12:
-            warnings.warn("smallest synthetic gap below 1; tags may collide",
+            warnings.warn("smallest synthetic gap below 1; an energy is off its "
+                          "integer tag, which costs success probability",
                           stacklevel=2)
-
-    @property
-    def particle_qubits(self) -> int:
-        return self.states[0].size.bit_length() - 1
 
     @property
     def count(self) -> int:
@@ -234,106 +235,33 @@ def align_energies(raw, tag_width: int):
     return tuple((raw - raw[0]) * ((1 << tag_width) - 1) / span)
 
 
-def permuted_tagged_state(spectrum: SynthSpectrum, symmetrize: bool = False) -> np.ndarray:
-    """The tagged permutation superposition, built directly in memory.
-
-    Slot i holds (tag_i above particle_i); slots stack low to high.  Branch
-    orthogonality (tags are distinct integers) makes the 1/sqrt(P!) prefactor
-    exact.
-    """
-    p = spectrum.count
-    t = spectrum.tag_width
-    n = spectrum.particle_qubits
-    tags = [int(round(e)) for e in spectrum.energies]
-    if len(set(tags)) != p:
-        raise ConfigError("rounded tag integers collide; increase tag width")
-    dim = 1 << (p * (t + n))
-    out = np.zeros(dim, dtype=np.complex128)
-    for perm in permutations(range(p)):
-        sign = 1.0
-        if not symmetrize:
-            sign = float(_permutation_sign(perm))
-        slot_vectors = []
-        for i in range(p):
-            tag_vec = np.zeros(1 << t, dtype=np.complex128)
-            tag_vec[tags[perm[i]]] = 1.0
-            slot_vectors.append(np.kron(tag_vec, spectrum.states[perm[i]]))
-        full = slot_vectors[-1]
-        for v in reversed(slot_vectors[:-1]):
-            full = np.kron(full, v)
-        out += sign * full
-    out /= np.sqrt(factorial(p))
-    return out
-
-
-def _permutation_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def antisymmetrize_tagged(spectrum: SynthSpectrum, symmetrize: bool = False):
     """Tag, permute, phase-erase and post-select; returns (particle-register
     vector, success probability).
 
-    The tag registers are Fourier-analysed, each Fourier component applies the
-    synthetic evolution to its own particle register, and all tag qubits are
-    measured in the X basis; on the all-|+> outcome the particle registers
-    hold the exact (anti)symmetrised state.
+    On hardware every slot carries an integer tag register beside its
+    particle; the tags are Fourier-analysed, each Fourier component mm
+    applies the synthetic evolution W(mm) to its own particle register, and
+    the tags are post-selected on all-|+>.  All three act on one slot alone,
+    so a slot whose particle has tag tau ends up carrying
+    A_tau = (1/m) sum_mm exp(-2 pi i mm tau / m) W(mm), m = 2^t, and the
+    projected state is (1/sqrt(P!)) sum_perm sign (x)_i A s_{perm i}.  That
+    is built here from the P vectors A s_j, with no tag qubit at all.
     """
-    p = spectrum.count
-    t = spectrum.tag_width
-    n = spectrum.particle_qubits
-    m = 1 << t
-    d = 1 << n
-    vec = permuted_tagged_state(spectrum, symmetrize)
-    # interleaved axes, most significant first: (tag_{P-1}, part_{P-1}, ..., tag_0, part_0)
-    shape = (m, d) * p
-    work = vec.reshape(shape)
-    phases = np.exp(2j * np.pi * np.outer(np.arange(m), spectrum.energies) / m)
-    projectors = [np.outer(s, np.conj(s)) for s in spectrum.states]
-    eye = np.eye(d, dtype=np.complex128)
-    for slot in range(p):
-        tag_axis = 2 * (p - 1 - slot)
-        part_axis = tag_axis + 1
-        work = np.fft.fft(work, axis=tag_axis) / np.sqrt(m)
-        moved = np.moveaxis(work, (tag_axis, part_axis), (0, 1))
-        for mm in range(m):
-            w = eye + sum((phases[mm, j] - 1.0) * projectors[j] for j in range(p))
-            moved[mm] = np.einsum("ab,b...->a...", w, moved[mm])
-        work = np.moveaxis(moved, (0, 1), (tag_axis, part_axis))
-    # project every tag register onto the uniform |+...+> state
-    for slot in range(p):
-        tag_axis = 2 * (p - 1 - slot)
-        work = work.sum(axis=tag_axis, keepdims=True) / np.sqrt(m)
-    # drop the collapsed singleton tag axes: surviving vector spans P*n qubits
-    projected = work.reshape([d] * p).reshape(-1)
+    m = 1 << spectrum.tag_width
+    basis = np.array(spectrum.states)
+    mm = np.arange(m)
+    # W(mm) = 1 + sum_k (exp(2 pi i mm E_k / m) - 1) |s_k><s_k|
+    shifts = np.exp(2j * np.pi * np.outer(mm, spectrum.energies) / m) - 1.0
+    slots = []
+    for state, energy in zip(basis, spectrum.energies):
+        weights = np.exp(-2j * np.pi * mm * round(energy) / m) / m
+        overlaps = (weights @ shifts) * (basis.conj() @ state)
+        slots.append(weights.sum() * state + overlaps @ basis)
+    projected = exchange_product(slots, symmetrize)
+    projected /= np.sqrt(factorial(spectrum.count))
     success = float(np.add.reduce(np.abs(projected) ** 2))
     if success < 1e-15:
         raise PostSelectionError("all-plus tag outcome has vanishing probability")
-    return projected / np.sqrt(success), success
-
-
-def ideal_exchange_state(spectrum: SynthSpectrum, symmetrize: bool = False) -> np.ndarray:
-    """Reference (anti)symmetrised product state over the particle registers."""
-    p = spectrum.count
-    out = 0.0
-    for perm in permutations(range(p)):
-        sign = 1.0 if symmetrize else float(_permutation_sign(perm))
-        full = spectrum.states[perm[-1]]
-        for i in reversed(range(p - 1)):
-            full = np.kron(full, spectrum.states[perm[i]])
-        out = out + sign * full
-    out = out / np.linalg.norm(out)
-    return out
+    projected /= np.sqrt(success)
+    return projected, success

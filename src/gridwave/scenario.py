@@ -413,6 +413,12 @@ def load_scenario(text: str) -> Scenario:
         if n > 1 and not uncoupled and not any(e.drop_couplings for e in events):
             _fail(esec, "pair couplings are still on; drop them at or before "
                         "the enlargement", "enlarge_particle")
+    if attenuate:   # exp(-V dt) must stay above 0 for every dt the run uses
+        region = attenuation.region
+        strongest = (region.strength if isinstance(region, UniformEdgeRegion)
+                     else max(region.pixels.values()))
+        for sec in [plan] + [e for e in top.children_named("event") if e.get("dt")]:
+            _located(sec, attenuation.angle, strongest, sec.get("dt"))
     if obs.ipe and obs.ipe_fit and steps // obs.ipe < 8:
         _fail(ipe, f"the energy fit needs 8 probe samples; {steps} steps every "
                    f"{obs.ipe} give {steps // obs.ipe} (fit = false keeps the "
@@ -474,8 +480,12 @@ def build_initial_state(scen: Scenario) -> StateVector:
         else:
             vecs.append(st.discretize(orbital, box)[0])
     if init.exchange:
-        amps, _ = st.antisymmetrize_direct(
-            vecs[0], vecs[1], symmetrize=init.exchange == "symmetrize")
+        amps = st.exchange_product(vecs, symmetrize=init.exchange == "symmetrize")
+        raw = float(np.sqrt(np.add.reduce(np.abs(amps) ** 2)))
+        if raw < 1e-12:
+            raise DegenerateStateError(
+                "exchange combination vanishes (identical orbitals?)")
+        amps /= raw
     else:   # particle 0 in the lowest qubits
         amps = reduce(np.kron, reversed(vecs))
     return StateVector(amps, layout)

@@ -1,15 +1,20 @@
-"""Analytic reference states, grid discretisation, and distribution overlap.
+"""Analytic reference states, grid discretisation, exchange products, and
+distribution overlap.
 
 All quantities are in Hartree atomic units.  The hydrogenic closed forms use
 generalised Laguerre polynomials evaluated by the stable three-term upward
 recurrence (degrees here never exceed a handful) and spherical harmonics in
-the Condon-Shortley phase convention.
+the Condon-Shortley phase convention.  ``exchange_product`` is the one
+permutation sum over particle vectors: the two-orbital initial states of the
+scenarios and the tag protocol of ``prep.antisymmetrize_tagged`` both build
+on it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -120,6 +125,10 @@ class Hydrogen2D:
     def __post_init__(self):
         if self.n < 0 or abs(self.m) > self.n:
             raise ConfigError(f"invalid (n={self.n}, m={self.m})", field="initial_state")
+        # the normalisation takes (n + |m|)!, which overflows a float past 170
+        if self.n + abs(self.m) > 170:
+            raise ConfigError(f"n + |m| = {self.n + abs(self.m)} exceeds 170; "
+                              "the normalisation overflows", field="initial_state")
 
     def wavefunction(self, x, y):
         return hydrogen2d_eigenstate(self.n, self.m, np.hypot(x, y), np.arctan2(y, x))
@@ -221,22 +230,55 @@ def discretize(state, box: SimulationBox, width: int | None = None):
     return amps, c
 
 
-def antisymmetrize_direct(amps_a: np.ndarray, amps_b: np.ndarray,
-                          symmetrize: bool = False):
-    """Two-particle exchange-(anti)symmetric combination of two orbitals.
+def exchange_product(vectors, symmetrize: bool = False) -> np.ndarray:
+    """Sum over permutations of (sign) (x)_i v_{perm i}, particle 0 in the low bits.
 
-    Returns (unit-norm combined vector with particle 0 in the low bits,
-    norm before renormalisation).
+    ``vectors`` holds one single-particle vector per particle, all of one
+    size; the sign is the permutation's parity unless ``symmetrize``.  The
+    sum is written by outer products into one preallocated array and
+    returned unnormalised.
     """
-    if amps_a.shape != amps_b.shape:
+    vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
+    if any(v.shape != vectors[0].shape for v in vectors):
         raise ConfigError("particle amplitude shapes differ")
-    sign = 1.0 if symmetrize else -1.0
-    combined = np.kron(amps_b, amps_a) + sign * np.kron(amps_a, amps_b)
-    raw = float(np.sqrt(np.add.reduce(np.abs(combined) ** 2)))
-    if raw < 1e-12:
-        raise DegenerateStateError(
-            "exchange combination vanishes (identical orbitals?)")
-    return combined / raw, raw
+    p, d = len(vectors), vectors[0].size
+    if p < 2:
+        raise ConfigError("an exchange product needs two or more particles")
+    # axes most significant first, so C order puts particle 0 lowest; terms
+    # after the first are added one top-particle row at a time, so the
+    # scratch is 1/d of the state
+    out = np.empty((d,) * p, dtype=np.complex128)
+    row = np.empty((d,) * (p - 1), dtype=np.complex128)
+    partials = [np.empty((d,) * k, dtype=np.complex128) for k in range(2, p)]
+    for k, perm in enumerate(permutations(range(p))):
+        top, rest = vectors[perm[-1]], vectors[perm[-2]]
+        for j, dest in zip(reversed(perm[:-2]), partials):
+            rest = np.multiply.outer(rest, vectors[j], out=dest)
+        if k == 0:
+            np.multiply.outer(top, rest, out=out)
+            continue
+        combine = np.add if symmetrize or _permutation_sign(perm) > 0 else np.subtract
+        for amp, out_row in zip(top, out):
+            np.multiply.outer(amp, rest, out=row)
+            combine(out_row, row, out=out_row)
+    return out.reshape(-1)
+
+
+def _permutation_sign(perm) -> int:
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float:

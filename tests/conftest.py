@@ -1,20 +1,9 @@
-import os
-
 import numpy as np
 import pytest
 
 from gridwave.dense import hamiltonian_eig
 from gridwave.grid import SimulationBox
 from gridwave.hamiltonian import HamiltonianSpec, Nucleus, ParticleSpec
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("GRIDWAVE_EXTENDED"):
-        return
-    skip = pytest.mark.skip(reason="set GRIDWAVE_EXTENDED=1 (needs >16 GiB / long runtime)")
-    for item in items:
-        if "extended" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture

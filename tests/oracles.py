@@ -5,7 +5,8 @@ loops or textbook quadrature, deliberately avoiding the production code paths
 it is used to check.
 """
 
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 
@@ -215,6 +216,78 @@ def tag_erasure_success(deviations, tag_width: int) -> float:
         s = np.mean(np.exp(2j * np.pi * dev * np.arange(m) / m))
         total *= abs(s) ** 2
     return float(total)
+
+
+def permutation_parity(perm) -> int:
+    """+1 or -1: the sign of the permutation, counted by explicit
+    transpositions that sort it."""
+    perm = list(perm)
+    sign = 1
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            sign = -sign
+    return sign
+
+
+def permuted_tagged_state(states, energies, tag_width: int,
+                          symmetrize: bool = False) -> np.ndarray:
+    """The paper's tagged permutation superposition.
+
+    Slot i holds (tag_i above particle_i), slots stack low to high, and each
+    particle state travels with the tag |round(E)> of its energy.  Distinct
+    tags make the branches orthogonal, so 1/sqrt(P!) normalises exactly.
+    """
+    p = len(states)
+    tags = [int(round(e)) for e in energies]
+    out = 0.0
+    for perm in permutations(range(p)):
+        sign = 1.0 if symmetrize else float(permutation_parity(perm))
+        full = np.ones(1, dtype=complex)
+        for i in range(p):      # slot i lands above slots 0 .. i-1
+            tag_vec = np.zeros(1 << tag_width, dtype=complex)
+            tag_vec[tags[perm[i]]] = 1.0
+            full = np.kron(np.kron(tag_vec, states[perm[i]]), full)
+        out = out + sign * full
+    return out / np.sqrt(factorial(p))
+
+
+def tagged_exchange_circuit(states, energies, tag_width: int,
+                            symmetrize: bool = False):
+    """The paper's tag-register exchange symmetrisation, on the full tagged
+    state.
+
+    Each slot's tag register is Fourier-analysed; Fourier component mm
+    applies W(mm) = 1 + sum_k (exp(2 pi i mm E_k / m) - 1) |s_k><s_k| to that
+    slot's particle register; every tag register is then projected onto
+    |+...+>.  Returns (particle-register vector normalised, probability of
+    the all-plus outcome).
+    """
+    p = len(states)
+    m = 1 << tag_width
+    d = np.asarray(states[0]).size
+    vec = permuted_tagged_state(states, energies, tag_width, symmetrize)
+    # interleaved axes, most significant first: (tag_{P-1}, part_{P-1}, ..., tag_0, part_0)
+    work = vec.reshape((m, d) * p)
+    phases = np.exp(2j * np.pi * np.outer(np.arange(m), energies) / m)
+    projectors = [np.outer(s, np.conj(s)) for s in states]
+    eye = np.eye(d, dtype=complex)
+    for slot in range(p):
+        tag_axis = 2 * (p - 1 - slot)
+        part_axis = tag_axis + 1
+        work = np.fft.fft(work, axis=tag_axis) / np.sqrt(m)
+        moved = np.moveaxis(work, (tag_axis, part_axis), (0, 1))
+        for mm in range(m):
+            w = eye + sum((phases[mm, j] - 1.0) * projectors[j] for j in range(p))
+            moved[mm] = np.einsum("ab,b...->a...", w, moved[mm])
+        work = np.moveaxis(moved, (0, 1), (tag_axis, part_axis))
+    for slot in range(p):
+        tag_axis = 2 * (p - 1 - slot)
+        work = work.sum(axis=tag_axis, keepdims=True) / np.sqrt(m)
+    projected = work.reshape(-1)
+    success = float(np.sum(np.abs(projected) ** 2))
+    return projected / np.sqrt(success), success
 
 
 def ancilla_damping_round(amps, masks, angles):

@@ -342,11 +342,12 @@ def test_density_product_state(rng):
 
 
 def test_density_antisymmetric_marginals_equal(rng):
-    from gridwave.states import antisymmetrize_direct
+    from gridwave.states import exchange_product
     a, b = random_state(rng, 4), random_state(rng, 4)
     b = b - np.vdot(a, b) * a
     b /= np.linalg.norm(b)
-    combined, _ = antisymmetrize_direct(a, b)
+    combined = exchange_product([a, b])
+    combined /= np.linalg.norm(combined)
     layout = particle_layout(2, 1, 4)
     state = StateVector(combined, layout)
     d0 = probability_density(state, 0)

@@ -5,14 +5,15 @@ from gridwave.errors import ConfigError, PostSelectionError
 from gridwave.grid import SimulationBox
 from gridwave.hamiltonian import HamiltonianSpec, ParticleSpec
 from gridwave.prep import (ImaginaryTimeParams, SynthSpectrum, align_energies,
-                           antisymmetrize_tagged, ideal_exchange_state,
-                           imaginary_time_run, imaginary_time_step,
-                           permuted_tagged_state, state_edit_remove)
+                           antisymmetrize_tagged, imaginary_time_run,
+                           imaginary_time_step, state_edit_remove)
 from gridwave.propagator import StepPlan
 from gridwave.registers import particle_layout
+from gridwave.states import exchange_product
 from gridwave.statevector import StateVector
 from .conftest import cached_eig
-from .oracles import tag_erasure_success
+from .oracles import (permuted_tagged_state, tag_erasure_success,
+                      tagged_exchange_circuit)
 
 
 # -- component removal ---------------------------------------------------------
@@ -214,12 +215,18 @@ def _orthonormal_states(rng, count, dim):
     return tuple(q[:, i].copy() for i in range(count))
 
 
+def _ideal(spectrum, symmetrize=False):
+    """The (anti)symmetrised product of the spectrum's states, unit norm."""
+    out = exchange_product(spectrum.states, symmetrize)
+    return out / np.linalg.norm(out)
+
+
 def test_tagged_integer_energies_certain(rng):
     states = _orthonormal_states(rng, 2, 8)
     spectrum = SynthSpectrum(states, (0.0, 1.0), 3)
     out, p = antisymmetrize_tagged(spectrum)
     assert p == pytest.approx(1.0, abs=1e-12)
-    ideal = ideal_exchange_state(spectrum)
+    ideal = _ideal(spectrum)
     assert abs(np.vdot(ideal, out)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -245,7 +252,7 @@ def test_tagged_success_matches_closed_form(rng):
     expect = tag_erasure_success([0.0, 0.1, 0.1], 3)
     assert p == pytest.approx(expect, abs=1e-10)
     # given success the state is ideal up to global phase
-    ideal = ideal_exchange_state(spectrum)
+    ideal = _ideal(spectrum)
     assert abs(np.vdot(ideal, out)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -270,7 +277,7 @@ def test_tagged_symmetrize_variant(rng):
     states = _orthonormal_states(rng, 2, 4)
     spectrum = SynthSpectrum(states, (0.0, 1.0), 2)
     out, p = antisymmetrize_tagged(spectrum, symmetrize=True)
-    ideal = ideal_exchange_state(spectrum, symmetrize=True)
+    ideal = _ideal(spectrum, symmetrize=True)
     assert p == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(ideal, out)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -285,6 +292,26 @@ def test_tagged_validation(rng):
         SynthSpectrum((states[0], states[0]), (0.0, 1.0), 3)  # not orthogonal
 
 
+def test_tag_collision_refused_at_construction(rng):
+    # 0.0 and 0.4 both round to tag 0
+    states = _orthonormal_states(rng, 2, 8)
+    with pytest.raises(ConfigError, match="collide"):
+        SynthSpectrum(states, (0.0, 0.4), 3)
+
+
+@pytest.mark.parametrize("symmetrize", [False, True])
+@pytest.mark.parametrize("energies", [(0.0, 3.0, 7.0), (0.1, 3.1, 6.1),
+                                      (0.0, 2.1, 4.1), (0.0, 2.15, 4.0)],
+                         ids=["integer", "uniform_shift", "two_shifted", "one_shifted"])
+def test_tagged_matches_tag_register_circuit(rng, energies, symmetrize):
+    # the slot-by-slot form against the full 18-qubit tagged circuit
+    states = _orthonormal_states(rng, 3, 8)
+    out, p = antisymmetrize_tagged(SynthSpectrum(states, energies, 3), symmetrize)
+    expect, p_expect = tagged_exchange_circuit(states, energies, 3, symmetrize)
+    assert abs(p - p_expect) < 1e-12
+    assert np.abs(out - expect).max() < 1e-12
+
+
 def test_align_energies():
     aligned = align_energies([-1.3, 0.2, 2.7], 3)
     assert aligned[0] == 0.0
@@ -294,6 +321,5 @@ def test_align_energies():
 
 def test_permuted_state_norm(rng):
     states = _orthonormal_states(rng, 3, 8)
-    spectrum = SynthSpectrum(states, (0.0, 3.0, 7.0), 3)
-    vec = permuted_tagged_state(spectrum)
+    vec = permuted_tagged_state(states, (0.0, 3.0, 7.0), 3)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)

@@ -598,7 +598,7 @@ def test_stale_augmentation_refused():
 
 def test_exchange_symmetry_preserved(rng):
     # antisymmetric two-particle state keeps SWAP expectation -1 over 100 steps
-    from gridwave.states import Gaussian, Hydrogen2D, antisymmetrize_direct, discretize
+    from gridwave.states import Gaussian, Hydrogen2D, discretize, exchange_product
     from gridwave.statevector import swap_particle_registers
     box = SimulationBox(2, 4, 16.0, 0.5)
     layout = particle_layout(2, 2, 4, box=box)
@@ -606,7 +606,8 @@ def test_exchange_symmetry_preserved(rng):
                            (Nucleus((0.0, 0.0), 1.0),))
     a, _ = discretize(Hydrogen2D(0, 0), box)
     b, _ = discretize(Gaussian((0.0, 5.0), (0.0, -1.5), (0.4, 0.4)), box)
-    combined, _ = antisymmetrize_direct(a, b)
+    combined = exchange_product([a, b])
+    combined /= np.linalg.norm(combined)
     state = StateVector(combined, layout)
     kernel = compile_step(layout, StepPlan(0.01), spec)
     for _ in range(100):

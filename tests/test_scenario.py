@@ -260,6 +260,19 @@ BAD_FIELDS.update({
         _on_grid(BASE, 2, 7)
         + "prep { imaginary_time { m0 = 0.9  steps = 3  track_ground = true } }",
         "prep.imaginary_time.track_ground", 8),
+    # exp(-V dt) rounds to 0, which no damping round can apply
+    "damping_zeroes_plan_step": (BASE.replace(
+        "charge = 1.0 } }",
+        "charge = 1.0 }  attenuation { uniform { msb = 1  strength = 1e6 } } }"),
+        "plan", 6),
+    "damping_zeroes_event_step": (BASE.replace(
+        "charge = 1.0 } }",
+        "charge = 1.0 }  attenuation { pixel { at = 3  strength = 1.0 } } }")
+        + "event { at_step = 2  dt = 1e6 }", "event", 8),
+    # (n + |m|)! of the normalisation overflows a float past 170
+    "hydrogen2d_normalisation_overflows": (_on_grid(BASE, 2, 4).replace(
+        "gaussian { center = 0.0 0.0  alpha = 1.0 }", "hydrogen2d { n = 171  m = 0 }"),
+        "initial_state.hydrogen2d", 5),
     "damping_pixel_outside_grid": (BASE.replace(
         "charge = 1.0 } }",
         "charge = 1.0 }  attenuation { pixel { at = 99  strength = 1.0 } } }"),

@@ -6,9 +6,9 @@ from scipy.integrate import quad
 
 from gridwave.errors import DegenerateStateError, ResolutionWarning
 from gridwave.grid import SimulationBox
-from gridwave.states import (Gaussian, Hydrogen2D, Hydrogen3D,
-                             antisymmetrize_direct, bhattacharyya, discretize,
-                             gaussian_wavepacket, generalized_laguerre, grid_eval,
+from gridwave.states import (Gaussian, Hydrogen2D, Hydrogen3D, bhattacharyya,
+                             discretize, exchange_product, gaussian_wavepacket,
+                             generalized_laguerre, grid_eval,
                              hydrogen2d_eigenstate, hydrogen2d_energy,
                              hydrogen3d_eigenstate, spherical_harmonic)
 
@@ -168,6 +168,10 @@ def test_discretize_rejects_all_zero():
 
 # -- exchange combination ---------------------------------------------------------------
 
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
 def test_antisymmetrize_direct_swap_negates(rng):
     from gridwave.registers import particle_layout
     from gridwave.statevector import StateVector, swap_particle_registers
@@ -176,18 +180,26 @@ def test_antisymmetrize_direct_swap_negates(rng):
     a /= np.linalg.norm(a)
     b -= np.vdot(a, b) * a
     b /= np.linalg.norm(b)
-    combined, raw = antisymmetrize_direct(a, b)
-    assert raw == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    state = StateVector(combined, particle_layout(2, 1, 3))
+    combined = exchange_product([a, b])
+    assert np.linalg.norm(combined) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    state = StateVector(_unit(combined), particle_layout(2, 1, 3))
     swapped = swap_particle_registers(state, 0, 1)
     assert np.abs(swapped.amps + state.amps).max() < 1e-12
 
 
-def test_antisymmetrize_direct_rejects_identical(rng):
-    a = rng.normal(size=8) + 0j
-    a /= np.linalg.norm(a)
-    with pytest.raises(DegenerateStateError):
-        antisymmetrize_direct(a, a)
+def test_antisymmetrize_direct_rejects_identical():
+    # identical orbitals cancel exactly, and the initial state refuses that
+    from gridwave.scenario import build_initial_state, load_scenario
+    a = np.full(8, 1.0 / np.sqrt(8.0), dtype=complex)
+    assert not exchange_product([a, a]).any()
+    orbital = "orbital { gaussian { center = 0.5  alpha = 1.0 } }"
+    with pytest.raises(DegenerateStateError, match="vanishes"):
+        build_initial_state(load_scenario(f"""
+box {{ dims = 1  n_r = 3  length = 8.0 }}
+particles {{ particle {{ }} particle {{ }} }}
+initial_state {{ {orbital} {orbital} antisymmetrize = true }}
+plan {{ dt = 0.01  steps = 0 }}
+"""))
 
 
 def test_antisymmetrize_matches_tensor_oracle():
@@ -195,21 +207,50 @@ def test_antisymmetrize_matches_tensor_oracle():
     box = SimulationBox(3, 4, 25.0, 0.5)
     a, _ = discretize(Hydrogen3D(2, 1, 0, 2.0), box)
     b, _ = discretize(Hydrogen3D(2, 1, -1, 2.0), box)
-    combined, _ = antisymmetrize_direct(a, b)
+    combined = _unit(exchange_product([a, b]))
     tensor = np.einsum("i,j->ji", a, b) - np.einsum("i,j->ji", b, a)
     tensor = tensor.reshape(-1)
     tensor /= np.linalg.norm(tensor)
     assert np.abs(combined - tensor).max() < 1e-12
 
 
+@pytest.mark.parametrize("symmetrize", [False, True])
+def test_two_orbital_exchange_is_the_kron_difference_bit_for_bit(rng, symmetrize):
+    # the initial state of every exchange scenario: outputs stay byte-identical
+    from gridwave.scenario import build_initial_state, load_scenario
+    key = "symmetrize" if symmetrize else "antisymmetrize"
+    text = f"""
+box {{ dims = 2  n_r = 4  length = 16.0  origin_offset = 0.5 }}
+particles {{ particle {{ }} particle {{ }} }}
+initial_state {{
+    orbital {{ hydrogen2d {{ n = 0  m = 0 }} }}
+    orbital {{ gaussian {{ center = 0.0 5.0  momentum = 0.0 -1.5  alpha = 0.4 0.4 }} }}
+    {key} = true
+}}
+plan {{ dt = 0.01  steps = 0 }}
+"""
+    box = SimulationBox(2, 4, 16.0, 0.5)
+    a, _ = discretize(Hydrogen2D(0, 0), box)
+    b, _ = discretize(Gaussian((0.0, 5.0), (0.0, -1.5), (0.4, 0.4)), box)
+    plain = np.kron(b, a) + np.kron(a, b) if symmetrize else np.kron(b, a) - np.kron(a, b)
+    raw = float(np.sqrt(np.add.reduce(np.abs(plain) ** 2)))
+    amps = build_initial_state(load_scenario(text)).amps
+    assert amps.tobytes() == (plain / raw).tobytes()
+    c = rng.normal(size=64) + 1j * rng.normal(size=64)
+    d = rng.normal(size=64) + 1j * rng.normal(size=64)
+    sign = 1.0 if symmetrize else -1.0
+    assert (exchange_product([c, d], symmetrize).tobytes()
+            == (np.kron(d, c) + sign * np.kron(c, d)).tobytes())
+
+
 def test_symmetrize_flag():
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.array([0.0, 1.0], dtype=complex)
-    sym, raw = antisymmetrize_direct(a, b, symmetrize=True)
-    assert raw == pytest.approx(np.sqrt(2.0))
+    sym = exchange_product([a, b], symmetrize=True)
+    assert np.linalg.norm(sym) == pytest.approx(np.sqrt(2.0))
     # |01> + |10> with particle 0 in the low bit
-    assert sym[0b01] == pytest.approx(1 / np.sqrt(2))
-    assert sym[0b10] == pytest.approx(1 / np.sqrt(2))
+    assert sym[0b01] == pytest.approx(1.0)
+    assert sym[0b10] == pytest.approx(1.0)
 
 
 # -- distribution overlap ------------------------------------------------------------------
