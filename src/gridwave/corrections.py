@@ -62,17 +62,16 @@ def patch_indices(spans: list[Span], lo: int, n_l: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def derive_core_correction(u_ideal: np.ndarray, u_so: np.ndarray,
-                           patch: np.ndarray, *, dims: int, lo: int, n_l: int,
-                           dt: float) -> CoreCorrection:
+def derive_core_correction(ideal_rows: np.ndarray, cycle_rows: np.ndarray, *,
+                           dims: int, lo: int, n_l: int, dt: float) -> CoreCorrection:
     """Distil the window unitary from the repair operator U_ideal * U_SO^dagger.
 
-    Only the window rows of the two step matrices enter.  A nearly singular
+    Only the window rows of the two step matrices enter, so they are what is
+    passed: ``ideal_rows`` = U_ideal[patch] and ``cycle_rows`` = U_SO[patch],
+    with ``patch`` the window's :func:`patch_indices`.  A nearly singular
     window block is flagged but the SVD factors still yield a unitary.
     """
-    a = u_ideal[patch, :]
-    b = u_so[patch, :]
-    m_core = a @ b.conj().T
+    m_core = ideal_rows @ cycle_rows.conj().T
     u, sigma, vh = np.linalg.svd(m_core)
     if sigma.min() < 1e-8:
         warnings.warn(f"window block nearly rank-deficient (sigma_min={sigma.min():.2e})",
@@ -84,13 +83,15 @@ def derive_correction(box, spec, dt: float, n_l: int) -> CoreCorrection:
     """Dense derivation for a single particle: distil the window unitary for
     the pixels nearest the origin, repairing towards the reference step (the
     full potential matrix elements between grid basis functions, the defect
-    the split cycle actually makes near the singularity)."""
+    the split cycle actually makes near the singularity).  Only the window
+    rows of either step are built (:func:`dense.reference_step_matrix`)."""
     from .dense import reference_step_matrix
-    u_ideal, u_so, _, _ = reference_step_matrix(box, spec, dt)
     lo = pick_core_window(box, n_l)
     spans = list(particle_layout(1, box.dims, box.n_r).particles[0].spans)
-    return derive_core_correction(u_ideal, u_so, patch_indices(spans, lo, n_l),
-                                  dims=box.dims, lo=lo, n_l=n_l, dt=dt)
+    ideal_rows, cycle_rows = reference_step_matrix(box, spec, dt,
+                                                   patch_indices(spans, lo, n_l))
+    return derive_core_correction(ideal_rows, cycle_rows, dims=box.dims, lo=lo,
+                                  n_l=n_l, dt=dt)
 
 
 def window_rows(layout: RegisterLayout, corr: CoreCorrection) -> np.ndarray:

@@ -8,10 +8,13 @@ matrix F^dag K F is the kernel's transform, the kinetic energies of
 ``propagator.energy_tables`` and the transform back.  No term of the
 Hamiltonian is mapped onto the register a second time here.
 
-Everything scales as the cube of the grid size and refuses dense dimensions
-above ``MAX_DIM``; production stepping never goes through these matrices.
-They exist to derive core patch corrections, to pick step eigenstates and
-to anchor tests against exact eigenpairs of the pixelated Hamiltonian.
+Every builder refuses dense dimensions above ``MAX_DIM``; production stepping
+never goes through these matrices.  Production reads only what it needs of
+them: the ground pair of a Hamiltonian (one eigenpair, not the spectrum) and
+the window rows of the reference step (a few columns of exp(+i h dt), not the
+full exponential).  The full eigendecomposition and the full exact step stay
+for :func:`build_dense_step_matrices`, which anchors the tests against exact
+eigenpairs of the pixelated Hamiltonian.
 """
 
 from __future__ import annotations
@@ -127,7 +130,15 @@ def _projected_potential(box: SimulationBox, spec: HamiltonianSpec) -> np.ndarra
     return np.ascontiguousarray(vt.transpose(0, 2, 1, 3).reshape(m * m, m * m))
 
 
-_REFERENCE_CACHE: dict = {}   # the latest configuration only
+def ground_pair(h: np.ndarray):
+    """(E_0, psi_0): the lowest eigenvalue of a dense Hermitian matrix and its
+    eigenvector, solved for alone rather than with the whole spectrum."""
+    from scipy.linalg import eigh
+    evals, evecs = eigh(h, subset_by_index=[0, 0], driver="evx")
+    return float(evals[0]), evecs[:, 0]
+
+
+_REFERENCE_CACHE: dict = {}   # the latest configuration only: h and its ground pair
 
 
 def _spec_key(spec: HamiltonianSpec):
@@ -137,25 +148,61 @@ def _spec_key(spec: HamiltonianSpec):
             coup, spec.efield)
 
 
-def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float):
-    """(U_ideal, U_SO, evals, evecs) with the ideal step generated by the
-    reference Hamiltonian: the kinetic matrix plus the projected (full
-    matrix, complex) potential.  This is the target the patch correction
-    repairs towards; the plain :func:`build_dense_step_matrices` keeps the
-    diagonal potential on both sides.  The result for the latest
-    configuration is cached, since one diagonalisation feeds state
-    preparation, correction derivation and anchoring alike."""
-    from scipy.linalg import eigh
-    key = ((box.dims, box.n_r, box.length, box.origin_offset), _spec_key(spec), dt)
-    if key in _REFERENCE_CACHE:
-        return _REFERENCE_CACHE[key]
-    _REFERENCE_CACHE.clear()
-    kinetic, _ = _kinetic_matrix(box, spec)
-    evals, evecs = eigh(kinetic + _projected_potential(box, spec))
-    result = (_ideal_step(evals, evecs, dt), split_cycle_matrix(box, spec, dt),
-              evals, evecs)
-    _REFERENCE_CACHE[key] = result
-    return result
+def _reference(box: SimulationBox, spec: HamiltonianSpec) -> dict:
+    key = ((box.dims, box.n_r, box.length, box.origin_offset), _spec_key(spec))
+    if key not in _REFERENCE_CACHE:
+        _REFERENCE_CACHE.clear()
+        kinetic, _ = _kinetic_matrix(box, spec)
+        h = _projected_potential(box, spec)
+        h += kinetic    # in place: one dense matrix fewer at the peak
+        h.flags.writeable = False
+        _REFERENCE_CACHE[key] = {"h": h}
+    return _REFERENCE_CACHE[key]
+
+
+def reference_hamiltonian(box: SimulationBox, spec: HamiltonianSpec) -> np.ndarray:
+    """The reference Hamiltonian, complex Hermitian: the kinetic matrix plus
+    the projected (full matrix) potential.  The patch correction repairs
+    towards its exact step; the plain :func:`pixel_hamiltonian` keeps the
+    diagonal potential.  The latest configuration's matrix is cached, read
+    only, since it feeds state preparation and every window derivation."""
+    return _reference(box, spec)["h"]
+
+
+def reference_ground(box: SimulationBox, spec: HamiltonianSpec):
+    """(E_0, psi_0) of :func:`reference_hamiltonian`, what ideal state
+    preparation would deliver; cached beside the matrix."""
+    entry = _reference(box, spec)
+    if "ground" not in entry:
+        entry["ground"] = ground_pair(entry["h"])
+    return entry["ground"]
+
+
+def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float,
+                          rows: np.ndarray):
+    """(U_ideal[rows], U_SO[rows]): the given rows of the exact step of
+    :func:`reference_hamiltonian` and of :func:`split_cycle_matrix`.
+
+    h is Hermitian, so U_ideal[rows] = conj(exp(+i h dt) E_rows)^T, with E_rows
+    the unit vectors at ``rows``; ``expm_multiply`` builds that from products
+    of h with those few columns.  It is handed an operator, not the array, so
+    that it forms no dense identity or shifted copy of h beside it.
+    """
+    from scipy.sparse.linalg import LinearOperator, expm_multiply
+    h = reference_hamiltonian(box, spec)
+
+    def forward(x):     # i h dt
+        return (1j * dt) * (h @ x)
+
+    def adjoint(x):     # its adjoint, h being Hermitian
+        return (-1j * dt) * (h @ x)
+
+    a = LinearOperator(h.shape, matvec=forward, rmatvec=adjoint, matmat=forward,
+                       rmatmat=adjoint, dtype=np.complex128)
+    units = np.zeros((h.shape[0], len(rows)), dtype=np.complex128)
+    units[rows, np.arange(len(rows))] = 1.0
+    ideal = expm_multiply(a, units, traceA=1j * dt * np.trace(h)).conj().T
+    return ideal, split_cycle_matrix(box, spec, dt)[rows]
 
 
 def build_dense_step_matrices(box: SimulationBox, spec: HamiltonianSpec, dt: float):

@@ -460,9 +460,9 @@ def build_initial_state(scen: Scenario) -> StateVector:
     if init.model_ground:
         # exact ground eigenvector of the reference (projected-potential)
         # Hamiltonian; what ideal state preparation would deliver
-        from .dense import reference_step_matrix
-        _, _, _, evecs = reference_step_matrix(box, scen.spec, scen.plan_dt)
-        return StateVector(evecs[:, 0].astype(np.complex128), layout)
+        from .dense import reference_ground
+        _, ground = reference_ground(box, scen.spec)
+        return StateVector(ground.astype(np.complex128), layout)
 
     if init.file is not None:
         from .iofmt import read_statevector
@@ -690,9 +690,9 @@ def _run_prep(scen: Scenario, state: StateVector, out: Path, outputs: dict,
     params = ImaginaryTimeParams(prep.m0, scen.plan_dt)
     references = {}
     if prep.track_ground:
-        from .dense import hamiltonian_eig
-        _, evecs = hamiltonian_eig(scen.box, scen.spec)
-        references["ground_overlap"] = evecs[:, 0].astype(np.complex128)
+        from .dense import ground_pair, pixel_hamiltonian
+        _, ground = ground_pair(pixel_hamiltonian(scen.box, scen.spec))
+        references["ground_overlap"] = ground.astype(np.complex128)
     run = imaginary_time_run(state, params, StepPlan(scen.plan_dt), scen.spec,
                              prep.steps, references=references,
                              record_every=prep.record)

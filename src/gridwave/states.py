@@ -147,6 +147,14 @@ class Hydrogen3D:
         if not (0 <= self.l < self.n) or abs(self.m) > self.l:
             raise ConfigError(
                 f"invalid (n={self.n}, l={self.l}, m={self.m})", field="initial_state")
+        if (self.l, abs(self.m)) not in _LEGENDRE:
+            raise ConfigError(f"spherical harmonic l={self.l} not tabulated (l <= 3)",
+                              field="initial_state")
+        # the normalisation divides by 2n (n + l)!, which overflows a float
+        # from n + l = 170 on
+        if self.n + self.l > 169:
+            raise ConfigError(f"n + l = {self.n + self.l} exceeds 169; "
+                              "the normalisation overflows", field="initial_state")
 
     def wavefunction(self, x, y, z):
         r = np.sqrt(x ** 2 + y ** 2 + z ** 2)

@@ -161,25 +161,22 @@ def test_criterion_04_bad_observable_divergence():
 
 @pytest.mark.slow
 def test_criterion_05_patch_correction_improvement():
-    from gridwave.corrections import derive_core_correction, patch_indices, pick_core_window
-    from gridwave.dense import reference_step_matrix
+    from gridwave.corrections import derive_correction
+    from gridwave.dense import reference_ground
     t0 = time.time()
     box = SimulationBox(2, 6, 10.0, 0.5)
     dt = 0.004
-    u_ideal, u_so, evals, evecs = reference_step_matrix(box, HYD2, dt)
+    _, ground = reference_ground(box, HYD2)
     layout = particle_layout(1, 2, 6, box=box)
-    spans = list(layout.particles[0].spans)
     corrections = {}
     for n_l in (1, 2):
-        lo = pick_core_window(box, n_l)
-        patch = patch_indices(spans, lo, n_l)
-        corrections[n_l] = derive_core_correction(u_ideal, u_so, patch,
-                                                  dims=2, lo=lo, n_l=n_l, dt=dt)
+        # from the window rows of the reference step and of the cycle
+        corrections[n_l] = derive_correction(box, HYD2, dt, n_l)
         q = (1 << n_l) ** 2
         residual = np.abs(corrections[n_l].u_core.conj().T @ corrections[n_l].u_core
                           - np.eye(q)).max()
         assert residual < 1e-10
-    ground = evecs[:, 0].astype(complex)
+    ground = ground.astype(complex)
     devs = {}
     for label, aug in (("none", None), ("2x2", corrections[1]), ("4x4", corrections[2])):
         state = StateVector(ground.copy(), layout)

@@ -26,7 +26,7 @@ def test_identity_when_cycle_already_ideal(rng):
     layout = particle_layout(1, 2, 2)
     spans = list(layout.particles[0].spans)
     patch = patch_indices(spans, -1, 1)
-    corr = derive_core_correction(u, u, patch, dims=2, lo=-1, n_l=1, dt=0.01)
+    corr = derive_core_correction(u[patch], u[patch], dims=2, lo=-1, n_l=1, dt=0.01)
     assert np.abs(corr.u_core - np.eye(4)).max() < 1e-12
 
 
@@ -47,7 +47,8 @@ def test_rank_deficient_block_flagged(rng):
     # zero the window rows of the ideal step: the block becomes singular
     u2[patch, :] = 0.0
     with pytest.warns(UserWarning, match="rank-deficient"):
-        corr = derive_core_correction(u2, u1, patch, dims=2, lo=-1, n_l=1, dt=0.01)
+        corr = derive_core_correction(u2[patch], u1[patch], dims=2, lo=-1, n_l=1,
+                                      dt=0.01)
     # the SVD factors still deliver a unitary
     assert np.abs(corr.u_core.conj().T @ corr.u_core - np.eye(4)).max() < 1e-10
 
@@ -108,20 +109,23 @@ def test_apply_with_spectator_ancilla(rng):
 def test_derive_correction_small_case(hyd2d_spec):
     # end-to-end derivation at a tiny grid; the window gate is unitary and
     # the corrected cycle is closer to the reference step than the plain one
-    from gridwave.dense import reference_step_matrix
+    from scipy.linalg import expm
+    from gridwave.dense import (reference_ground, reference_hamiltonian,
+                                split_cycle_matrix)
     box = SimulationBox(2, 4, 10.0, 0.5)
     dt = 0.01
     corr = derive_correction(box, hyd2d_spec, dt, 1)
     assert corr.dt == dt and corr.dims == 2
     q = 4
     assert np.abs(corr.u_core.conj().T @ corr.u_core - np.eye(q)).max() < 1e-10
-    u_ideal, u_so, _, evecs = reference_step_matrix(box, hyd2d_spec, dt)
+    u_ideal = expm(-1j * dt * reference_hamiltonian(box, hyd2d_spec))
+    u_so = split_cycle_matrix(box, hyd2d_spec, dt)
     layout = particle_layout(1, 2, 4, box=box)
     spans = list(layout.particles[0].spans)
     patch = patch_indices(spans, corr.lo, corr.n_l)
     dense_aug = np.eye(256, dtype=complex)
     dense_aug[np.ix_(patch, patch)] = corr.u_core
-    ground = evecs[:, 0]
+    _, ground = reference_ground(box, hyd2d_spec)
     before = np.linalg.norm((u_so - u_ideal) @ ground)
     after = np.linalg.norm((dense_aug @ u_so - u_ideal) @ ground)
     assert after < before

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from gridwave import dense
+from gridwave.corrections import patch_indices, pick_core_window
 from gridwave.dense import (build_dense_step_matrices, fourier_matrix,
-                            pixel_hamiltonian, reference_step_matrix)
+                            pixel_hamiltonian, reference_ground,
+                            reference_hamiltonian, reference_step_matrix)
 from gridwave.errors import ConfigError
 from gridwave.grid import SimulationBox
 from gridwave.hamiltonian import HamiltonianSpec, Nucleus, ParticleSpec
 from gridwave.propagator import StepPlan, compile_step
 from gridwave.registers import particle_layout
 from gridwave.statevector import StateVector
-from .conftest import cached_eig
+from .conftest import cached_eig, hydrogen_spec
 from .oracles import dense_hamiltonian, dense_split_cycle, qft_matrix_reference
 
 PAIR_1D = HamiltonianSpec((ParticleSpec(1.0, -1.0), ParticleSpec(1.0, -1.0)),
@@ -66,13 +68,14 @@ def test_hamiltonian_hermitian(hyd2d_spec):
 
 
 def test_split_cycle_matches_oracle(hyd2d_spec):
-    # U_SO of both dense builders is the cycle the oracle assembles from
-    # per-basis-state sums
+    # U_SO of both dense builders (the reference one asked for every row) is
+    # the cycle the oracle assembles from per-basis-state sums
     box = SimulationBox(2, 3, 10.0, 0.5)
     u = dense_split_cycle(3, 2, 1, 10.0, 0.5, 0.01, [1.0], [-1.0],
                           [((0.0, 0.0), 1.0)], [[0.0]])
     assert np.abs(build_dense_step_matrices(box, hyd2d_spec, 0.01)[1] - u).max() < 1e-12
-    assert np.abs(reference_step_matrix(box, hyd2d_spec, 0.01)[1] - u).max() < 1e-12
+    rows = np.arange(u.shape[0])
+    assert np.abs(reference_step_matrix(box, hyd2d_spec, 0.01, rows)[1] - u).max() < 1e-12
     # two coupled particles in 1D
     box = SimulationBox(1, 3, 8.0, 0.5)
     spec = HamiltonianSpec((ParticleSpec(1.0, -1.0), ParticleSpec(1.0, -1.0)),
@@ -84,9 +87,12 @@ def test_split_cycle_matches_oracle(hyd2d_spec):
 
 def test_split_cycle_matrix_is_the_kernel_cycle_bit_for_bit(hyd2d_spec):
     # U_SO of both dense builders is the kernel's kinetic cycle then its
-    # interaction, applied to each basis vector, to the last bit; the last
-    # layout's second kinetic block acts on rounded amplitudes
+    # interaction, applied to each basis vector, to the last bit, the
+    # reference one in every row and in the window rows a patch derivation
+    # asks for; the last layout's second kinetic block acts on rounded
+    # amplitudes
     for box, spec, dt in ((SimulationBox(2, 3, 10.0, 0.5), hyd2d_spec, 0.01),
+                          (SimulationBox(2, 4, 10.0, 0.47), hyd2d_spec, 0.004),
                           (SimulationBox(1, 3, 8.0, 0.5), PAIR_1D, 0.02),
                           (SimulationBox(1, 5, 8.0, 0.5), PAIR_1D, 0.02)):
         layout = particle_layout(len(spec.particles), box.dims, box.n_r, box=box)
@@ -97,7 +103,11 @@ def test_split_cycle_matrix_is_the_kernel_cycle_bit_for_bit(hyd2d_spec):
             expected[:, j] = kernel.interaction(kernel.kinetic_cycle(state)).amps
         assert np.array_equal(build_dense_step_matrices(box, spec, dt)[1], expected)
         if len(spec.particles) == 1:
-            assert np.array_equal(reference_step_matrix(box, spec, dt)[1], expected)
+            spans = list(layout.particles[0].spans)
+            for rows in [np.arange(expected.shape[0])] + [
+                    patch_indices(spans, pick_core_window(box, n_l), n_l) for n_l in (1, 2)]:
+                assert np.array_equal(reference_step_matrix(box, spec, dt, rows)[1],
+                                      expected[rows])
 
 
 def test_pixel_hamiltonian_matches_oracle(hyd2d_spec):
@@ -109,7 +119,41 @@ def test_pixel_hamiltonian_matches_oracle(hyd2d_spec):
 
 
 def test_reference_cache_keeps_latest_configuration(hyd2d_spec):
-    reference_step_matrix(SimulationBox(2, 2, 10.0, 0.5), hyd2d_spec, 0.01)
-    latest = reference_step_matrix(SimulationBox(2, 3, 10.0, 0.5), hyd2d_spec, 0.01)
+    reference_ground(SimulationBox(2, 2, 10.0, 0.5), hyd2d_spec)
+    box = SimulationBox(2, 3, 10.0, 0.5)
+    latest = reference_hamiltonian(box, hyd2d_spec)
+    ground = reference_ground(box, hyd2d_spec)
+    reference_step_matrix(box, hyd2d_spec, 0.01, np.arange(4))
+    # one configuration, holding its h and its ground pair and nothing else
     assert len(dense._REFERENCE_CACHE) == 1
-    assert reference_step_matrix(SimulationBox(2, 3, 10.0, 0.5), hyd2d_spec, 0.01) is latest
+    (entry,) = dense._REFERENCE_CACHE.values()
+    assert set(entry) == {"h", "ground"}
+    assert reference_hamiltonian(box, hyd2d_spec) is latest
+    assert reference_ground(box, hyd2d_spec) is ground
+    assert not latest.flags.writeable
+
+
+REFERENCE_CASES = [(dims, n_r, offset) for dims in (1, 2) for n_r in (3, 4, 5)
+                   for offset in (0.5, 0.47)]
+
+
+@pytest.mark.parametrize("dims, n_r, offset", REFERENCE_CASES)
+def test_reference_solves_match_full_dense(dims, n_r, offset):
+    # the window rows of exp(-i h dt) and the ground pair, each solved for
+    # alone, agree with the full exponential and the full eigendecomposition
+    from scipy.linalg import eigh, expm
+    box = SimulationBox(dims, n_r, 10.0, offset)
+    spec = hydrogen_spec(dims)
+    dt = 0.004
+    h = reference_hamiltonian(box, spec)
+    u_ideal = expm(-1j * dt * h)
+    spans = list(particle_layout(1, dims, n_r).particles[0].spans)
+    for n_l in (1, 2):
+        rows = patch_indices(spans, pick_core_window(box, n_l), n_l)
+        assert np.abs(reference_step_matrix(box, spec, dt, rows)[0]
+                      - u_ideal[rows]).max() < 1e-12
+    evals, evecs = eigh(h)
+    energy, ground = reference_ground(box, spec)
+    assert abs(energy - evals[0]) < 1e-12
+    phase = np.vdot(ground, evecs[:, 0])
+    assert np.abs(ground * phase / abs(phase) - evecs[:, 0]).max() < 1e-12

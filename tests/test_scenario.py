@@ -273,6 +273,14 @@ BAD_FIELDS.update({
     "hydrogen2d_normalisation_overflows": (_on_grid(BASE, 2, 4).replace(
         "gaussian { center = 0.0 0.0  alpha = 1.0 }", "hydrogen2d { n = 171  m = 0 }"),
         "initial_state.hydrogen2d", 5),
+    # spherical harmonics are tabulated to l = 3, and 2n (n + l)! overflows a
+    # float from n + l = 170 on
+    "hydrogen3d_l_not_tabulated": (_on_grid(BASE, 3, 2).replace(
+        "gaussian { center = 0.0 0.0 0.0  alpha = 1.0 }", "hydrogen3d { n = 5  l = 4  m = 0 }"),
+        "initial_state.hydrogen3d", 5),
+    "hydrogen3d_normalisation_overflows": (_on_grid(BASE, 3, 2).replace(
+        "gaussian { center = 0.0 0.0 0.0  alpha = 1.0 }", "hydrogen3d { n = 170  l = 0  m = 0 }"),
+        "initial_state.hydrogen3d", 5),
     "damping_pixel_outside_grid": (BASE.replace(
         "charge = 1.0 } }",
         "charge = 1.0 }  attenuation { pixel { at = 99  strength = 1.0 } } }"),
@@ -449,6 +457,42 @@ prep { imaginary_time { m0 = 0.9  steps = 30  record = 10  track_ground = true }
     assert len(lines) == 4
     last = [float(x) for x in lines[-1].split(",")]
     assert 0.0 < last[4] <= 1.0
+
+
+def test_reference_readers_solve_only_what_they_read(tmp_path, monkeypatch):
+    # model_ground, track_ground and the patch derivation take one eigenpair
+    # and the window rows: no run forms the full exact step or the full
+    # eigendecomposition
+    import scipy.linalg
+    from gridwave import dense
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full dense solve on a run's path")
+
+    full_eigh = scipy.linalg.eigh
+
+    def one_pair(a, *args, **kwargs):
+        assert kwargs.get("subset_by_index") == [0, 0]
+        return full_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(dense, "_ideal_step", refuse)
+    monkeypatch.setattr(dense, "hamiltonian_eig", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", one_pair)
+    run_scenario("""
+box { dims = 2  n_r = 3  length = 8.0 }
+hamiltonian { nucleus { position = 0.0 0.0 } }
+initial_state { model_ground { } }
+plan { dt = 0.01  steps = 4  augmentation { patches = 2 4 } }
+observables { autocorrelation = 2 }
+""", tmp_path / "patched")
+    run_scenario("""
+box { dims = 1  n_r = 4  length = 10.0 }
+hamiltonian { nucleus { position = 0.0 } }
+initial_state { gaussian { center = 0.0  alpha = 0.5 } }
+plan { dt = 0.001  steps = 0 }
+prep { imaginary_time { m0 = 0.9  steps = 10  record = 10  track_ground = true } }
+""", tmp_path / "tracked")
+    assert (tmp_path / "tracked" / "prep_log.csv").exists()
 
 
 def test_run_prep_edit_logs(tmp_path):
