@@ -20,7 +20,7 @@ from .registers import (Particle, RegisterLayout, Span, particle_layout,
                         span_values)
 from .statevector import (MeasurementRecord, StateVector, apply_inverse_qft,
                           apply_qft, controlled_apply, enlarge_particle,
-                          inner_product, measure_qubit, pairwise_sum,
+                          fourier_matrix, inner_product, measure_qubit,
                           register_add_sub, swap_particle_registers)
 from .propagator import (StepPlan, compile_step, kinetic_constant, propagate,
                          split_step_inverse)
@@ -40,8 +40,7 @@ from .prep import (ImaginaryTimeParams, ImaginaryTimeRun, SynthSpectrum,
 from .corrections import (CoreCorrection, apply_core_correction,
                           derive_core_correction, derive_correction,
                           patch_indices, pick_core_window)
-from .dense import (build_dense_step_matrices, fourier_matrix, hamiltonian_eig,
-                    pixel_hamiltonian)
+from .dense import build_dense_step_matrices, hamiltonian_eig, pixel_hamiltonian
 from .resources import (MoleculeSpec, PRESETS, advise_box, audit,
                         gate_depth_estimate, qubits_required)
 

@@ -1,11 +1,13 @@
 """Command-line entry point.
 
---threads only exports the OMP/OpenBLAS/MKL/numexpr thread-count variables.
-numpy is already loaded by the package import when they are written, so the
-running process keeps its BLAS pool size, set when the process starts.
+--threads exports the OMP/OpenBLAS/MKL/numexpr thread-count variables.  That
+caps scipy's bundled OpenBLAS, which loads at the first dense solve, after
+they are written.  It does not cap numpy's OpenBLAS: the package import has
+loaded it already, so its pool keeps the size set when the process starts.
 The kinetic blocks of narrow registers run their matrix products on one
-BLAS thread whatever that size, and numpy's FFT is single-threaded.
-Results are bit-identical at any count.
+BLAS thread whatever that size, numpy's FFT is single-threaded, and every
+sum over a state is numpy's own reduce.  Results are bit-identical at any
+count.
 """
 
 from __future__ import annotations

@@ -27,17 +27,10 @@ from .hamiltonian import HamiltonianSpec, single_particle_potential
 from .propagator import StepKernel, StepPlan, basis_energies, span_axes
 from .registers import particle_layout, span_values
 from .statevector import (StateVector, apply_inverse_qft, apply_phase_table,
-                          apply_qft)
+                          apply_qft, fourier_matrix)
 
 MAX_DIM = 4096   # largest dense dimension built
 REFINE = 8       # fine-grid points per pixel of the projected potential
-
-
-def fourier_matrix(width: int) -> np.ndarray:
-    """Position-to-momentum matrix for one sub-register (rows = k patterns)."""
-    m = 1 << width
-    j = np.arange(m)
-    return np.exp(-2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)
 
 
 def _identity(box: SimulationBox, spec: HamiltonianSpec):

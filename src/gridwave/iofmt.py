@@ -46,7 +46,7 @@ def read_timeseries_csv(path) -> TimeSeries:
         vals = np.array([complex(float(r[1]), float(r[2])) for r in rows])
     else:
         vals = np.array([float(r[1]) for r in rows])
-    return TimeSeries(times, vals, label=Path(path).stem)
+    return TimeSeries(times, vals)
 
 
 def write_statevector(path, state) -> None:

@@ -23,7 +23,7 @@ from .hamiltonian import HamiltonianSpec
 from .propagator import StepPlan, basis_energies, propagate, span_axes
 from .registers import span_values
 from . import statevector
-from .statevector import StateVector, apply_inverse_qft, pairwise_sum
+from .statevector import StateVector, apply_inverse_qft
 # unused here; benchmark/tracing.py wraps this name in this module's namespace
 from .statevector import controlled_apply  # noqa: F401
 
@@ -32,7 +32,6 @@ from .statevector import controlled_apply  # noqa: F401
 class TimeSeries:
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -107,8 +106,7 @@ def phase_probe_series(initial: StateVector, plan: StepPlan, spec: HamiltonianSp
             lags.append(autocorrelation(initial, current))
 
     _controlled_evolution(initial, plan, spec, total_steps, callbacks=(read,))
-    return TimeSeries(np.array(times), plus_probability(np.array(lags)),
-                      label="plus_probability")
+    return TimeSeries(np.array(times), plus_probability(np.array(lags)))
 
 
 # -- energy extraction from a(t) ----------------------------------------------
@@ -244,7 +242,7 @@ def sampled_energy_expectation(state: StateVector, spec: HamiltonianSpec,
         unc = float(np.std(kin_diag) + np.std(pot_diag)) / np.sqrt(shots)
     else:
         unc = 0.0
-    e = float(pairwise_sum(pk * kin_diag) + pairwise_sum(px * pot_diag))
+    e = float(np.add.reduce(pk * kin_diag) + np.add.reduce(px * pot_diag))
     return EnergyEstimate(e, "sampled-expectation", unc)
 
 
@@ -273,5 +271,4 @@ def escape_tracker(increments, times=None) -> TimeSeries:
         raise ValueError(f"increment {increments[bad][0]} outside [0, 1]")
     if times is None:
         times = np.arange(1, increments.size + 1, dtype=np.float64)
-    return TimeSeries(times, 1.0 - np.cumprod(1.0 - increments),
-                      label="escape_probability")
+    return TimeSeries(times, 1.0 - np.cumprod(1.0 - increments))

@@ -22,7 +22,7 @@ from .hamiltonian import HamiltonianSpec
 from .observables import TimeSeries, _controlled_evolution
 from .propagator import StepPlan, compile_step, split_step_inverse
 from .states import exchange_product
-from .statevector import StateVector, pairwise_sum
+from .statevector import StateVector
 # unused here; benchmark/tracing.py wraps this name in this module's namespace
 from .statevector import controlled_apply  # noqa: F401
 
@@ -168,13 +168,13 @@ def imaginary_time_run(state: StateVector, params: ImaginaryTimeParams,
             times.append(step * params.dtau)
             probs.append(p)
             for label, ref in references.items():
-                amp = pairwise_sum(np.conj(ref) * state.amps)
+                amp = np.add.reduce(np.conj(ref) * state.amps)
                 overlaps[label].append(abs(amp) ** 2)
     t = np.asarray(times)
     return ImaginaryTimeRun(
         state,
-        TimeSeries(t, np.asarray(probs), label="step_success"),
-        {k: TimeSeries(t, np.asarray(v), label=k) for k, v in overlaps.items()},
+        TimeSeries(t, np.asarray(probs)),
+        {k: TimeSeries(t, np.asarray(v)) for k, v in overlaps.items()},
         log10_cum)
 
 
@@ -202,7 +202,7 @@ class SynthSpectrum:
             raise ConfigError("all particle states must share one register size")
         if dim & (dim - 1):
             raise ConfigError("particle register size must be a power of two")
-        gram = np.array([[np.vdot(a, b) for b in states] for a in states])
+        gram = np.array([[np.add.reduce(np.conj(a) * b) for b in states] for a in states])
         if np.abs(gram - np.eye(p)).max() > 1e-9:
             raise ConfigError("states must be orthonormal within 1e-9")
         if any(e2 <= e1 for e1, e2 in zip(energies, energies[1:])):
@@ -256,7 +256,7 @@ def antisymmetrize_tagged(spectrum: SynthSpectrum, symmetrize: bool = False):
     slots = []
     for state, energy in zip(basis, spectrum.energies):
         weights = np.exp(-2j * np.pi * mm * round(energy) / m) / m
-        overlaps = (weights @ shifts) * (basis.conj() @ state)
+        overlaps = (weights @ shifts) * np.add.reduce(basis.conj() * state, axis=1)
         slots.append(weights.sum() * state + overlaps @ basis)
     projected = exchange_product(slots, symmetrize)
     projected /= np.sqrt(factorial(spectrum.count))

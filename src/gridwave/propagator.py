@@ -49,7 +49,7 @@ from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           single_particle_potential)
 from .registers import RegisterLayout, pattern_of_value, span_values
 from .statevector import (StateVector, _span_axes, apply_inverse_qft,
-                          apply_phase_table, apply_qft)
+                          apply_phase_table, apply_qft, fourier_matrix)
 # unused here; benchmark/tracing.py wraps these by name in this module's namespace
 from .statevector import register_add_sub  # noqa: F401
 from .statevector import masked_ancilla_x_rotation, measure_qubit  # noqa: F401
@@ -185,13 +185,9 @@ def basis_energies(layout: RegisterLayout, spec: HamiltonianSpec):
 
 
 def _axis_operator(phases: np.ndarray) -> np.ndarray:
-    """F^dag diag(phases) F on one sub-register, F the position-to-momentum
-    transform of ``apply_inverse_qft`` (the orthonormal DFT matrix): that
-    cycle as one dense matrix.  Built without ``np.fft``, so layouts of
-    narrow axes only never load it."""
-    m = phases.size
-    k = np.arange(m)
-    f = np.exp(-2j * np.pi * (np.outer(k, k) % m) / m) / np.sqrt(m)
+    """F^dag diag(phases) F on one sub-register, F = ``fourier_matrix``:
+    the transform pair around a kinetic table as one dense matrix."""
+    f = fourier_matrix(phases.size.bit_length() - 1)
     return f.conj().T @ (phases[:, None] * f)
 
 

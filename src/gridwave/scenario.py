@@ -100,8 +100,7 @@ SCHEMA = {
     "hydrogen3d": ({"n": Key(int, REQUIRED, _GE1), "l": Key(int, REQUIRED, _GE0),
                     "m": Key(int, REQUIRED), "z": Key(float, 1.0, _GT0)}, ()),
     "gaussian": ({"center": Key(_FLOATS), "momentum": Key(_FLOATS, ()),
-                  "alpha": Key(_FLOATS, (), _GT0), "alpha_imag": Key(_FLOATS, ()),
-                  "gamma": Key(_FLOATS, ())}, ()),
+                  "alpha": Key(_FLOATS, (), _GT0), "alpha_imag": Key(_FLOATS, ())}, ()),
     "superposition": ({}, ("term",)),
     "term": ({"weight": Key(_FLOATS, REQUIRED)}, _STATE_BLOCKS),
     "plan": ({"dt": Key(float, REQUIRED, _GT0), "steps": Key(int, REQUIRED, _GE0),
@@ -279,8 +278,7 @@ def _state(sec: Section, box: SimulationBox):
         a_im = sec.get("alpha_imag")
         alphas = tuple(complex(a, a_im[i] if i < len(a_im) else 0.0)
                        for i, a in enumerate(sec.get("alpha")))
-        return st.Gaussian(_vector(sec, "center", box.dims), sec.get("momentum"),
-                           alphas, tuple(complex(g) for g in sec.get("gamma")))
+        return st.Gaussian(_vector(sec, "center", box.dims), sec.get("momentum"), alphas)
     need = 2 if sec.name == "hydrogen2d" else 3
     if box.dims != need:
         _fail(sec, f"needs a {need}D box")
@@ -578,7 +576,7 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
         state = _run_prep(scen, state, out, outputs, suffix)
         # only the autocorrelation and ipe cadences read the start state back
         initial = state.copy() if obs.autocorrelation or obs.ipe else None
-        init_density = probability_density(state, 0)
+        init_density = probability_density(state, 0) if obs.bhattacharyya else None
 
         correction = None
         if patch:

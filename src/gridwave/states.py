@@ -101,18 +101,14 @@ def hydrogen3d_eigenstate(n: int, l: int, m: int, z: float, r, theta, phi):
     return pref * radial * spherical_harmonic(l, m, theta, phi)
 
 
-def gaussian_wavepacket(x, x_c: float = 0.0, p_c: float = 0.0,
-                        alpha: complex = 1.0, gamma: complex = 0.0):
-    """Normalised 1D Gaussian with centre, momentum, width and phase parameters."""
+def gaussian_wavepacket(x, x_c: float = 0.0, p_c: float = 0.0, alpha: complex = 1.0):
+    """Normalised 1D Gaussian with centre, momentum and width parameters."""
     alpha = complex(alpha)
-    gamma = complex(gamma)
     if alpha.real <= 0:
         raise ValueError("Re(alpha) must be positive")
     x = np.asarray(x, dtype=np.float64)
     dx = x - x_c
-    return (np.exp(gamma.imag)
-            * (2.0 * alpha.real / np.pi) ** 0.25
-            * np.exp(-alpha * dx ** 2 + 1j * p_c * dx + 1j * gamma))
+    return (2.0 * alpha.real / np.pi) ** 0.25 * np.exp(-alpha * dx ** 2 + 1j * p_c * dx)
 
 
 # -- declarative state descriptions -------------------------------------------
@@ -172,7 +168,6 @@ class Gaussian:
     centers: tuple[float, ...]
     momenta: tuple[float, ...] = ()
     alphas: tuple[complex, ...] = ()
-    gammas: tuple[complex, ...] = ()
 
     def _param(self, seq, i, default):
         return seq[i] if i < len(seq) else default
@@ -187,7 +182,7 @@ class Gaussian:
         for i, c in enumerate(coords):
             out = out * gaussian_wavepacket(
                 c, self.centers[i], self._param(self.momenta, i, 0.0),
-                self._param(self.alphas, i, 1.0), self._param(self.gammas, i, 0.0))
+                self._param(self.alphas, i, 1.0))
         return out
 
 
@@ -206,10 +201,10 @@ class Superposition:
         return out
 
 
-def grid_eval(state, box: SimulationBox, width: int | None = None) -> np.ndarray:
+def grid_eval(state, box: SimulationBox) -> np.ndarray:
     """Sample a state's wavefunction on the box grid, flattened in register
     order (dimension 0 varies fastest)."""
-    coords = box.coordinates(width)
+    coords = box.coordinates()
     # axes ordered (dim_{d-1}, ..., dim_0) so that C-order flattening puts
     # dimension 0 in the lowest bits
     grids = np.meshgrid(*([coords] * box.dims), indexing="ij")
@@ -217,15 +212,16 @@ def grid_eval(state, box: SimulationBox, width: int | None = None) -> np.ndarray
     return np.asarray(values, dtype=np.complex128).reshape(-1)
 
 
-def discretize(state, box: SimulationBox, width: int | None = None):
+def discretize(state, box: SimulationBox):
     """Sample an analytic state onto the pixel grid.
 
     Returns (unit-norm amplitude vector, C) where C is the normalisation
     constant of the pixel expansion; C strays from unity when the state is
     clipped by the box or varies quickly on the grid scale.
     """
-    samples = grid_eval(state, box, width)
-    quad = float(np.add.reduce(np.abs(samples) ** 2)) * box.delta_r ** box.dims
+    samples = grid_eval(state, box)
+    total = float(np.add.reduce(np.abs(samples) ** 2))
+    quad = total * box.delta_r ** box.dims
     if quad <= 0.0:
         raise DegenerateStateError("state samples to zero everywhere on the grid")
     c = 1.0 / np.sqrt(quad)
@@ -234,7 +230,7 @@ def discretize(state, box: SimulationBox, width: int | None = None):
             f"pixel expansion constant C={c:.6f} strays from 1; "
             "the grid may be too coarse or the box too small",
             ResolutionWarning, stacklevel=2)
-    amps = samples / np.sqrt(float(np.add.reduce(np.abs(samples) ** 2)))
+    amps = samples / np.sqrt(total)
     return amps, c
 
 
@@ -300,8 +296,4 @@ def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float:
     for name, d in (("p", p), ("q", q)):
         if abs(float(np.add.reduce(d)) - 1.0) > 1e-9:
             raise ValueError(f"distribution {name} does not sum to 1")
-    from .statevector import pairwise_sum
-    prod = np.sqrt(p * q)
-    if prod.size & (prod.size - 1) == 0:
-        return float(pairwise_sum(prod))
-    return float(np.add.reduce(prod))
+    return float(np.add.reduce(np.sqrt(p * q)))

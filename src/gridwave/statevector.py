@@ -5,8 +5,11 @@ operations write through ``state.amps`` in place (so views into a larger
 buffer keep working) and return the state; only :func:`enlarge_subregister`
 allocates a new, wider state.
 
-Reductions (norms, inner products) use a fixed-shape pairwise halving tree so
-results are bit-identical regardless of thread count or BLAS backend.
+Every sum over a state (norms, inner products, measurement probabilities) is
+one ``np.add.reduce`` over one product array: numpy's pairwise summation,
+whose tree is fixed by the length, single-threaded and free of BLAS, so
+results are bit-identical at any thread count.  ``np.vdot``, ``np.dot`` and
+``@`` go to BLAS, whose kernels may thread, and are not used for them.
 """
 
 from __future__ import annotations
@@ -72,33 +75,14 @@ class StateVector:
     # -- reductions ---------------------------------------------------------
 
     def norm_sq(self) -> float:
-        return float(pairwise_sum(np.abs(self.amps) ** 2).real)
-
-
-def pairwise_sum(values: np.ndarray):
-    """Sum a power-of-two-length array by repeated halving.
-
-    The reduction tree shape depends only on the length, so the result is
-    reproducible across thread counts and platforms.  The first level writes
-    a new half-length array, which the later levels halve in place, so
-    ``values`` is left as it was.
-    """
-    x = np.asarray(values)
-    if x.size & (x.size - 1):
-        raise ValueError("pairwise_sum expects a power-of-two length")
-    if x.size > 1:
-        x = x[:x.size >> 1] + x[x.size >> 1:]
-    while x.size > 1:
-        half = x.size >> 1
-        x = np.add(x[:half], x[half:], out=x[:half])
-    return x[0]
+        return float(np.add.reduce(np.abs(self.amps) ** 2))
 
 
 def inner_product(state_a: StateVector, state_b: StateVector) -> complex:
     """<a|b> (conjugate-linear in the first argument)."""
     if state_a.amps.size != state_b.amps.size:
         raise LayoutError("dimension mismatch in inner product")
-    return complex(pairwise_sum(np.conj(state_a.amps) * state_b.amps))
+    return complex(np.add.reduce(np.conj(state_a.amps) * state_b.amps))
 
 
 # -- the axis map and factor tables --------------------------------------------
@@ -145,6 +129,16 @@ def apply_phase_table(state: StateVector, spans: list[Span], factors: np.ndarray
 
 
 # -- Fourier transforms ------------------------------------------------------
+
+def fourier_matrix(width: int) -> np.ndarray:
+    """The matrix of :func:`apply_inverse_qft` on one sub-register of
+    ``width`` qubits, position to momentum (rows = k patterns): the
+    orthonormal DFT, its phases reduced exactly mod 2^width.  Built without
+    ``np.fft``, so layouts of narrow axes only never load it."""
+    m = 1 << width
+    k = np.arange(m)
+    return np.exp(-2j * np.pi * (np.outer(k, k) % m) / m) / np.sqrt(m)
+
 
 def _transform_view(state: StateVector, spans):
     """amps reshaped with one axis per span, and the positions of those axes."""
@@ -241,7 +235,7 @@ def measure_qubit(state: StateVector, qubit: int, basis: str = "z",
     if basis == "x":
         _hadamard_on(state, qubit)
     view = state.amps.reshape(1 << (state.num_qubits - 1 - qubit), 2, 1 << qubit)
-    p1 = float(pairwise_sum((np.abs(view[:, 1, :]) ** 2).reshape(-1)).real)
+    p1 = float(np.add.reduce((np.abs(view[:, 1, :]) ** 2).reshape(-1)))
     p1 = min(max(p1, 0.0), 1.0)
     if forced_outcome is None:
         if rng is None:

@@ -117,16 +117,6 @@ def dense_hamiltonian(n_r: int, dims: int, particles: int, length: float,
     return f.conj().T @ (kin[:, None] * f) + np.diag(pot)
 
 
-def pairwise_sum_reference(values):
-    """Sum of a power-of-two-length array by repeated halving, each level a
-    new array: x[:half] + x[half:] until one element is left."""
-    x = np.asarray(values)
-    while x.size > 1:
-        half = x.size >> 1
-        x = x[:half] + x[half:]
-    return x[0]
-
-
 def kinetic_cycle_reference(amps, registers, dt: float) -> np.ndarray:
     """The split cycle's kinetic part on every listed register: the
     position-to-momentum DFT of each, the phase exp(-i dt sum_r c_r k_r^2)

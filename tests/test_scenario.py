@@ -204,6 +204,9 @@ BAD_FIELDS = {
     "float_n_r": (BASE.replace("n_r = 4", "n_r = 8.7"), "box.n_r", 2),
     "unknown_state": (BASE.replace("gaussian {", "gausian {"),
                       "initial_state.gausian", 5),
+    # a global phase, which a superposition term's weight already sets
+    "gaussian_gamma": (BASE.replace("alpha = 1.0 }", "alpha = 1.0  gamma = 0.5 }"),
+                       "initial_state.gaussian.gamma", 5),
     "swap_one_particle": (BASE.replace("density = 1", "swap = 1"),
                           "observables.swap", 7),
     "enlarge_missing_particle": (BASE + "event { at_step = 2  enlarge_particle = 3 }",

@@ -94,16 +94,9 @@ def test_gaussian_normalised_and_centred():
 
 def test_gaussian_real_positive_when_still():
     x = np.linspace(-3, 3, 11)
-    v = gaussian_wavepacket(x, 0.0, 0.0, 1.0, 0.0)
+    v = gaussian_wavepacket(x, 0.0, 0.0, 1.0)
     assert np.abs(v.imag).max() == 0.0
     assert (v.real > 0).all()
-
-
-def test_gaussian_gamma_is_pure_phase():
-    x = np.linspace(-2, 2, 9)
-    a = gaussian_wavepacket(x, 0.0, 0.5, 1.0, 0.0)
-    b = gaussian_wavepacket(x, 0.0, 0.5, 1.0, 0.7 + 0.3j)
-    assert np.abs(np.abs(b) - np.abs(a)).max() < 1e-12
 
 
 # -- discretisation ------------------------------------------------------------------

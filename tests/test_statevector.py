@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,35 +10,51 @@ from gridwave.registers import Particle, RegisterLayout, Span, particle_layout
 from gridwave.statevector import (StateVector, apply_inverse_qft, apply_qft,
                                   controlled_apply, enlarge_particle,
                                   inner_product, masked_ancilla_x_rotation,
-                                  measure_qubit, pairwise_sum,
-                                  register_add_sub, swap_particle_registers)
+                                  measure_qubit, register_add_sub,
+                                  swap_particle_registers)
 from .conftest import random_state
-from .oracles import pairwise_sum_reference, qft_matrix_reference, signed_value
+from .oracles import qft_matrix_reference, signed_value
 
 
 # -- reductions ----------------------------------------------------------------
 
-def test_pairwise_sum_matches_fsum(rng):
-    x = rng.normal(size=1 << 12)
-    assert pairwise_sum(x) == pytest.approx(math.fsum(x), abs=1e-12)
+def _unnormalised_pair(rng, n):
+    return [StateVector(rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+            for _ in range(2)]
 
 
-@pytest.mark.parametrize("complex_values", [False, True])
-def test_pairwise_sum_is_the_halving_tree_bit_for_bit(rng, complex_values):
-    # halving in place after the first level keeps every sum of the tree
-    for n in range(21):
-        x = rng.normal(size=1 << n)
-        if complex_values:
-            x = x + 1j * rng.normal(size=1 << n)
-        before = x.copy()
-        got = pairwise_sum(x)
-        assert got == pairwise_sum_reference(x), n
-        assert np.array_equal(x, before), n   # the caller's array is untouched
+def test_norm_and_inner_product_match_fsum(rng):
+    a, b = (StateVector(random_state(rng, 12)) for _ in range(2))
+    assert a.norm_sq() == pytest.approx(math.fsum(np.abs(a.amps) ** 2), abs=1e-12)
+    prod = np.conj(a.amps) * b.amps
+    exact = complex(math.fsum(prod.real), math.fsum(prod.imag))
+    assert abs(inner_product(a, b) - exact) < 1e-12
 
 
-def test_pairwise_sum_requires_power_of_two():
-    with pytest.raises(ValueError):
-        pairwise_sum(np.ones(3))
+def test_norm_and_inner_product_are_numpy_add_reduce_bit_for_bit(rng):
+    # numpy's pairwise reduce: single-threaded, no BLAS, a tree fixed by length
+    for n in (0, 3, 10, 17):
+        a, b = _unnormalised_pair(rng, n)
+        assert a.norm_sq() == float(np.add.reduce(np.abs(a.amps) ** 2)), n
+        assert inner_product(a, b) == complex(np.add.reduce(np.conj(a.amps) * b.amps)), n
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reductions_allocate_at_most_one_product_array(rng):
+    # the product array is the only scratch: a state for the conjugate
+    # product, half a state for the real squared moduli
+    a, b = _unnormalised_pair(rng, 16)
+    size = a.amps.nbytes
+    assert _traced_peak(lambda: inner_product(a, b)) <= 1.05 * size
+    assert _traced_peak(a.norm_sq) <= 0.55 * size
 
 
 def test_inner_product_basics(rng):
