@@ -6,13 +6,12 @@ optional core patch correction.
 
 The kinetic cycle is the paper's transform / quadratic kinetic phase /
 inverse transform on every sub-register.  The kinetic energy is a sum over
-axes, so on each axis that sandwich is one unitary F^dag exp(-i dt C k^2) F,
-and adjacent axes combine by Kronecker product.  Runs of adjacent axes
-narrower than ``BLOCK`` points (at most ``BLOCK`` points together) are
-applied as such dense blocks, by matrix products on the state in place, on
-one BLAS thread; the other axes go through one joint transform, one kinetic
-phase table per particle and the joint transform back.  The pairwise factors are what the paper's register
-subtract / relative-coordinate phase / add circuit produces
+axes, so on each axis that sandwich is one unitary F^dag exp(-i dt C k^2) F.
+Each axis narrower than ``BLOCK`` points is applied as such a dense block,
+by matrix products on the state in place, on one BLAS thread; the other
+axes go through one joint transform, one kinetic phase table per particle
+and the joint transform back.  The pairwise factors are what the paper's
+register subtract / relative-coordinate phase / add circuit produces
 (``statevector.register_add_sub`` keeps that circuit as the reference);
 here they are gathered once into the position table.
 
@@ -54,13 +53,15 @@ from .statevector import (StateVector, _span_axes, apply_inverse_qft,
 from .statevector import register_add_sub  # noqa: F401
 from .statevector import masked_ancilla_x_rotation, measure_qubit  # noqa: F401
 
-# Largest run of adjacent axes, in grid points, applied as one dense block;
-# an axis joins a block only if it is narrower than this, so a lone 64-point
-# axis keeps the transform (helium's 8 x 8 axes still make 64).  Per axis,
+# An axis narrower than this, in grid points, is applied as its own dense
+# block; an axis of this many points or more keeps the transform.  Per axis,
 # one BLAS thread on 2 vCPUs, dense block against transform pair (ms), on
 # 2^16 amplitudes: 8 points 0.28 vs 1.09, 16 points 0.38 vs 1.00, 32 points
 # 0.53 vs 1.20, 64 points 0.92 vs 1.10, 128 points 1.69 vs 1.19; on 2^22
 # amplitudes: 32 points 43 vs 93, 64 points 70 vs 95, 128 points 97 vs 85.
+# Merging narrow axes into one block costs more than it saves: on 2^18
+# amplitudes, six 8-point blocks take 2.4 ms and three 64-point blocks of
+# the same six axes 4.5 ms.
 BLOCK = 64
 # amplitudes per matrix product of a block: its scratch stays cache-sized
 CHUNK = 1 << 15
@@ -287,10 +288,9 @@ class StepKernel:
 
     def _compile_kinetic(self, kinetic: list) -> None:
         """The kinetic cycle as passes.  ``blocks`` holds (post, matrix) for
-        each run of adjacent axes narrower than ``BLOCK`` points in
-        ``self.spans`` (no qubit between them, at most ``BLOCK`` points
-        together): the Kronecker product of its axes' operators, ``post`` the
-        amplitudes below the run.  ``wide`` holds (spans, table) per particle
+        each axis narrower than ``BLOCK`` points, in the order of
+        ``self.spans``: its operator F^dag exp(-i dt E) F, ``post`` the
+        amplitudes below the axis.  ``wide`` holds (spans, table) per particle
         for the axes of ``BLOCK`` points or more:
         exp(-i dt E) of their summed energies, applied between one joint
         transform of ``wide_spans`` and the transform back."""
@@ -305,17 +305,7 @@ class StepKernel:
             operators.update((s, _axis_operator(np.exp(-1j * dt * e)))
                              for s, e in axes if 1 << s.width < BLOCK)
         self.wide_spans = [s for s in self.spans if s not in operators]
-        runs = []
-        for s in self.spans:
-            if s not in operators:
-                continue
-            if (runs and runs[-1][-1].start == s.stop
-                    and 1 << (sum(a.width for a in runs[-1]) + s.width) <= BLOCK):
-                runs[-1].append(s)
-            else:
-                runs.append([s])
-        self.blocks = [(1 << run[-1].start, reduce(np.kron, [operators[a] for a in run]))
-                       for run in runs]
+        self.blocks = [(1 << s.start, operators[s]) for s in self.spans if s in operators]
 
     def _compile_damping(self, atten: AttenuationSpec) -> np.ndarray | None:
         """Real table over ``self.spans`` (axes as the position table): the

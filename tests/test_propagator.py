@@ -70,7 +70,10 @@ KINETIC_LAYOUTS = {
                                        {"tag": Span(4, 1)}), (1.0, 1.0)),
     "column_above": (SimulationBox(2, 3, 10.0, 0.5),
                      particle_layout(1, 2, 3).with_ancilla("column", 6), (1.0,)),
-    # one block spans both particles: particle 1's two axes, particle 0's y
+    # the x block has 2 amplitudes below its 8 points: several slabs per product
+    "ancilla_below": (SimulationBox(2, 3, 10.0, 0.5),
+                      RegisterLayout((Particle((Span(1, 3), Span(4, 3))),),
+                                     {"low": Span(0, 1)}), (1.0,)),
     "mixed_masses": (SimulationBox(2, 2, 6.0, 0.5), particle_layout(2, 2, 2), (1.0, 7.5)),
     "1d_wide": (SimulationBox(1, 9, 40.0, 0.5), particle_layout(1, 1, 9), (1.0,)),
     # a lone axis of BLOCK points keeps the transform
@@ -113,13 +116,11 @@ def test_kinetic_cycle_of_wide_axes_is_the_joint_transform_bit_for_bit(rng, name
 
 
 @pytest.mark.parametrize("name, sizes", [
-    ("3d_pair", [64, 64, 64]), ("2d_pair_cap", [16, 16, 16, 16]),
-    ("ancilla_between", [16, 16]), ("mixed_masses", [64, 4]), ("column_above", [64]),
-    ("1d_wide", []), ("1d_64", [])])
-def test_narrow_axes_run_into_blocks(name, sizes):
-    # adjacent axes narrower than 64 points join a block up to 64 points; an
-    # ancilla between them breaks the run (without it, the 4-point axes
-    # would make 64 + 4)
+    ("3d_pair", [8] * 6), ("2d_pair_cap", [16] * 4),
+    ("ancilla_between", [4] * 4), ("mixed_masses", [4] * 4), ("column_above", [8, 8]),
+    ("1d_wide", []), ("1d_64", []), ("ancilla_below", [8, 8])])
+def test_each_narrow_axis_is_one_block(name, sizes):
+    # every axis narrower than 64 points is its own block; wider ones keep the transform
     box, layout, masses = KINETIC_LAYOUTS[name]
     spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses))
     kernel = compile_step(layout.with_box(box), StepPlan(0.05), spec)
@@ -171,7 +172,7 @@ def test_block_products_run_on_one_blas_thread(monkeypatch, rng):
     pool[1](2)
     try:
         kernel.kinetic_cycle(StateVector(random_state(rng, layout.num_qubits), layout))
-        assert seen == [1, 1, 1]
+        assert seen == [1] * 6
         assert pool[0]() == 2       # the pool's size is restored
     finally:
         pool[1](before)
