@@ -2,12 +2,12 @@
 
 Wavefunctions live on registers of qubits as 2^N complex amplitudes; time
 evolution alternates diagonal kinetic phases in momentum space and diagonal
-potential phases on the position grid.  Runs of narrow register axes take
-their kinetic step as one dense block matrix each; wider axes go through a
-joint Fourier transform.  On top of that cycle sit phase-probe energy
-estimation, boundary damping by a real absorbing table, imaginary-time state
-preparation, exchange symmetrisation, per-step patch corrections, and
-closed-form resource audits.
+potential phases on the position grid.  Each register axis takes its
+kinetic step as one pass: one dense block matrix on an axis narrower than
+64 points, its Fourier transform, phases and transform back on a wider one.
+On top of that cycle sit phase-probe energy estimation, boundary damping by
+a real absorbing table, imaginary-time state preparation, exchange
+symmetrisation, per-step patch corrections, and closed-form resource audits.
 """
 
 from .errors import (CeilingExceededError, ConfigError, DegenerateStateError,

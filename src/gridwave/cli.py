@@ -1,13 +1,12 @@
 """Command-line entry point.
 
---threads exports the OMP/OpenBLAS/MKL/numexpr thread-count variables.  That
-caps scipy's bundled OpenBLAS, which loads at the first dense solve, after
-they are written.  It does not cap numpy's OpenBLAS: the package import has
-loaded it already, so its pool keeps the size set when the process starts.
-The kinetic blocks of narrow registers run their matrix products on one
-BLAS thread whatever that size, numpy's FFT is single-threaded, and every
-sum over a state is numpy's own reduce.  Results are bit-identical at any
-count.
+--threads exports the OMP/OpenBLAS/MKL/numexpr thread-count variables, which
+scipy's bundled OpenBLAS reads when it loads at the first dense solve, and
+sizes the pool of numpy's OpenBLAS, which the package import has loaded
+already.  The kinetic blocks of narrow registers run their matrix products
+on one BLAS thread whatever that size, numpy's FFT is single-threaded, and
+every sum over a state is numpy's own reduce.  Results are bit-identical at
+any count.
 """
 
 from __future__ import annotations
@@ -64,6 +63,10 @@ def _set_threads(n: int | None) -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(n)
+    from .propagator import _openblas_threads
+    pool = _openblas_threads()
+    if pool is not None:
+        pool[1](n)
 
 
 def _cmd_run(args) -> int:

@@ -6,17 +6,17 @@ optional core patch correction.
 
 The kinetic cycle is the paper's transform / quadratic kinetic phase /
 inverse transform on every sub-register.  The kinetic energy is a sum over
-axes, so on each axis that sandwich is one unitary F^dag exp(-i dt C k^2) F.
-Each axis narrower than ``BLOCK`` points is applied as such a dense block,
-by matrix products on the state in place, on one BLAS thread; the other
-axes go through one joint transform, one kinetic phase table per particle
-and the joint transform back.  The pairwise factors are what the paper's
-register subtract / relative-coordinate phase / add circuit produces
-(``statevector.register_add_sub`` keeps that circuit as the reference);
-here they are gathered once into the position table.
+axes, so on each axis that sandwich is one unitary F^dag exp(-i dt C k^2) F,
+and the cycle is one pass per axis.  An axis narrower than ``BLOCK`` points
+applies it as a dense block, by matrix products on the state in place, on
+one BLAS thread; a wider axis as numpy's transform along that axis, its
+kinetic phases and the transform back.  The pairwise factors are what the
+paper's register subtract / relative-coordinate phase / add circuit
+produces (``statevector.register_add_sub`` keeps that circuit as the
+reference); here they are gathered once into the position table.
 
 :func:`energy_tables` is the one place where the Hamiltonian is mapped onto
-the register axes.  The kernel's blocks and tables are built from exp(-i dt E)
+the register axes.  The kernel's passes and tables are built from exp(-i dt E)
 of its real energies; ``observables.sampled_energy_expectation`` reads the
 energies themselves, and ``dense`` builds its matrices by running the
 kernel's sub-steps on the identity.
@@ -37,7 +37,7 @@ import glob
 import os
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -47,18 +47,22 @@ from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           UniformEdgeRegion, pair_potential,
                           single_particle_potential)
 from .registers import RegisterLayout, pattern_of_value, span_values
-from .statevector import (StateVector, _span_axes, apply_inverse_qft,
-                          apply_phase_table, apply_qft, fourier_matrix)
+from .statevector import (StateVector, _span_axes, apply_phase_table,
+                          fourier_matrix)
 # unused here; benchmark/tracing.py wraps these by name in this module's namespace
-from .statevector import register_add_sub  # noqa: F401
+from .statevector import apply_inverse_qft, apply_qft, register_add_sub  # noqa: F401
 from .statevector import masked_ancilla_x_rotation, measure_qubit  # noqa: F401
 
 # An axis narrower than this, in grid points, is applied as its own dense
-# block; an axis of this many points or more keeps the transform.  Per axis,
-# one BLAS thread on 2 vCPUs, dense block against transform pair (ms), on
-# 2^16 amplitudes: 8 points 0.28 vs 1.09, 16 points 0.38 vs 1.00, 32 points
-# 0.53 vs 1.20, 64 points 0.92 vs 1.10, 128 points 1.69 vs 1.19; on 2^22
-# amplitudes: 32 points 43 vs 93, 64 points 70 vs 95, 128 points 97 vs 85.
+# block; an axis of this many points or more as its transform pass.  Per
+# axis, one BLAS thread on a 2-vCPU Xeon (Sapphire Rapids), dense block
+# against transform pass (ms), on 2^16 amplitudes: 8 points 0.27 vs 0.66,
+# 32 points 0.43 vs 0.66, 64 points 0.68 vs 0.61, 128 points 1.18 vs 0.66;
+# on 2^22 amplitudes: 32 points 31 vs 60, 64 points 48 vs 55, 128 points 80
+# vs 69.  Bailey's two-level split of such an axis into blocks (an h-point
+# DFT block, one twiddled l-point block per high momentum, the DFT block
+# back) took 1.06, 1.04 and 1.20 ms at 64, 128 and 256 points on 2^16
+# amplitudes, and 63, 65 and 85 ms on 2^22, so these axes keep the transform.
 # Merging narrow axes into one block costs more than it saves: on 2^18
 # amplitudes, six 8-point blocks take 2.4 ms and three 64-point blocks of
 # the same six axes 4.5 ms.
@@ -121,9 +125,9 @@ def energy_tables(layout: RegisterLayout, spec: HamiltonianSpec):
     """The one map from the Hamiltonian onto the register: real energy tables
     on the axes of :func:`span_axes`.
 
-    Returns (kinetic, position).  ``kinetic`` holds one list per particle of
-    (span, energies) pairs, one per span in axis order: the kinetic energy
-    C k^2 along that axis at each momentum pattern.  ``position`` lists the
+    Returns (kinetic, position).  ``kinetic`` holds one (span, energies)
+    pair per axis, in axis order: the kinetic energy C k^2 of the span's
+    particle along that axis at each momentum pattern.  ``position`` lists the
     terms of the joint position energy as (table, index) pairs, each term's
     energy on the axes being ``table[index]``.  A pair term is its
     relative-coordinate table gathered at (pattern_p - pattern_q) mod 2^w per
@@ -136,10 +140,10 @@ def energy_tables(layout: RegisterLayout, spec: HamiltonianSpec):
     axes = span_axes(layout)
     axis = {s: i for i, s in enumerate(axes)}
     ndim = len(axes)
-    kinetic = [[(s, kinetic_constant(box, s.width, spec.particles[p].mass)
-                 * span_values(s.width).astype(np.float64) ** 2)
-                for s in axes if s in particle.spans]
-               for p, particle in enumerate(layout.particles)]
+    mass = {s: spec.particles[p].mass
+            for p, particle in enumerate(layout.particles) for s in particle.spans}
+    kinetic = [(s, kinetic_constant(box, s.width, mass[s])
+                * span_values(s.width).astype(np.float64) ** 2) for s in axes]
 
     terms = []
     for p in range(len(layout.particles)):
@@ -164,12 +168,6 @@ def energy_tables(layout: RegisterLayout, spec: HamiltonianSpec):
     return kinetic, terms
 
 
-def _particle_table(axes: list) -> np.ndarray:
-    """Sum of one particle's per-axis energies, (span, energies) pairs, as
-    one table over those axes."""
-    return reduce(np.add, [_along(e, i, len(axes)) for i, (_, e) in enumerate(axes)])
-
-
 def basis_energies(layout: RegisterLayout, spec: HamiltonianSpec):
     """(kinetic, position): the energies of :func:`energy_tables` at every
     basis index of a ``layout`` register, each summed over its terms (0
@@ -181,13 +179,16 @@ def basis_energies(layout: RegisterLayout, spec: HamiltonianSpec):
         table = np.broadcast_to(table, [1 << s.width for s in spans])
         return np.broadcast_to(table.reshape(table_shape), full_shape).reshape(-1)
 
-    return (sum(spread([s for s, _ in axes], _particle_table(axes)) for axes in kinetic),
+    return (sum(spread([s], e) for s, e in kinetic),
             sum(spread(span_axes(layout), e[index]) for e, index in position))
 
 
-def _axis_operator(phases: np.ndarray) -> np.ndarray:
-    """F^dag diag(phases) F on one sub-register, F = ``fourier_matrix``:
-    the transform pair around a kinetic table as one dense matrix."""
+def _axis_pass(phases: np.ndarray) -> np.ndarray:
+    """The pass of F^dag diag(phases) F on one axis, F = ``fourier_matrix``:
+    below ``BLOCK`` points that dense matrix, for :func:`_apply_block`; from
+    there on the phases themselves, for :func:`_apply_transform`."""
+    if phases.size >= BLOCK:
+        return phases
     f = fourier_matrix(phases.size.bit_length() - 1)
     return f.conj().T @ (phases[:, None] * f)
 
@@ -213,6 +214,16 @@ def _apply_block(amps: np.ndarray, block: np.ndarray, post: int) -> None:
             part[...] = block @ part
 
 
+def _apply_transform(amps: np.ndarray, phases: np.ndarray, post: int) -> None:
+    """F^dag diag(phases) F, in place, on the axis of ``phases.size`` points
+    that has ``post`` amplitudes below it: numpy's orthonormal fft along the
+    axis, which is F, then the phases, then the ifft back."""
+    view = amps.reshape(-1, phases.size, post)
+    np.fft.fft(view, axis=1, norm="ortho", out=view)
+    view *= phases[:, None]
+    np.fft.ifft(view, axis=1, norm="ortho", out=view)
+
+
 @cache
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS bundled with numpy's
@@ -233,26 +244,26 @@ def _openblas_threads():
     return None
 
 
-def _apply_blocks(amps: np.ndarray, blocks: list) -> None:
-    """Apply each (post, block) pass on one BLAS thread, then restore the
-    pool's size.  Each product is cache-sized, and a pool of several threads
-    stalls on such products whenever other processes hold the CPUs: on 2
-    vCPUs beside two busy processes, ``scattering_reduced`` took 2 s on one
-    thread and up to 40 s on two."""
+def _apply_blocks(amps: np.ndarray, passes: list) -> None:
+    """Apply each (post, :func:`_axis_pass`) pass on one BLAS thread,
+    then restore the pool's size.  Each block product is cache-sized, and a
+    pool of several threads stalls on such products whenever other
+    processes hold the CPUs: on 2 vCPUs beside two busy processes,
+    ``scattering_reduced`` took 2 s on one thread and up to 40 s on two."""
     pool = _openblas_threads()
     threads = pool[0]() if pool is not None else 1
     if threads > 1:
         pool[1](1)
     try:
-        for post, block in blocks:
-            _apply_block(amps, block, post)
+        for post, op in passes:
+            (_apply_block if op.ndim == 2 else _apply_transform)(amps, op, post)
     finally:
         if threads > 1:
             pool[1](threads)
 
 
 class StepKernel:
-    """Kinetic blocks and phase tables for one (layout, plan, spec) triple,
+    """Kinetic passes and phase tables for one (layout, plan, spec) triple,
     reused across steps: built from exp(-i dt E) of the tables of
     :func:`energy_tables`."""
 
@@ -271,7 +282,9 @@ class StepKernel:
         self.spans = span_axes(layout)
         self.shape = tuple(1 << s.width for s in self.spans)
         kinetic, position = energy_tables(layout, spec)
-        self._compile_kinetic(kinetic)
+        # the kinetic cycle: one pass per axis, ``post`` the amplitudes below it
+        self.passes = [(1 << s.start, _axis_pass(np.exp(-1j * plan.dt * e)))
+                       for s, e in kinetic]
         self.position = _product_table(
             [np.exp(-1j * plan.dt * e)[index] for e, index in position],
             self.shape) if position else None
@@ -285,27 +298,6 @@ class StepKernel:
         self.window_rows = None
         if plan.augmentation is not None:
             self.window_rows = corrections.window_rows(layout, plan.augmentation)
-
-    def _compile_kinetic(self, kinetic: list) -> None:
-        """The kinetic cycle as passes.  ``blocks`` holds (post, matrix) for
-        each axis narrower than ``BLOCK`` points, in the order of
-        ``self.spans``: its operator F^dag exp(-i dt E) F, ``post`` the
-        amplitudes below the axis.  ``wide`` holds (spans, table) per particle
-        for the axes of ``BLOCK`` points or more:
-        exp(-i dt E) of their summed energies, applied between one joint
-        transform of ``wide_spans`` and the transform back."""
-        dt = self.plan.dt
-        operators = {}
-        self.wide = []
-        for axes in kinetic:
-            wide = [(s, e) for s, e in axes if 1 << s.width >= BLOCK]
-            if wide:
-                self.wide.append(([s for s, _ in wide],
-                                  np.exp(-1j * dt * _particle_table(wide))))
-            operators.update((s, _axis_operator(np.exp(-1j * dt * e)))
-                             for s, e in axes if 1 << s.width < BLOCK)
-        self.wide_spans = [s for s in self.spans if s not in operators]
-        self.blocks = [(1 << s.start, operators[s]) for s in self.spans if s in operators]
 
     def _compile_damping(self, atten: AttenuationSpec) -> np.ndarray | None:
         """Real table over ``self.spans`` (axes as the position table): the
@@ -354,9 +346,9 @@ class StepKernel:
         """This kernel with every kinetic and interaction table conjugated, so
         that its sub-steps undo the ones of this kernel."""
         adj = copy(self)
-        # a block is symmetric (k^2 is even in k), so its conjugate is its adjoint
-        adj.blocks = [(post, b.conj()) for post, b in self.blocks]
-        adj.wide = [(spans, np.conj(f)) for spans, f in self.wide]
+        # a block is symmetric (k^2 is even in k), so its conjugate is its
+        # adjoint; conjugated phases undo a transform pass
+        adj.passes = [(post, op.conj()) for post, op in self.passes]
         if self.position is not None:
             adj.position = np.conj(self.position)
         return adj
@@ -364,13 +356,7 @@ class StepKernel:
     # -- application --------------------------------------------------------
 
     def kinetic_cycle(self, state: StateVector) -> StateVector:
-        if self.blocks:
-            _apply_blocks(state.amps, self.blocks)
-        if self.wide:
-            apply_inverse_qft(state, self.wide_spans)
-            for spans, factors in self.wide:
-                apply_phase_table(state, spans, factors)
-            apply_qft(state, self.wide_spans)
+        _apply_blocks(state.amps, self.passes)
         return state
 
     def interaction(self, state: StateVector) -> StateVector:

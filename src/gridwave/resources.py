@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-BOHR_PER_ANGSTROM = 1.8897259886
-
 
 @dataclass(frozen=True)
 class MoleculeSpec:
@@ -25,7 +23,6 @@ class MoleculeSpec:
     particles: int          # electrons plus explicitly modelled nuclei
     z_max: int
     c3: float               # dimensionless root constant of the qubit formula
-    n_r_override: int | None = None
 
     def __post_init__(self):
         if self.particles < 1:
@@ -36,11 +33,7 @@ class MoleculeSpec:
 
 def qubits_required(spec: MoleculeSpec) -> tuple[int, int]:
     """(n_r, total computational qubits = 3 * P * n_r)."""
-    if spec.n_r_override is not None:
-        n_r = spec.n_r_override
-    else:
-        n_r = int(round(spec.c3 + math.log2(spec.z_max)
-                        + math.log2(spec.particles) / 3.0))
+    n_r = int(round(spec.c3 + math.log2(spec.z_max) + math.log2(spec.particles) / 3.0))
     return n_r, 3 * spec.particles * n_r
 
 
@@ -144,7 +137,6 @@ def _shell_density(r: np.ndarray, z: int) -> np.ndarray:
 class BoxAdvisory:
     length: float           # recommended cube side, a.u.
     threshold: float        # surface density threshold used
-    heuristic: bool = True  # always; this feeds a manual n_r override only
 
 
 def surface_density(atoms, length: float, samples: int = 24) -> float:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from gridwave.cli import build_parser, main
+from gridwave import propagator
+from gridwave.cli import _set_threads, build_parser, main
 from gridwave.scenario import load_scenario, validate_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +32,25 @@ def test_parser_covers_verbs():
     assert p.parse_args(["diff", "a", "b"]).command == "diff"
     est = p.parse_args(["estimate", "--molecule", "NH3", "--cycles", "1000"])
     assert est.molecule == "NH3"
+
+
+def test_threads_flag_sizes_numpys_blas_pool(monkeypatch):
+    # numpy's OpenBLAS is loaded before the flag is read, so the variables
+    # alone would leave its pool as it was
+    pool = propagator._openblas_threads()
+    if pool is None:
+        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.setenv(var, "")     # restored after the test
+    before = pool[0]()
+    try:
+        for n in (1, 3):
+            _set_threads(n)
+            assert pool[0]() == n
+            assert os.environ["OPENBLAS_NUM_THREADS"] == str(n)
+    finally:
+        pool[1](before)
 
 
 def test_cli_list_and_validate(capsys):

@@ -89,12 +89,13 @@ def test_split_cycle_matrix_is_the_kernel_cycle_bit_for_bit(hyd2d_spec):
     # U_SO of both dense builders is the kernel's kinetic cycle then its
     # interaction, applied to each basis vector, to the last bit, the
     # reference one in every row and in the window rows a patch derivation
-    # asks for; the last layout's second kinetic block acts on rounded
-    # amplitudes
+    # asks for; the second PAIR_1D layout's second kinetic block acts on
+    # rounded amplitudes, and the 64-point axis is a transform pass
     for box, spec, dt in ((SimulationBox(2, 3, 10.0, 0.5), hyd2d_spec, 0.01),
                           (SimulationBox(2, 4, 10.0, 0.47), hyd2d_spec, 0.004),
                           (SimulationBox(1, 3, 8.0, 0.5), PAIR_1D, 0.02),
-                          (SimulationBox(1, 5, 8.0, 0.5), PAIR_1D, 0.02)):
+                          (SimulationBox(1, 5, 8.0, 0.5), PAIR_1D, 0.02),
+                          (SimulationBox(1, 6, 20.0, 0.5), hydrogen_spec(1), 0.02)):
         layout = particle_layout(len(spec.particles), box.dims, box.n_r, box=box)
         kernel = compile_step(layout, StepPlan(dt), spec)
         expected = np.empty((1 << layout.num_qubits,) * 2, dtype=complex)

@@ -15,9 +15,8 @@ from gridwave.hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSp
 from gridwave.propagator import (StepPlan, compile_step, kinetic_constant,
                                  propagate, split_step_inverse)
 from gridwave.registers import (Particle, RegisterLayout, Span, particle_layout,
-                                pattern_of_value, span_values)
-from gridwave.statevector import (StateVector, apply_inverse_qft,
-                                  apply_phase_table, apply_qft, inner_product,
+                                pattern_of_value)
+from gridwave.statevector import (StateVector, apply_qft, inner_product,
                                   register_add_sub)
 from .conftest import cached_eig, hydrogen_spec, random_state
 from .oracles import (ancilla_damping_round, dense_split_cycle,
@@ -76,8 +75,13 @@ KINETIC_LAYOUTS = {
                                      {"low": Span(0, 1)}), (1.0,)),
     "mixed_masses": (SimulationBox(2, 2, 6.0, 0.5), particle_layout(2, 2, 2), (1.0, 7.5)),
     "1d_wide": (SimulationBox(1, 9, 40.0, 0.5), particle_layout(1, 1, 9), (1.0,)),
-    # a lone axis of BLOCK points keeps the transform
+    # a lone axis of BLOCK points: the narrowest one that is transformed
     "1d_64": (SimulationBox(1, 6, 20.0, 0.5), particle_layout(1, 1, 6), (1.0,)),
+    # transformed axes with amplitudes below them: 128 below y, 1 below x
+    "2d_odd_wide": (SimulationBox(2, 7, 30.0, 0.5), particle_layout(1, 2, 7), (1.0,)),
+    "wide_ancilla_below": (SimulationBox(1, 8, 30.0, 0.5),
+                           RegisterLayout((Particle((Span(1, 8),)),),
+                                          {"low": Span(0, 1)}), (1.0,)),
 }
 
 
@@ -98,33 +102,19 @@ def test_kinetic_cycle_matches_fft_oracle(rng, name):
     assert np.abs(state.amps - psi).max() < 1e-14
 
 
-@pytest.mark.parametrize("name", ["1d_wide", "1d_64"])
-def test_kinetic_cycle_of_wide_axes_is_the_joint_transform_bit_for_bit(rng, name):
-    # axes of a block's points or more keep the transform, the exp of the
-    # summed energies and the transform back, to the last bit
-    box, layout, _ = KINETIC_LAYOUTS[name]
-    layout = layout.with_box(box)
-    spans = [layout.span(0, 0)]
-    width = spans[0].width
-    kernel = compile_step(layout, StepPlan(0.05), hydrogen_spec(1))
-    psi = random_state(rng, layout.num_qubits)
-    expected = apply_inverse_qft(StateVector(psi.copy(), layout), spans)
-    energy = kinetic_constant(box, width, 1.0) * span_values(width).astype(np.float64) ** 2
-    apply_qft(apply_phase_table(expected, spans, np.exp(-1j * 0.05 * energy)), spans)
-    assert not kernel.blocks
-    assert np.array_equal(kernel.kinetic_cycle(StateVector(psi, layout)).amps, expected.amps)
-
-
 @pytest.mark.parametrize("name, sizes", [
-    ("3d_pair", [8] * 6), ("2d_pair_cap", [16] * 4),
-    ("ancilla_between", [4] * 4), ("mixed_masses", [4] * 4), ("column_above", [8, 8]),
-    ("1d_wide", []), ("1d_64", []), ("ancilla_below", [8, 8])])
+    ("3d_pair", [(8, 8)] * 6), ("2d_pair_cap", [(16, 16)] * 4),
+    ("ancilla_between", [(4, 4)] * 4), ("mixed_masses", [(4, 4)] * 4),
+    ("column_above", [(8, 8)] * 2), ("1d_wide", [(512,)]), ("1d_64", [(64,)]),
+    ("ancilla_below", [(8, 8)] * 2), ("2d_odd_wide", [(128,)] * 2),
+    ("wide_ancilla_below", [(256,)])])
 def test_each_narrow_axis_is_one_block(name, sizes):
-    # every axis narrower than 64 points is its own block; wider ones keep the transform
+    # each axis is one pass: below 64 points its dense block, from 64 points
+    # on its kinetic phases, applied between the axis's transform and back
     box, layout, masses = KINETIC_LAYOUTS[name]
     spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses))
     kernel = compile_step(layout.with_box(box), StepPlan(0.05), spec)
-    assert [len(block) for _, block in kernel.blocks] == sizes
+    assert [op.shape for _, op in kernel.passes] == sizes
 
 
 _DETERMINISM_SCRIPT = """
