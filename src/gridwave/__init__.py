@@ -6,8 +6,9 @@ potential phases on the position grid.  Each register axis takes its
 kinetic step as one pass: one dense block matrix on an axis narrower than
 64 points, its Fourier transform, phases and transform back on a wider one.
 On top of that cycle sit phase-probe energy estimation, boundary damping by
-a real absorbing table, imaginary-time state preparation, exchange
-symmetrisation, per-step patch corrections, and closed-form resource audits.
+real absorbing factors in the position table, imaginary-time state
+preparation, exchange symmetrisation, per-step patch corrections, and
+closed-form resource audits.
 """
 
 from .errors import (CeilingExceededError, ConfigError, DegenerateStateError,

@@ -15,6 +15,8 @@ import argparse
 import os
 import sys
 
+from .errors import GridwaveError
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -106,10 +108,8 @@ def _cmd_list(_args) -> int:
 
 def _cmd_diff(args) -> int:
     from .iofmt import diff_manifests
-    paths = []
-    for raw in (args.a, args.b):
-        paths.append(os.path.join(raw, "manifest.json")
-                     if os.path.isdir(raw) else raw)
+    paths = [os.path.join(raw, "manifest.json") if os.path.isdir(raw) else raw
+             for raw in (args.a, args.b)]
     diffs = diff_manifests(*paths)
     for line in diffs:
         print(line)
@@ -161,26 +161,14 @@ def _cmd_estimate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None) is not None:
-        _set_threads(args.threads)
+    _set_threads(getattr(args, "threads", None))
+    command = {"run": _cmd_run, "validate": _cmd_validate, "list": _cmd_list,
+               "diff": _cmd_diff, "estimate": _cmd_estimate}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "diff":
-            return _cmd_diff(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-    except Exception as exc:  # surface config errors as clean CLI failures
-        from .errors import GridwaveError
-        if isinstance(exc, GridwaveError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        raise
-    return 2
+        return command(args)
+    except GridwaveError as exc:  # surface config errors as clean CLI failures
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,17 +3,19 @@
 Every matrix here is built by the step kernel itself.  The identity is held
 as a state with one more register, ``column``, above the particle spans, so
 one call of a kernel sub-step acts on every column at once.  U_SO is the
-kernel's kinetic cycle then its interaction on that state; the kinetic
-matrix F^dag K F is the kernel's transform, the kinetic energies of
-``propagator.energy_tables`` and the transform back.  No term of the
-Hamiltonian is mapped onto the register a second time here.
+kernel's kinetic cycle then its interaction on that state, a few of its rows
+the inverse cycle on a few unit vectors; the kinetic matrix F^dag K F is the
+kernel's transform, the kinetic energies of ``propagator.energy_tables`` and
+the transform back.  No term of the Hamiltonian is mapped onto the register
+a second time here.
 
 Every builder refuses dense dimensions above ``MAX_DIM``; production stepping
 never goes through these matrices.  Production reads only what it needs of
 them: the ground pair of a Hamiltonian (one eigenpair, not the spectrum) and
-the window rows of the reference step (a few columns of exp(+i h dt), not the
-full exponential).  The full eigendecomposition and the full exact step stay
-for :func:`build_dense_step_matrices`, which anchors the tests against exact
+the window rows of the reference step and of U_SO (a few columns of exp(+i h
+dt) and of the inverse cycle, not the full matrices).  The full
+eigendecomposition and both full steps stay for
+:func:`build_dense_step_matrices`, which anchors the tests against exact
 eigenpairs of the pixelated Hamiltonian.
 """
 
@@ -24,7 +26,8 @@ import numpy as np
 from .errors import ConfigError
 from .grid import SimulationBox
 from .hamiltonian import HamiltonianSpec, single_particle_potential
-from .propagator import StepKernel, StepPlan, basis_energies, span_axes
+from .propagator import (StepKernel, StepPlan, basis_energies, span_axes,
+                         split_step_inverse)
 from .registers import particle_layout, span_values
 from .statevector import (StateVector, apply_inverse_qft, apply_phase_table,
                           apply_qft, fourier_matrix)
@@ -33,17 +36,22 @@ MAX_DIM = 4096   # largest dense dimension built
 REFINE = 8       # fine-grid points per pixel of the projected potential
 
 
-def _identity(box: SimulationBox, spec: HamiltonianSpec):
+def _identity(box: SimulationBox, spec: HamiltonianSpec, rows=None):
     """(layout, state, matrix): the standard packing of ``spec``'s particles,
-    and the identity held as a state whose ``column`` register, above the
-    particle spans, indexes the columns.  ``matrix`` views the same amplitudes,
-    so the in-place sub-steps of the kernel on the state act on its columns."""
+    and the identity's columns at ``rows`` (all by default), padded with zero
+    columns to a power of two, held as a state whose ``column`` register,
+    above the particle spans, indexes them.  ``matrix`` views the same
+    amplitudes, so the kernel's in-place sub-steps on the state act on it."""
     layout = particle_layout(len(spec.particles), box.dims, box.n_r, box=box)
     n = layout.num_qubits
     if 1 << n > MAX_DIM:
         raise ConfigError(f"dense dimension {1 << n} exceeds threshold {MAX_DIM}")
-    eye = np.eye(1 << n, dtype=np.complex128)
-    return layout, StateVector(eye.reshape(-1), layout.with_ancilla("column", n)), eye.T
+    rows = np.arange(1 << n) if rows is None else rows
+    width = max(1, (len(rows) - 1).bit_length())
+    units = np.zeros((1 << width, 1 << n), dtype=np.complex128)
+    units[np.arange(len(rows)), rows] = 1.0
+    state = StateVector(units.reshape(-1), layout.with_ancilla("column", width))
+    return layout, state, units[:len(rows)].T
 
 
 def split_cycle_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float) -> np.ndarray:
@@ -176,10 +184,11 @@ def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float,
     """(U_ideal[rows], U_SO[rows]): the given rows of the exact step of
     :func:`reference_hamiltonian` and of :func:`split_cycle_matrix`.
 
-    h is Hermitian, so U_ideal[rows] = conj(exp(+i h dt) E_rows)^T, with E_rows
-    the unit vectors at ``rows``; ``expm_multiply`` builds that from products
-    of h with those few columns.  It is handed an operator, not the array, so
-    that it forms no dense identity or shifted copy of h beside it.
+    Both are U[rows] = conj(U^dag E_rows)^T, E_rows the unit vectors at
+    ``rows``.  U_SO^dag is :func:`split_step_inverse` on those columns alone.
+    h is Hermitian, so U_ideal^dag = exp(+i h dt); ``expm_multiply`` builds
+    that from products of h with the columns.  It is handed an operator, not
+    the array, so that it forms no dense identity or shifted copy of h.
     """
     from scipy.sparse.linalg import LinearOperator, expm_multiply
     h = reference_hamiltonian(box, spec)
@@ -192,10 +201,10 @@ def reference_step_matrix(box: SimulationBox, spec: HamiltonianSpec, dt: float,
 
     a = LinearOperator(h.shape, matvec=forward, rmatvec=adjoint, matmat=forward,
                        rmatmat=adjoint, dtype=np.complex128)
-    units = np.zeros((h.shape[0], len(rows)), dtype=np.complex128)
-    units[rows, np.arange(len(rows))] = 1.0
+    _, columns, units = _identity(box, spec, rows)
     ideal = expm_multiply(a, units, traceA=1j * dt * np.trace(h)).conj().T
-    return ideal, split_cycle_matrix(box, spec, dt)[rows]
+    split_step_inverse(columns, StepPlan(dt), spec)
+    return ideal, units.T.conj()
 
 
 def build_dense_step_matrices(box: SimulationBox, spec: HamiltonianSpec, dt: float):

@@ -8,7 +8,7 @@ be overridden (or zeroed) explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class HamiltonianSpec:
     nuclei: tuple[Nucleus, ...] = ()
     pair_couplings: np.ndarray | None = None   # symmetric, zero diagonal
     efield: tuple[float, ...] = ()
-    attenuation: AttenuationSpec | None = None
 
     def __post_init__(self):
         if self.pair_couplings is not None:
@@ -117,8 +116,7 @@ class HamiltonianSpec:
 
     def with_couplings_zeroed(self) -> "HamiltonianSpec":
         n = len(self.particles)
-        return HamiltonianSpec(self.particles, self.nuclei,
-                               np.zeros((n, n)), self.efield, self.attenuation)
+        return replace(self, pair_couplings=np.zeros((n, n)))
 
 
 def single_particle_potential(spec: HamiltonianSpec, particle: int,

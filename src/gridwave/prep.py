@@ -114,14 +114,11 @@ def imaginary_time_step(state: StateVector, params: ImaginaryTimeParams,
     """
     if plan.dt != params.dt:
         raise ConfigError("plan dt and imaginary-time dt differ", field="prep.dt")
-    if plan.attenuation is not None or plan.augmentation is not None:
-        raise ConfigError("imaginary-time stepping needs the plain unitary cycle")
     if kernel is None:
         kernel = compile_step(state.layout, plan, spec)
-    forward = state.copy()
-    kernel.apply(forward)
-    backward = state.copy()
-    split_step_inverse(backward, plan, spec, kernel=kernel)
+    # the inverse first: it refuses a damped or patched cycle before any work
+    backward = split_step_inverse(state.copy(), plan, spec, kernel=kernel)
+    forward = kernel.apply(state.copy())
     coeff = 0.5 * params.m0
     state.amps[...] = coeff * ((1.0 - 1j * params.s) * forward.amps
                                + (1.0 + 1j * params.s) * backward.amps)

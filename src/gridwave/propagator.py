@@ -1,8 +1,8 @@
 """First-order split-operator time stepping on the register statevector.
 
 One step applies, in order: the kinetic cycle, one position-diagonal table
-holding every nuclear, field and pairwise factor, optional boundary damping,
-optional core patch correction.
+(every nuclear, field and pairwise phase times any real damping factor), a
+damped plan's renormalisation and an optional core patch correction.
 
 The kinetic cycle is the paper's transform / quadratic kinetic phase /
 inverse transform on every sub-register.  The kinetic energy is a sum over
@@ -24,10 +24,10 @@ kernel's sub-steps on the identity.
 Boundary damping is the paper's conditioned-ancilla round: an ancilla
 rotated by arccos(exp(-V dt)) on the edge pixels, then post-selected to |0>.
 That outcome leaves the particle registers multiplied by the real diagonal
-exp(-V dt) with the ancilla back in |0>, so the kernel applies that diagonal
-and renormalises instead of carrying the always-zero ancilla half
-(``tests/oracles.py`` keeps the round, ``ancilla_damping_round``, as the
-reference).
+exp(-V dt) with the ancilla back in |0>, so the kernel folds that diagonal
+into its position table and renormalises after it, instead of carrying the
+always-zero ancilla half (``tests/oracles.py`` keeps the round,
+``ancilla_damping_round``, as the reference).
 """
 
 from __future__ import annotations
@@ -285,24 +285,22 @@ class StepKernel:
         # the kinetic cycle: one pass per axis, ``post`` the amplitudes below it
         self.passes = [(1 << s.start, _axis_pass(np.exp(-1j * plan.dt * e)))
                        for s, e in kinetic]
-        self.position = _product_table(
-            [np.exp(-1j * plan.dt * e)[index] for e, index in position],
-            self.shape) if position else None
-
-        # boundary damping
-        self.damping = None
-        if plan.attenuation is not None:
-            self.damping = self._compile_damping(plan.attenuation)
+        # one position table: every phase, then the real damping factors
+        damping = (self._damping_factors(plan.attenuation)
+                   if plan.attenuation is not None else [])
+        self.damped = bool(damping)
+        factors = [np.exp(-1j * plan.dt * e)[index] for e, index in position] + damping
+        self.position = _product_table(factors, self.shape) if factors else None
 
         # core patch: the statevector rows of its pixel window
         self.window_rows = None
         if plan.augmentation is not None:
             self.window_rows = corrections.window_rows(layout, plan.augmentation)
 
-    def _compile_damping(self, atten: AttenuationSpec) -> np.ndarray | None:
-        """Real table over ``self.spans`` (axes as the position table): the
+    def _damping_factors(self, atten: AttenuationSpec) -> list:
+        """Real factors over ``self.spans`` (axes as the position table): the
         factor cos(theta) = exp(-V dt) that the |0> outcome of the ancilla
-        round leaves on each damped pixel, 1 elsewhere.  None if all are 1."""
+        round leaves on each damped pixel, 1 elsewhere.  [] if all are 1."""
         dt = self.plan.dt
         axis = {s: i for i, s in enumerate(self.spans)}
         ndim = len(self.spans)
@@ -318,10 +316,7 @@ class StepKernel:
         elif isinstance(region, ExplicitRegion):
             for particle in self.layout.particles:
                 spans = particle.spans
-                shape = [1] * ndim
-                for s in spans:
-                    shape[axis[s]] = 1 << s.width
-                table = np.ones(shape)
+                table = np.ones([1 << s.width if s in spans else 1 for s in self.spans])
                 for pix, strength in region.pixels.items():
                     if len(pix) != len(spans):
                         raise ConfigError(
@@ -338,13 +333,18 @@ class StepKernel:
         else:
             raise ConfigError("unknown attenuation region type", field="attenuation")
         if all(np.all(f == 1.0) for f in factors):
-            return None
-        return _product_table(factors, self.shape)
+            return []
+        return factors
 
     @cached_property
     def adjoint(self) -> "StepKernel":
         """This kernel with every kinetic and interaction table conjugated, so
-        that its sub-steps undo the ones of this kernel."""
+        that its sub-steps undo the ones of this kernel.  Only the plain
+        cycle has that inverse: damping and a patch are refused."""
+        for name in ("attenuation", "augmentation"):
+            if getattr(self.plan, name) is not None:
+                raise ConfigError(f"a cycle with plan {name} has no unitary inverse",
+                                  field=f"plan.{name}")
         adj = copy(self)
         # a block is symmetric (k^2 is even in k), so its conjugate is its
         # adjoint; conjugated phases undo a transform pass
@@ -365,11 +365,11 @@ class StepKernel:
         return state
 
     def damp(self, state: StateVector) -> float:
-        """Boundary damping round: the damping table, then renormalisation.
-        Returns this step's detection probability 1 - survival."""
-        if self.damping is None:
+        """The damping round's post-selection, once :meth:`interaction` has
+        applied the damping factors: renormalisation.  Returns this step's
+        detection probability 1 - survival (0 when every factor is 1)."""
+        if not self.damped:
             return 0.0
-        apply_phase_table(state, self.spans, self.damping)
         survival = min(state.norm_sq(), 1.0)
         if survival < 1e-15:
             raise PostSelectionError(
@@ -398,8 +398,9 @@ def compile_step(layout: RegisterLayout, plan: StepPlan,
 
 def split_step_inverse(state: StateVector, plan: StepPlan, spec: HamiltonianSpec,
                        kernel: StepKernel | None = None) -> StateVector:
-    """Exact inverse of the unitary part of one cycle (no damping, no patch):
-    the interaction, then the kinetic cycle, each with conjugated tables."""
+    """Exact inverse of one plain cycle: the interaction, then the kinetic
+    cycle, each with conjugated tables.  A damped or patched cycle has no
+    unitary inverse; its kernel's ``adjoint`` raises ConfigError."""
     if kernel is None:
         kernel = compile_step(state.layout, plan, spec)
     kernel.adjoint.interaction(state)

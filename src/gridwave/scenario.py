@@ -196,7 +196,7 @@ class Scenario:
     plan_dt: float
     plan_steps: int
     aug_patches: tuple       # pixels-per-dim entries; 0 means plain cycle
-    attenuate: bool
+    attenuation: AttenuationSpec | None   # the damping region; None: no damping
     initial: InitialState
     observables: SimpleNamespace     # with ipe (its cadence) and ipe_fit
     events: tuple                    # by ascending at_step
@@ -215,7 +215,8 @@ class Scenario:
         # the state edit each use an ancilla
         edit = self.prep is not None and self.prep.kind == "edit"
         grown = sum(e.enlarge_by for e in self.events if e.enlarge_particle is not None)
-        return self.base_qubits + self.box.dims * grown + self.attenuate + edit
+        return (self.base_qubits + self.box.dims * grown
+                + (self.attenuation is not None) + edit)
 
 
 # -- table-driven conversion --------------------------------------------------------
@@ -318,11 +319,15 @@ def _attenuation(sec: Section, box: SimulationBox) -> AttenuationSpec:
         _fail(sec, "needs one uniform{} block or pixel{} blocks")
     if uniform is None:
         half = 1 << (box.n_r - 1)   # an enlargement only widens this range
+        strengths = {}
         for p in pixels:
             if not all(-half <= v < half for v in p.get("at")):
                 _fail(p, f"must lie in [-{half}, {half})", "at")
-        return AttenuationSpec(ExplicitRegion(
-            {_vector(p, "at", box.dims): p.get("strength") for p in pixels}))
+            at = _vector(p, "at", box.dims)
+            if at in strengths:
+                _fail(p, f"pixel {at} is already damped by an earlier pixel block", "at")
+            strengths[at] = p.get("strength")
+        return AttenuationSpec(ExplicitRegion(strengths))
     if uniform.get("msb") >= box.n_r:
         _fail(uniform, f"must be < n_r ({box.n_r})", "msb")
     return AttenuationSpec(UniformEdgeRegion(uniform.get("msb"),
@@ -348,7 +353,7 @@ def load_scenario(text: str) -> Scenario:
     attenuation = (_attenuation(ham.child("attenuation"), box)
                    if ham.child("attenuation") else None)
     spec = HamiltonianSpec(particles, nuclei, np.zeros((n, n)) if uncoupled else None,
-                           efield, attenuation)
+                           efield)
 
     plan = top.child("plan")
     dt, steps = plan.get("dt"), plan.get("steps")
@@ -360,12 +365,12 @@ def load_scenario(text: str) -> Scenario:
         _check_dense(aug, "patches", n, box, projected=True)
         if max(patches) > 1 << box.n_r:
             _fail(aug, f"a patch is wider than the {1 << box.n_r}-pixel grid", "patches")
-    attenuate = plan.get("attenuation")
-    if attenuate is None:
-        attenuate = attenuation is not None
-    elif attenuate and attenuation is None:
+    switch = plan.get("attenuation")    # absent: on wherever a region is given
+    if switch and attenuation is None:
         _fail(plan, "is on but the hamiltonian defines no attenuation region",
               "attenuation")
+    if switch is False:
+        attenuation = None
 
     osec = _section(top, "observables")
     ipe = osec.child("ipe") or Section("ipe", {"every": 0, "fit": False})
@@ -378,7 +383,7 @@ def load_scenario(text: str) -> Scenario:
         _fail(preps[1], "prep runs either a state edit or imaginary-time "
                         "filtering, not both")
     for sec in preps:
-        if attenuate:
+        if attenuation is not None:
             _fail(sec, "needs the plain unitary cycle; plan.attenuation is on")
         if sec.name == "imaginary_time":
             _located(sec, ImaginaryTimeParams, sec.get("m0"), dt)
@@ -411,7 +416,7 @@ def load_scenario(text: str) -> Scenario:
         if n > 1 and not uncoupled and not any(e.drop_couplings for e in events):
             _fail(esec, "pair couplings are still on; drop them at or before "
                         "the enlargement", "enlarge_particle")
-    if attenuate:   # exp(-V dt) must stay above 0 for every dt the run uses
+    if attenuation is not None:   # exp(-V dt) must stay above 0 for every dt the run uses
         region = attenuation.region
         strongest = (region.strength if isinstance(region, UniformEdgeRegion)
                      else max(region.pixels.values()))
@@ -425,7 +430,7 @@ def load_scenario(text: str) -> Scenario:
     return Scenario(
         root=root, description=top.get("description"), seed=top.get("seed"),
         extended=top.get("extended"), box=box, spec=spec, plan_dt=dt,
-        plan_steps=steps, aug_patches=patches, attenuate=attenuate,
+        plan_steps=steps, aug_patches=patches, attenuation=attenuation,
         initial=_initial_state(top.child("initial_state"), n, box),
         observables=obs, events=tuple(events), prep=prep)
 
@@ -584,7 +589,7 @@ def run_scenario(text: str, out_dir, *, seed: int | None = None,
             correction = derive_correction(scen.box, scen.spec, scen.plan_dt,
                                            patch.bit_length() - 1)
         plan = StepPlan(scen.plan_dt, augmentation=correction,
-                        attenuation=scen.spec.attenuation if scen.attenuate else None)
+                        attenuation=scen.attenuation)
 
         # series name -> (times, values), written as <name><suffix>.csv
         series = {name: ([], []) for name in ("autocorrelation", "sampled_energy",

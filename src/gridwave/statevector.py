@@ -59,9 +59,7 @@ class StateVector:
 
     @classmethod
     def zero_state(cls, num_qubits: int, layout: RegisterLayout | None = None):
-        amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(amps, layout)
+        return cls.basis_state(num_qubits, 0, layout)
 
     @classmethod
     def basis_state(cls, num_qubits: int, index: int, layout=None):
@@ -122,7 +120,8 @@ def _broadcast_table(state: StateVector, spans: list[Span], table: np.ndarray):
 
 def apply_phase_table(state: StateVector, spans: list[Span], factors: np.ndarray) -> StateVector:
     """Multiply amplitudes by a precomputed factor table: unit-modulus phases,
-    or the real damping factors of ``StepKernel.damp``."""
+    real energies, or ``StepKernel``'s position table, whose damped pixels
+    carry phases times real damping factors below 1."""
     view, factor = _broadcast_table(state, spans, factors)
     view *= factor
     return state

@@ -329,7 +329,7 @@ def test_criterion_10_attenuation_escape():
     box = SimulationBox(1, 8, 20.0, 0.5)
     layout = particle_layout(1, 1, 8, box=box).with_ancilla("cap")
     atten = AttenuationSpec(UniformEdgeRegion(3, 1.0))
-    spec = HamiltonianSpec((ParticleSpec(1.0, -1.0),), attenuation=atten)
+    spec = HamiltonianSpec((ParticleSpec(1.0, -1.0),))
     amps, _ = discretize(Gaussian((-4.0,), (2.0,), (0.5,)), box)
     state = StateVector(np.concatenate([amps, np.zeros_like(amps)]), layout)
     kernel = compile_step(layout, StepPlan(0.01, attenuation=atten), spec)
@@ -458,7 +458,7 @@ def test_reduced_scattering_symmetry_and_escape(rng):
     layout = particle_layout(2, 2, 4, box=box).with_ancilla("cap")
     atten = AttenuationSpec(UniformEdgeRegion(2, 0.5))
     spec = HamiltonianSpec((ParticleSpec(1.0, -1.0), ParticleSpec(1.0, -1.0)),
-                           (Nucleus((0.0, 0.0), 1.0),), attenuation=atten)
+                           (Nucleus((0.0, 0.0), 1.0),))
     a, _ = discretize(Hydrogen2D(0, 0), box)
     b, _ = discretize(Gaussian((0.0, 5.0), (0.0, -1.5), (0.4, 0.4)), box)
     combined = exchange_product([a, b])

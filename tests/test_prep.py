@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from gridwave.corrections import CoreCorrection
 from gridwave.errors import ConfigError, PostSelectionError
 from gridwave.grid import SimulationBox
-from gridwave.hamiltonian import HamiltonianSpec, ParticleSpec
+from gridwave.hamiltonian import (AttenuationSpec, HamiltonianSpec, ParticleSpec,
+                                  UniformEdgeRegion)
 from gridwave.prep import (ImaginaryTimeParams, SynthSpectrum, align_energies,
                            antisymmetrize_tagged, imaginary_time_run,
                            imaginary_time_step, state_edit_remove)
@@ -193,6 +195,23 @@ def test_imaginary_time_guard_rails(hyd2d_spec):
     params = ImaginaryTimeParams(0.9, 1e-3)
     with pytest.raises(ConfigError):
         imaginary_time_step(state, params, StepPlan(2e-3), hyd2d_spec)
+
+
+@pytest.mark.parametrize("field", ["attenuation", "augmentation"])
+def test_imaginary_time_run_refuses_damped_and_patched_plans(hyd2d_spec, field):
+    # the backward branch needs the inverse cycle, which only the plain
+    # cycle has; the refusal leaves the input state as it was
+    box = SimulationBox(2, 3, 10.0, 0.5)
+    layout = particle_layout(1, 2, 3, box=box)
+    state = StateVector(cached_eig(box, hyd2d_spec)[1][:, 0].astype(complex), layout)
+    before = state.amps.copy()
+    extra = {"attenuation": AttenuationSpec(UniformEdgeRegion(1, 1.0)),
+             "augmentation": CoreCorrection(2, -1, 1, np.eye(4, dtype=complex), dt=1e-3)}
+    with pytest.raises(ConfigError) as err:
+        imaginary_time_run(state, ImaginaryTimeParams(0.9, 1e-3),
+                           StepPlan(1e-3, **{field: extra[field]}), hyd2d_spec, 4)
+    assert err.value.field == f"plan.{field}"
+    assert np.array_equal(state.amps, before)
 
 
 @pytest.mark.parametrize("record_every", [0, -2])

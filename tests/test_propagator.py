@@ -8,6 +8,7 @@ import pytest
 
 import gridwave
 from gridwave import propagator
+from gridwave.corrections import CoreCorrection
 from gridwave.errors import ConfigError
 from gridwave.grid import SimulationBox
 from gridwave.hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
@@ -16,6 +17,7 @@ from gridwave.propagator import (StepPlan, compile_step, kinetic_constant,
                                  propagate, split_step_inverse)
 from gridwave.registers import (Particle, RegisterLayout, Span, particle_layout,
                                 pattern_of_value)
+from gridwave.scenario import bundled_scenarios, load_scenario
 from gridwave.statevector import (StateVector, apply_qft, inner_product,
                                   register_add_sub)
 from .conftest import cached_eig, hydrogen_spec, random_state
@@ -244,6 +246,22 @@ def test_split_step_inverse_roundtrip(rng):
     assert np.abs(state.amps - before).max() < 1e-12
 
 
+@pytest.mark.parametrize("field", ["attenuation", "augmentation"])
+def test_split_step_inverse_refuses_damped_and_patched_plans(rng, field):
+    # a damped or patched cycle has no unitary inverse to undo it with
+    box = SimulationBox(1, 3, 8.0, 0.5)
+    layout = particle_layout(1, 1, 3, box=box)
+    extra = {"attenuation": AttenuationSpec(UniformEdgeRegion(1, 1.0)),
+             "augmentation": CoreCorrection(1, 0, 1, np.eye(2, dtype=complex), dt=0.01)}
+    plan = StepPlan(0.01, **{field: extra[field]})
+    state = _random_sv(rng, layout)
+    before = state.amps.copy()
+    with pytest.raises(ConfigError) as err:
+        split_step_inverse(state, plan, hydrogen_spec(1))
+    assert err.value.field == f"plan.{field}"
+    assert np.array_equal(state.amps, before)
+
+
 def test_free_gaussian_matches_closed_form():
     # pure kinetic evolution: the split cycle is exact, so after 1 a.u. the
     # discretised packet must match the analytic dispersing Gaussian
@@ -412,17 +430,17 @@ def _cap_setup(strength=1.0, msb=2, n_r=6, momentum=2.0):
     box = SimulationBox(1, n_r, 20.0, 0.5)
     layout = particle_layout(1, 1, n_r, box=box).with_ancilla("cap")
     atten = AttenuationSpec(UniformEdgeRegion(msb, strength))
-    spec = HamiltonianSpec((ParticleSpec(1.0, -1.0),), attenuation=atten)
+    spec = HamiltonianSpec((ParticleSpec(1.0, -1.0),))
     from gridwave.states import Gaussian, discretize
     amps, _ = discretize(Gaussian((-4.0,), (momentum,), (0.5,)), box)
     state = StateVector(np.concatenate([amps, np.zeros_like(amps)]), layout)
-    return box, layout, spec, state
+    return box, layout, spec, state, atten
 
 
 def test_attenuation_zero_strength_is_identity():
-    box, layout, spec, state = _cap_setup(strength=0.0)
+    box, layout, spec, state, atten = _cap_setup(strength=0.0)
     before = state.amps.copy()
-    plan = StepPlan(0.01, attenuation=spec.attenuation)
+    plan = StepPlan(0.01, attenuation=atten)
     inc = compile_step(layout, plan, spec).damp(state)
     assert inc == 0.0
     assert np.abs(state.amps - before).max() == 0.0
@@ -434,20 +452,20 @@ def test_attenuation_detects_fully_inside_region():
     layout = particle_layout(1, 1, 4, box=box).with_ancilla("cap")
     strength = 600.0   # theta = arccos(e^-6) close to pi/2
     atten = AttenuationSpec(UniformEdgeRegion(1, strength))
-    spec = HamiltonianSpec((ParticleSpec(),), attenuation=atten)
+    spec = HamiltonianSpec((ParticleSpec(),))
     amps = np.zeros(16, dtype=complex)
     amps[pattern_of_value(-8, 4)] = 1.0   # leftmost pixel, inside the strip
     state = StateVector(np.concatenate([amps, np.zeros(16)]), layout)
-    plan = StepPlan(0.01, attenuation=atten)
-    inc = compile_step(layout, plan, spec).damp(state)
+    kernel = compile_step(layout, StepPlan(0.01, attenuation=atten), spec)
+    inc = kernel.damp(kernel.interaction(state))
     assert inc > 1.0 - 1e-5
     # renormalising by the tiny survival amplifies rounding; stay within 1e-9
     assert abs(state.norm_sq() - 1.0) < 1e-9
 
 
 def test_attenuation_cumulative_escape(rng):
-    box, layout, spec, state = _cap_setup()
-    plan = StepPlan(0.01, attenuation=spec.attenuation)
+    box, layout, spec, state, atten = _cap_setup()
+    plan = StepPlan(0.01, attenuation=atten)
     escapes = []
     propagate(state, plan, spec, 1500, escape=escapes)
     from gridwave.observables import escape_tracker
@@ -458,10 +476,14 @@ def test_attenuation_cumulative_escape(rng):
 
 
 @pytest.mark.parametrize("cap", [False, True])
-@pytest.mark.parametrize("case", ["strip_1d", "strip_2d_pair", "pixels_2d"])
+@pytest.mark.parametrize("case", ["strip_1d", "strip_2d_pair", "pixels_2d",
+                                  "pixels_2d_pair"])
 def test_damp_matches_ancilla_circuit(rng, case, cap):
-    # the damping table against the rotate / post-select round gate by gate,
-    # on the bare layout and on one that still carries the ancilla
+    # the damping factors of the position table, then the renormalisation,
+    # against the rotate / post-select round gate by gate, on the bare layout
+    # and on one that still carries the ancilla; without nuclei and with the
+    # couplings zeroed the table holds the damping alone, and an explicit
+    # region damps each particle at its pixels, one factor per particle
     dt = 0.05
     if case == "strip_1d":
         particles, dims, n_r = 1, 1, 6
@@ -469,9 +491,12 @@ def test_damp_matches_ancilla_circuit(rng, case, cap):
     elif case == "strip_2d_pair":
         particles, dims, n_r = 2, 2, 3
         region = UniformEdgeRegion(2, 0.8)
-    else:
+    elif case == "pixels_2d":
         particles, dims, n_r = 1, 2, 4
         region = ExplicitRegion({(-8, 3): 2.0, (7, -8): 0.5})
+    else:
+        particles, dims, n_r = 2, 2, 3
+        region = ExplicitRegion({(-4, 3): 2.0, (3, -4): 0.5})
     m = 1 << n_r
     registers = particles * dims          # register r holds bits r*n_r and up
     index = np.arange(1 << (registers * n_r))
@@ -482,9 +507,11 @@ def test_damp_matches_ancilla_circuit(rng, case, cap):
         masks = [(v < -m // 2 + side) | (v >= m // 2 - side) for v in values]
         angles = [np.arccos(np.exp(-region.strength * dt))] * registers
     else:
-        masks = [np.logical_and.reduce([values[d] == pix[d] for d in range(dims)])
-                 for pix in region.pixels]
-        angles = [np.arccos(np.exp(-v * dt)) for v in region.pixels.values()]
+        masks = [np.logical_and.reduce([values[p * dims + d] == pix[d]
+                                        for d in range(dims)])
+                 for p in range(particles) for pix in region.pixels]
+        angles = [np.arccos(np.exp(-v * dt))
+                  for v in region.pixels.values()] * particles
     amps = random_state(rng, registers * n_r)
     expected, expected_escape = ancilla_damping_round(amps, masks, angles)
     assert expected_escape > 1e-3
@@ -495,12 +522,32 @@ def test_damp_matches_ancilla_circuit(rng, case, cap):
         layout = layout.with_ancilla("cap")
         amps = np.concatenate([amps, np.zeros_like(amps)])
     atten = AttenuationSpec(region)
-    spec = HamiltonianSpec((ParticleSpec(),) * particles, attenuation=atten)
+    spec = HamiltonianSpec((ParticleSpec(),) * particles,
+                           pair_couplings=np.zeros((particles, particles)))
     state = StateVector(amps, layout)
-    escape = compile_step(layout, StepPlan(dt, attenuation=atten), spec).damp(state)
+    kernel = compile_step(layout, StepPlan(dt, attenuation=atten), spec)
+    escape = kernel.damp(kernel.interaction(state))
     assert np.abs(state.amps[:expected.size] - expected).max() <= 1e-14
     assert np.all(state.amps[expected.size:] == 0.0)
     assert abs(escape - expected_escape) <= 1e-15
+
+
+def test_damping_folds_into_the_position_table():
+    # on scattering_reduced's layout the damped kernel holds one position
+    # table: the plain kernel's phases times the damping factors
+    scen = load_scenario(bundled_scenarios()["scattering_reduced"])
+    box = scen.box
+    layout = particle_layout(scen.num_particles, box.dims, box.n_r, box=box)
+    damped = compile_step(layout, StepPlan(scen.plan_dt, attenuation=scen.attenuation),
+                          scen.spec)
+    plain = compile_step(layout, StepPlan(scen.plan_dt), scen.spec)
+    factors = damped._damping_factors(scen.attenuation)
+    assert len(factors) == len(damped.spans)
+    expected = plain.position.copy()
+    for f in factors:   # one strip factor per axis, in the table's order
+        expected *= f
+    assert np.abs(damped.position - expected).max() <= 2e-16
+    assert not hasattr(damped, "damping")
 
 
 @pytest.mark.parametrize("pixel", [(99,), (8,), (-9,)])
@@ -508,7 +555,7 @@ def test_damping_pixel_outside_grid_refused(pixel):
     # a 1D n_r = 4 grid holds the pixels [-8, 8); none may wrap onto another
     box = SimulationBox(1, 4, 10.0, 0.5)
     atten = AttenuationSpec(ExplicitRegion({pixel: 1.0}))
-    spec = HamiltonianSpec((ParticleSpec(),), attenuation=atten)
+    spec = HamiltonianSpec((ParticleSpec(),))
     with pytest.raises(ConfigError, match="outside the grid"):
         compile_step(particle_layout(1, 1, 4, box=box), StepPlan(0.01, attenuation=atten),
                       spec)

@@ -288,6 +288,12 @@ BAD_FIELDS.update({
         "charge = 1.0 } }",
         "charge = 1.0 }  attenuation { pixel { at = 99  strength = 1.0 } } }"),
         "hamiltonian.attenuation.pixel.at", 4),
+    # a second strength for the same pixel would silently replace the first
+    "damping_pixel_given_twice": (BASE.replace(
+        "charge = 1.0 } }",
+        "charge = 1.0 }  attenuation { pixel { at = 7  strength = 1.0 }\n"
+        "    pixel { at = 7  strength = 5.0 } } }"),
+        "hamiltonian.attenuation.pixel.at", 5),
 })
 
 
