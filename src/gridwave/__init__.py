@@ -4,7 +4,9 @@ Wavefunctions live on registers of qubits as 2^N complex amplitudes; time
 evolution alternates diagonal kinetic phases in momentum space and diagonal
 potential phases on the position grid.  Each register axis takes its
 kinetic step as one pass: one dense block matrix on an axis narrower than
-64 points, its Fourier transform, phases and transform back on a wider one.
+128 points, its Fourier transform, phases and transform back on a wider one;
+the lowest axes go a cache-sized slab at a time, each pass writing its axis
+transposed into a scratch slab.
 On top of that cycle sit phase-probe energy estimation, boundary damping by
 real absorbing factors in the position table, imaginary-time state
 preparation, exchange symmetrisation, per-step patch corrections, and

@@ -8,10 +8,17 @@ The kinetic cycle is the paper's transform / quadratic kinetic phase /
 inverse transform on every sub-register.  The kinetic energy is a sum over
 axes, so on each axis that sandwich is one unitary F^dag exp(-i dt C k^2) F,
 and the cycle is one pass per axis.  An axis narrower than ``BLOCK`` points
-applies it as a dense block, by matrix products on the state in place, on
-one BLAS thread; a wider axis as numpy's transform along that axis, its
-kinetic phases and the transform back.  The pairwise factors are what the
-paper's register subtract / relative-coordinate phase / add circuit
+applies it as a dense block by matrix products, on one BLAS thread; a wider
+axis as numpy's transform along that axis, its kinetic phases and the
+transform back.  The lowest axes, those that fit in a cache-sized slab with
+every qubit below them, go slab by slab: each pass reads its axis as the
+contiguous last one and writes it transposed to the front of one scratch
+slab, the perfect-shuffle evaluation of a Kronecker product (M. Davio, IEEE
+Trans. Comput. C-30, 116 (1981)), so a block is one product per slab and a
+transform runs along contiguous rows; a lone transform axis, which needs
+no rotation, stays out of the run.  The axes above that run are applied in
+place, a block one slab of columns per product.  The pairwise factors are
+what the paper's register subtract / relative-coordinate phase / add circuit
 produces (``statevector.register_add_sub`` keeps that circuit as the
 reference); here they are gathered once into the position table.
 
@@ -55,20 +62,33 @@ from .statevector import masked_ancilla_x_rotation, measure_qubit  # noqa: F401
 
 # An axis narrower than this, in grid points, is applied as its own dense
 # block; an axis of this many points or more as its transform pass.  Per
-# axis, one BLAS thread on a 2-vCPU Xeon (Sapphire Rapids), dense block
-# against transform pass (ms), on 2^16 amplitudes: 8 points 0.27 vs 0.66,
-# 32 points 0.43 vs 0.66, 64 points 0.68 vs 0.61, 128 points 1.18 vs 0.66;
-# on 2^22 amplitudes: 32 points 31 vs 60, 64 points 48 vs 55, 128 points 80
-# vs 69.  Bailey's two-level split of such an axis into blocks (an h-point
-# DFT block, one twiddled l-point block per high momentum, the DFT block
-# back) took 1.06, 1.04 and 1.20 ms at 64, 128 and 256 points on 2^16
-# amplitudes, and 63, 65 and 85 ms on 2^22, so these axes keep the transform.
-# Merging narrow axes into one block costs more than it saves: on 2^18
-# amplitudes, six 8-point blocks take 2.4 ms and three 64-point blocks of
-# the same six axes 4.5 ms.
-BLOCK = 64
-# amplitudes per matrix product of a block: its scratch stays cache-sized
-CHUNK = 1 << 15
+# pass on 2^22 amplitudes, one BLAS thread on a 2-vCPU Intel Xeon, dense
+# block against transform (ms): inside the slab run, 32 points 31 vs 63,
+# 64 points 48 vs 44, 128 points 78 vs 48; above it, 32 points 36 vs 99,
+# 64 points 52 vs 77, 128 points 83 vs 121.  Over the whole
+# kinetic cycle, interleaved in one process, 64-point axes as blocks took
+# 0.092 ms against 0.114 on 2^12 amplitudes (two axes), 9.2 against 10.5 on
+# 2^18 (three) and 833 against 1133 on 2^24 (four); 128-point axes as blocks
+# took 0.57 ms against 0.34 on 2^14 (two) and 122 against 111 on 2^21 (three).
+# Bailey's two-level split of a wide axis into blocks (an h-point DFT block,
+# one twiddled l-point block per high momentum, the DFT block back) took
+# 1.06, 1.04 and 1.20 ms at 64, 128 and 256 points on 2^16 amplitudes against
+# 0.61, 0.66 and 0.67 for the transform.  Merging narrow axes into one block
+# costs more than it saves: on 2^18 amplitudes, six 8-point blocks took
+# 2.4 ms and three 64-point blocks of the same six axes 4.5 ms.
+BLOCK = 128
+# The kinetic cycle's cache-sized unit, in amplitudes.  From the bottom up,
+# the axes that fit in SLAB amplitudes with every qubit below them are
+# applied slab by slab, each through one product or transform that writes
+# its axis transposed into a scratch slab; a slab and its scratch together
+# hold SLAB amplitudes unless one run of those axes needs more, and each
+# block product above the run covers one scratch slab.  Kinetic cycle at
+# SLAB 2^15 against 2^16 (min of 100 interleaved calls, one BLAS thread):
+# helium's six 8-point axes (2^18 amplitudes) 4.8 vs 5.2 ms, the probe's two
+# 256-point axes (2^16) 1.59 vs 1.32 ms; 2^17 was no faster on either.  Half
+# a SLAB per slab below a full run took helium from 5.2 to 4.9 ms and seven
+# 8-point axes (2^21) from 54 to 50 ms.
+SLAB = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,10 +121,22 @@ def _along(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 
 
 def _product_table(factors: list, shape: tuple) -> np.ndarray:
-    """Contiguous ``shape`` table: the broadcast product of ``factors``."""
+    """Contiguous ``shape`` table: the broadcast product of ``factors``.  Once
+    the product spans every axis, each later factor multiplies it in place;
+    one that lies along a single axis multiplies only the slice of that axis
+    holding its entries other than 1 (a damping strip), for the same product."""
     table = factors[0]
-    for f in factors[1:]:   # in place once the product spans every axis
-        table = np.multiply(table, f, out=table if table.shape == shape else None)
+    for f in factors[1:]:
+        if table.shape != shape:
+            table = table * f
+            continue
+        box = [slice(None)] * f.ndim
+        if f.size in f.shape:
+            hit = np.flatnonzero(f.reshape(-1) != 1.0)
+            if hit.size == 0:
+                continue
+            box[f.shape.index(f.size)] = slice(hit[0], hit[-1] + 1)
+        table[tuple(box)] *= f[tuple(box)]
     return np.ascontiguousarray(np.broadcast_to(table, shape))
 
 
@@ -185,33 +217,58 @@ def basis_energies(layout: RegisterLayout, spec: HamiltonianSpec):
 
 def _axis_pass(phases: np.ndarray) -> np.ndarray:
     """The pass of F^dag diag(phases) F on one axis, F = ``fourier_matrix``:
-    below ``BLOCK`` points that dense matrix, for :func:`_apply_block`; from
-    there on the phases themselves, for :func:`_apply_transform`."""
+    below ``BLOCK`` points that dense matrix, applied by matrix products;
+    from there on the phases themselves, applied between numpy's transform
+    along the axis and the transform back."""
     if phases.size >= BLOCK:
         return phases
     f = fourier_matrix(phases.size.bit_length() - 1)
     return f.conj().T @ (phases[:, None] * f)
 
 
-def _apply_block(amps: np.ndarray, block: np.ndarray, post: int) -> None:
-    """Multiply, in place, the axis of ``block.shape[0]`` points that has
-    ``post`` amplitudes below it by ``block``, in products of about
-    ``CHUNK`` amplitudes."""
-    m = block.shape[0]
-    if post == 1:
-        rows = amps.reshape(-1, m)
-        step = CHUNK // m
-        for i in range(0, rows.shape[0], step):
-            part = rows[i:i + step]
-            part[...] = part @ block.T
+def _rotate(src: np.ndarray, dst: np.ndarray, op) -> None:
+    """Apply ``op`` to the last axis of each (rows, m) group of ``src`` and
+    write that axis transposed to the front of ``dst``'s (m, rows) group: a
+    dense block as one product, a transform pass's phases between the fft
+    and ifft along the contiguous axis and then one transposed copy, and
+    None (ancilla qubits between or below the axes) as the copy alone."""
+    if op is not None and op.ndim == 2:
+        np.matmul(op, src.swapaxes(-1, -2), out=dst)
         return
-    view = amps.reshape(-1, m, post)
-    cols = min(post, CHUNK // m)
-    step = max(1, CHUNK // (m * post))
-    for i in range(0, view.shape[0], step):
-        for j in range(0, post, cols):
-            part = view[i:i + step, :, j:j + cols]
-            part[...] = block @ part
+    if op is not None:
+        np.fft.fft(src, axis=-1, norm="ortho", out=src)
+        src *= op
+        np.fft.ifft(src, axis=-1, norm="ortho", out=src)
+    dst[...] = src.swapaxes(-1, -2)
+
+
+def _apply_run(amps: np.ndarray, run: list, extent: int, scratch: np.ndarray) -> None:
+    """Apply the (m, op) passes of ``run``, the lowest ``extent`` amplitudes'
+    axes from the bottom up, one ``scratch``-sized slab at a time.  Each pass
+    reads its axis as the last one and writes it as the first, so the axes
+    are back in order after the run, between the slab and ``scratch`` in
+    turn; an odd run ends in ``scratch`` and is copied back."""
+    for slab in amps.reshape(-1, scratch.size):
+        src, dst = slab, scratch
+        for m, op in run:
+            _rotate(src.reshape(-1, extent // m, m), dst.reshape(-1, m, extent // m), op)
+            src, dst = dst, src
+        if src is scratch:
+            slab[...] = scratch
+
+
+def _apply_block(amps: np.ndarray, block: np.ndarray, post: int,
+                 scratch: np.ndarray) -> None:
+    """Multiply, in place, the axis of ``block.shape[0]`` points that has
+    ``post`` amplitudes below it by ``block``, one product per ``scratch``
+    slab of columns; the axis and those below it span more than a slab."""
+    m = block.shape[0]
+    out = scratch.reshape(m, -1)
+    for rows in amps.reshape(-1, m, post):
+        for j in range(0, post, out.shape[1]):
+            part = rows[:, j:j + out.shape[1]]
+            np.matmul(block, part, out=out)
+            part[...] = out
 
 
 def _apply_transform(amps: np.ndarray, phases: np.ndarray, post: int) -> None:
@@ -244,19 +301,27 @@ def _openblas_threads():
     return None
 
 
-def _apply_blocks(amps: np.ndarray, passes: list) -> None:
-    """Apply each (post, :func:`_axis_pass`) pass on one BLAS thread,
-    then restore the pool's size.  Each block product is cache-sized, and a
-    pool of several threads stalls on such products whenever other
-    processes hold the CPUs: on 2 vCPUs beside two busy processes,
-    ``scattering_reduced`` took 2 s on one thread and up to 40 s on two."""
+def _apply_kinetic(amps: np.ndarray, run: list, extent: int, passes: list) -> None:
+    """Apply the slab run, then each (post, :func:`_axis_pass`) pass outside
+    it, on one BLAS thread, then restore the pool's size.  Each block product
+    is cache-sized, and a pool of several threads stalls on such products
+    whenever other processes hold the CPUs: on 2 vCPUs beside two busy
+    processes, ``scattering_reduced`` took 2 s on one thread and up to 40 s
+    on two."""
+    # a slab and its scratch fill SLAB amplitudes, unless one run needs more
+    scratch = np.empty(min(max(extent, SLAB // 2), amps.size), dtype=np.complex128)
     pool = _openblas_threads()
     threads = pool[0]() if pool is not None else 1
     if threads > 1:
         pool[1](1)
     try:
+        if run:
+            _apply_run(amps, run, extent, scratch)
         for post, op in passes:
-            (_apply_block if op.ndim == 2 else _apply_transform)(amps, op, post)
+            if op.ndim == 2:
+                _apply_block(amps, op, post, scratch)
+            else:
+                _apply_transform(amps, op, post)
     finally:
         if threads > 1:
             pool[1](threads)
@@ -282,9 +347,25 @@ class StepKernel:
         self.spans = span_axes(layout)
         self.shape = tuple(1 << s.width for s in self.spans)
         kinetic, position = energy_tables(layout, spec)
-        # the kinetic cycle: one pass per axis, ``post`` the amplitudes below it
-        self.passes = [(1 << s.start, _axis_pass(np.exp(-1j * plan.dt * e)))
-                       for s, e in kinetic]
+        # the kinetic cycle, one pass per axis, from the bottom up: the run
+        # of (points, op) passes on the axes that fit in a slab with every
+        # qubit below them, ancilla qubits below or between them as a pass of
+        # op None, then the (amplitudes below, op) passes above the run.  A
+        # lone transform axis is left out of the run: rotating it only copies
+        self.run, self.passes, top = [], [], 0
+        for s, e in reversed(kinetic):
+            op = _axis_pass(np.exp(-1j * plan.dt * e))
+            if 1 << s.stop > SLAB:
+                self.passes.append((1 << s.start, op))
+                continue
+            if s.start > top:
+                self.run.append((1 << (s.start - top), None))
+            self.run.append((1 << s.width, op))
+            top = s.stop
+        if len(self.run) == 1 and self.run[0][1].ndim == 1:
+            self.passes.insert(0, (1, self.run.pop()[1]))
+            top = 0
+        self.extent = 1 << top
         # one position table: every phase, then the real damping factors
         damping = (self._damping_factors(plan.attenuation)
                    if plan.attenuation is not None else [])
@@ -348,6 +429,7 @@ class StepKernel:
         adj = copy(self)
         # a block is symmetric (k^2 is even in k), so its conjugate is its
         # adjoint; conjugated phases undo a transform pass
+        adj.run = [(m, op if op is None else op.conj()) for m, op in self.run]
         adj.passes = [(post, op.conj()) for post, op in self.passes]
         if self.position is not None:
             adj.position = np.conj(self.position)
@@ -356,7 +438,7 @@ class StepKernel:
     # -- application --------------------------------------------------------
 
     def kinetic_cycle(self, state: StateVector) -> StateVector:
-        _apply_blocks(state.amps, self.passes)
+        _apply_kinetic(state.amps, self.run, self.extent, self.passes)
         return state
 
     def interaction(self, state: StateVector) -> StateVector:

@@ -91,7 +91,7 @@ def test_split_cycle_matrix_is_the_kernel_cycle_bit_for_bit(hyd2d_spec):
     # reference rows, in full and in the window rows a patch derivation asks
     # for, come from the inverse cycle on unit vectors and agree to rounding.
     # The second PAIR_1D layout's second kinetic block acts on rounded
-    # amplitudes, and the 64-point axis is a transform pass
+    # amplitudes, and the 64-point axis is a block in the slab run
     for box, spec, dt in ((SimulationBox(2, 3, 10.0, 0.5), hyd2d_spec, 0.01),
                           (SimulationBox(2, 4, 10.0, 0.47), hyd2d_spec, 0.004),
                           (SimulationBox(1, 3, 8.0, 0.5), PAIR_1D, 0.02),

@@ -77,13 +77,27 @@ KINETIC_LAYOUTS = {
                                      {"low": Span(0, 1)}), (1.0,)),
     "mixed_masses": (SimulationBox(2, 2, 6.0, 0.5), particle_layout(2, 2, 2), (1.0, 7.5)),
     "1d_wide": (SimulationBox(1, 9, 40.0, 0.5), particle_layout(1, 1, 9), (1.0,)),
-    # a lone axis of BLOCK points: the narrowest one that is transformed
+    # a lone 64-point axis: the widest one applied as a block
     "1d_64": (SimulationBox(1, 6, 20.0, 0.5), particle_layout(1, 1, 6), (1.0,)),
     # transformed axes with amplitudes below them: 128 below y, 1 below x
     "2d_odd_wide": (SimulationBox(2, 7, 30.0, 0.5), particle_layout(1, 2, 7), (1.0,)),
     "wide_ancilla_below": (SimulationBox(1, 8, 30.0, 0.5),
                            RegisterLayout((Particle((Span(1, 8),)),),
                                           {"low": Span(0, 1)}), (1.0,)),
+    # eight slabs: the slab limit cuts the run below z, a block above it
+    "3d_slabs": (SimulationBox(3, 6, 20.0, 0.5), particle_layout(1, 3, 6), (1.0,)),
+    # x transformed inside the run, after the ancilla's pass, y transformed
+    # in place above it
+    "2d_wide_cut": (SimulationBox(2, 9, 40.0, 0.5),
+                    RegisterLayout((Particle((Span(1, 9), Span(10, 9))),),
+                                   {"low": Span(0, 1)}), (1.0,)),
+    # odd runs, which end in the scratch slab and are copied back
+    "3d_odd": (SimulationBox(3, 5, 20.0, 0.5), particle_layout(1, 3, 5), (1.0,)),
+    "1d_narrow": (SimulationBox(1, 4, 10.0, 0.5), particle_layout(1, 1, 4), (1.0,)),
+    # the ancilla gap ends the run: z, above it, no longer fits in a slab
+    "gap_cuts_run": (SimulationBox(3, 5, 20.0, 0.5),
+                     RegisterLayout((Particle((Span(0, 5), Span(5, 5), Span(14, 5))),),
+                                    {"gap": Span(10, 4)}), (1.0,)),
 }
 
 
@@ -105,18 +119,28 @@ def test_kinetic_cycle_matches_fft_oracle(rng, name):
 
 
 @pytest.mark.parametrize("name, sizes", [
-    ("3d_pair", [(8, 8)] * 6), ("2d_pair_cap", [(16, 16)] * 4),
-    ("ancilla_between", [(4, 4)] * 4), ("mixed_masses", [(4, 4)] * 4),
-    ("column_above", [(8, 8)] * 2), ("1d_wide", [(512,)]), ("1d_64", [(64,)]),
-    ("ancilla_below", [(8, 8)] * 2), ("2d_odd_wide", [(128,)] * 2),
-    ("wide_ancilla_below", [(256,)])])
+    ("3d_pair", ([(8, 8)] * 5, [(8, 8)])), ("2d_pair_cap", ([(16, 16)] * 4, [])),
+    ("ancilla_between", ([(4, 4), (4, 4), 2, (4, 4), (4, 4)], [])),
+    ("mixed_masses", ([(4, 4)] * 4, [])), ("column_above", ([(8, 8)] * 2, [])),
+    ("1d_wide", ([], [(512,)])), ("1d_64", ([(64, 64)], [])),
+    ("ancilla_below", ([2, (8, 8), (8, 8)], [])), ("2d_odd_wide", ([(128,)] * 2, [])),
+    ("wide_ancilla_below", ([2, (256,)], [])), ("3d_slabs", ([(64, 64)] * 2, [(64, 64)])),
+    ("3d_odd", ([(32, 32)] * 3, [])), ("1d_narrow", ([(16, 16)], [])),
+    ("gap_cuts_run", ([(32, 32)] * 2, [(32, 32)])), ("2d_wide_cut", ([2, (512,)], [(512,)]))])
 def test_each_narrow_axis_is_one_block(name, sizes):
-    # each axis is one pass: below 64 points its dense block, from 64 points
-    # on its kinetic phases, applied between the axis's transform and back
+    # each axis is one pass: below 128 points its dense block, from 128
+    # points on its kinetic phases, applied between the axis's transform and
+    # back.  From the bottom up, the axes that fit in one slab with every
+    # qubit below them form the slab run, where ancilla qubits below or
+    # between them take a pass of their own (listed by point count), and a
+    # lone transform axis stays out of it; the passes of the axes above
+    # follow the run
     box, layout, masses = KINETIC_LAYOUTS[name]
     spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses))
     kernel = compile_step(layout.with_box(box), StepPlan(0.05), spec)
-    assert [op.shape for _, op in kernel.passes] == sizes
+    run = [m if op is None else op.shape for m, op in kernel.run]
+    assert (run, [op.shape for _, op in kernel.passes]) == sizes
+    assert kernel.extent == np.prod([m for m, _ in kernel.run])
 
 
 _DETERMINISM_SCRIPT = """
@@ -130,20 +154,25 @@ from gridwave.registers import particle_layout
 from gridwave.statevector import StateVector
 
 digest = hashlib.sha256()
-for dims, n_r, length in ((3, 3, 25.0), (2, 4, 16.0)):
+# helium's and scattering's layouts, and the probe's two 256-point axes,
+# transformed inside the slab run
+for particles, dims, n_r, length in ((2, 3, 3, 25.0), (2, 2, 4, 16.0), (1, 2, 8, 30.0)):
     box = SimulationBox(dims, n_r, length, 0.5)
     electron = ParticleSpec(1.0, -1.0)
     nucleus = (Nucleus((0.0,) * dims, 2.0),)
-    layout = particle_layout(2, dims, n_r, box=box)
+    layout = particle_layout(particles, dims, n_r, box=box)
     rng = np.random.default_rng(3)
     # not normalised: np.linalg.norm itself goes through BLAS
     psi = rng.normal(size=1 << layout.num_qubits) + 1j * rng.normal(size=1 << layout.num_qubits)
     state = StateVector(psi, layout)
-    kernel = compile_step(layout, StepPlan(0.05), HamiltonianSpec((electron,) * 2, nucleus))
+    spec = HamiltonianSpec((electron,) * particles, nucleus)
+    kernel = compile_step(layout, StepPlan(0.05), spec)
     for _ in range(20):
         kernel.apply(state)
     digest.update(state.amps.tobytes())
-    digest.update(split_cycle_matrix(box, HamiltonianSpec((electron,), nucleus), 0.05).tobytes())
+    if particles == 2:
+        digest.update(split_cycle_matrix(box, HamiltonianSpec((electron,), nucleus),
+                                         0.05).tobytes())
 print(digest.hexdigest())
 """
 
@@ -157,14 +186,16 @@ def test_block_products_run_on_one_blas_thread(monkeypatch, rng):
     spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses))
     kernel = compile_step(layout, StepPlan(0.05), spec)
     seen = []
-    apply_block = propagator._apply_block
-    monkeypatch.setattr(propagator, "_apply_block",
-                        lambda *args: (seen.append(pool[0]()), apply_block(*args)))
+    # the slab run's passes and the block pass above it issue the products
+    for name in ("_rotate", "_apply_block"):
+        monkeypatch.setattr(propagator, name, lambda *args, f=getattr(propagator, name):
+                            (seen.append((f.__name__, pool[0]())), f(*args)))
     before = pool[0]()
     pool[1](2)
     try:
         kernel.kinetic_cycle(StateVector(random_state(rng, layout.num_qubits), layout))
-        assert seen == [1] * 6
+        # eight slabs of the five low axes, then the top axis
+        assert seen == [("_rotate", 1)] * 40 + [("_apply_block", 1)]
         assert pool[0]() == 2       # the pool's size is restored
     finally:
         pool[1](before)
