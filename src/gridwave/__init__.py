@@ -6,7 +6,9 @@ potential phases on the position grid.  Each register axis takes its
 kinetic step as one pass: one dense block matrix on an axis narrower than
 128 points, its Fourier transform, phases and transform back on a wider one;
 the lowest axes go a cache-sized slab at a time, each pass writing its axis
-transposed into a scratch slab.
+transposed into a scratch slab.  A pass splits its slabs over as many
+threads as numpy's BLAS pool holds (``--threads``), with the same bytes at
+any count.
 On top of that cycle sit phase-probe energy estimation, boundary damping by
 real absorbing factors in the position table, imaginary-time state
 preparation, exchange symmetrisation, per-step patch corrections, and

@@ -1,12 +1,13 @@
 """Command-line entry point.
 
---threads exports the OMP/OpenBLAS/MKL/numexpr thread-count variables, which
-scipy's bundled OpenBLAS reads when it loads at the first dense solve, and
-sizes the pool of numpy's OpenBLAS, which the package import has loaded
-already.  The kinetic blocks of narrow registers run their matrix products
-on one BLAS thread whatever that size, numpy's FFT is single-threaded, and
-every sum over a state is numpy's own reduce.  Results are bit-identical at
-any count.
+--threads, at least 1, exports the OMP/OpenBLAS/MKL/numexpr thread-count
+variables, which scipy's bundled OpenBLAS reads when it loads at the first
+dense solve, and sizes the pool of numpy's OpenBLAS, which the package import
+has loaded already.  The kinetic cycle splits its slab passes over that many
+threads, each matrix product and transform on one BLAS thread; the position
+multiply and every sum over a state, numpy's own reduce, stay on one.
+Results are bit-identical at any count, except where the dense ground solve
+runs on scipy's threaded LAPACK (README).
 """
 
 from __future__ import annotations
@@ -16,6 +17,17 @@ import os
 import sys
 
 from .errors import GridwaveError
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, "
+                                         f"got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scenario file path or bundled scenario name")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--threads", type=int, default=None, help="cap worker threads")
+    run.add_argument("--threads", type=_thread_count, default=None,
+                     help="threads of the step and of the BLAS pools")
     run.add_argument("--extended", action="store_true",
                      help="allow scenarios marked extended")
     run.add_argument("--repeat", type=int, default=1, metavar="K",
@@ -65,10 +78,8 @@ def _set_threads(n: int | None) -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(n)
-    from .propagator import _openblas_threads
-    pool = _openblas_threads()
-    if pool is not None:
-        pool[1](n)
+    from .propagator import set_blas_threads
+    set_blas_threads(n)
 
 
 def _cmd_run(args) -> int:

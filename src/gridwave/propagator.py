@@ -17,10 +17,15 @@ slab, the perfect-shuffle evaluation of a Kronecker product (M. Davio, IEEE
 Trans. Comput. C-30, 116 (1981)), so a block is one product per slab and a
 transform runs along contiguous rows; a lone transform axis, which needs
 no rotation, stays out of the run.  The axes above that run are applied in
-place, a block one slab of columns per product.  The pairwise factors are
-what the paper's register subtract / relative-coordinate phase / add circuit
-produces (``statevector.register_add_sub`` keeps that circuit as the
-reference); here they are gathered once into the position table.
+place, a block one slab of columns per product.  On a state of more than
+one slab, each pass splits its slabs (a transform its rows) over as many
+threads as numpy's OpenBLAS pool holds, in units fixed by the shape alone,
+so every product is the same call and the bytes are the same at any thread
+count; the position multiply and the damping norm stay on one thread.  The
+pairwise factors are what the paper's register subtract /
+relative-coordinate phase / add circuit produces
+(``statevector.register_add_sub`` keeps that circuit as the reference);
+here they are gathered once into the position table.
 
 :func:`energy_tables` is the one place where the Hamiltonian is mapped onto
 the register axes.  The kernel's passes and tables are built from exp(-i dt E)
@@ -41,10 +46,11 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import importlib
 import os
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -242,50 +248,55 @@ def _rotate(src: np.ndarray, dst: np.ndarray, op) -> None:
     dst[...] = src.swapaxes(-1, -2)
 
 
-def _apply_run(amps: np.ndarray, run: list, extent: int, scratch: np.ndarray) -> None:
+def _apply_run(amps: np.ndarray, run: list, extent: int, k: int,
+               scratch: np.ndarray) -> None:
     """Apply the (m, op) passes of ``run``, the lowest ``extent`` amplitudes'
-    axes from the bottom up, one ``scratch``-sized slab at a time.  Each pass
-    reads its axis as the last one and writes it as the first, so the axes
-    are back in order after the run, between the slab and ``scratch`` in
-    turn; an odd run ends in ``scratch`` and is copied back."""
-    for slab in amps.reshape(-1, scratch.size):
-        src, dst = slab, scratch
-        for m, op in run:
-            _rotate(src.reshape(-1, extent // m, m), dst.reshape(-1, m, extent // m), op)
-            src, dst = dst, src
-        if src is scratch:
-            slab[...] = scratch
+    axes from the bottom up, to the k-th ``scratch``-sized slab of ``amps``.
+    Each pass reads its axis as the last one and writes it as the first, so
+    the axes are back in order after the run, between the slab and
+    ``scratch`` in turn; an odd run ends in ``scratch`` and is copied back."""
+    slab = amps.reshape(-1, scratch.size)[k]
+    src, dst = slab, scratch
+    for m, op in run:
+        _rotate(src.reshape(-1, extent // m, m), dst.reshape(-1, m, extent // m), op)
+        src, dst = dst, src
+    if src is scratch:
+        slab[...] = scratch
 
 
-def _apply_block(amps: np.ndarray, block: np.ndarray, post: int,
+def _apply_block(amps: np.ndarray, block: np.ndarray, post: int, k: int,
                  scratch: np.ndarray) -> None:
-    """Multiply, in place, the axis of ``block.shape[0]`` points that has
-    ``post`` amplitudes below it by ``block``, one product per ``scratch``
-    slab of columns; the axis and those below it span more than a slab."""
-    m = block.shape[0]
-    out = scratch.reshape(m, -1)
-    for rows in amps.reshape(-1, m, post):
-        for j in range(0, post, out.shape[1]):
-            part = rows[:, j:j + out.shape[1]]
-            np.matmul(block, part, out=out)
-            part[...] = out
+    """Multiply, in place, the k-th ``scratch`` slab of columns of the axis
+    of ``block.shape[0]`` points that has ``post`` amplitudes below it by
+    ``block``, as one product; the axis and those below it span more than a
+    slab."""
+    out = scratch.reshape(block.shape[0], -1)
+    row, j = divmod(k * out.shape[1], post)
+    part = amps.reshape(-1, block.shape[0], post)[row, :, j:j + out.shape[1]]
+    np.matmul(block, part, out=out)
+    part[...] = out
 
 
-def _apply_transform(amps: np.ndarray, phases: np.ndarray, post: int) -> None:
+def _apply_transform(amps: np.ndarray, phases: np.ndarray, post: int, k: int,
+                     scratch: np.ndarray) -> None:
     """F^dag diag(phases) F, in place, on the axis of ``phases.size`` points
-    that has ``post`` amplitudes below it: numpy's orthonormal fft along the
-    axis, which is F, then the phases, then the ifft back."""
-    view = amps.reshape(-1, phases.size, post)
+    that has ``post`` amplitudes below it, in the k-th group of the rows
+    above it: a ``scratch`` slab of amplitudes, or one row where a row holds
+    more.  That is numpy's orthonormal fft along the axis, which is F, then
+    the phases, then the ifft back."""
+    rows = amps.reshape(-1, max(scratch.size, phases.size * post))[k]
+    view = rows.reshape(-1, phases.size, post)
     np.fft.fft(view, axis=1, norm="ortho", out=view)
     view *= phases[:, None]
     np.fft.ifft(view, axis=1, norm="ortho", out=view)
 
 
 @cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy's
-    wheels, or None where numpy links another BLAS."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+def _openblas_threads(package: str = "numpy"):
+    """(get, set) of the thread count of the OpenBLAS bundled with the wheels
+    of ``package``, numpy or scipy, or None where it links another BLAS."""
+    root = os.path.dirname(importlib.import_module(package).__file__)
+    libs = os.path.join(root, os.pardir, package + ".libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
         try:
             lib = ctypes.CDLL(path)
@@ -301,30 +312,82 @@ def _openblas_threads():
     return None
 
 
+def set_blas_threads(threads: int, package: str = "numpy") -> int:
+    """Set the pool of ``package``'s OpenBLAS to ``threads``; return its size
+    before (1, and nothing set, where the package links another BLAS)."""
+    pool = _openblas_threads(package)
+    if pool is None:
+        return 1
+    before = pool[0]()
+    if before != threads:
+        pool[1](threads)
+    return before
+
+
+@cache
+def _pool():
+    """The worker threads of :func:`_each`, started only when a part finds
+    none idle: one fewer than the most parts of any pass, which never exceed
+    its slabs.  OpenBLAS reports at most 64 threads, the caller among them."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(63, thread_name_prefix="gridwave-slab")
+
+
+def _part(unit, lo: int, hi: int, scratch: np.ndarray) -> None:
+    for k in range(lo, hi):
+        unit(k, scratch)
+
+
+def _each(count: int, unit, scratch: np.ndarray) -> None:
+    """``unit(k, s)`` for every k below ``count``, split into contiguous
+    parts, one per scratch slab ``s``, a row of ``scratch``, and at most
+    ``count``: the first part on this thread, the others on the pool.  Which
+    part a k falls in changes nothing, since every unit is the same call on
+    the same amplitudes whatever the number of parts."""
+    parts = min(len(scratch), count)
+    futures = [_pool().submit(_part, unit, count * i // parts,
+                              count * (i + 1) // parts, scratch[i])
+               for i in range(1, parts)]
+    try:
+        _part(unit, 0, count // parts, scratch[0])
+    finally:
+        for f in futures:
+            f.exception()       # waits for every part before leaving
+    for f in futures:
+        f.result()
+
+
 def _apply_kinetic(amps: np.ndarray, run: list, extent: int, passes: list) -> None:
     """Apply the slab run, then each (post, :func:`_axis_pass`) pass outside
-    it, on one BLAS thread, then restore the pool's size.  Each block product
-    is cache-sized, and a pool of several threads stalls on such products
-    whenever other processes hold the CPUs: on 2 vCPUs beside two busy
-    processes, ``scattering_reduced`` took 2 s on one thread and up to 40 s
-    on two."""
+    it, every pass split by :func:`_each` over as many threads as numpy's
+    OpenBLAS pool holds, with one scratch slab each, while that pool is held
+    at one thread.  A state of one slab or less stays on this thread.
+
+    Each block product is cache-sized, and a BLAS pool of several threads
+    stalls on such products whenever other processes hold the CPUs, since
+    its idle threads spin waiting for work: on 2 vCPUs beside two busy
+    processes, ``scattering_reduced`` took 2 s on one BLAS thread and up to
+    40 s on two.  So every product runs on one BLAS thread, and the threads
+    here split the slabs between them instead: an idle pool thread blocks
+    on the pool's queue and this thread on its futures, neither spins, so a
+    busy host costs them only their share of the CPUs."""
     # a slab and its scratch fill SLAB amplitudes, unless one run needs more
-    scratch = np.empty(min(max(extent, SLAB // 2), amps.size), dtype=np.complex128)
-    pool = _openblas_threads()
-    threads = pool[0]() if pool is not None else 1
-    if threads > 1:
-        pool[1](1)
+    size = min(max(extent, SLAB // 2), amps.size)
+    slabs = amps.size // size
+    threads = set_blas_threads(1)
+    scratch = np.empty((min(threads, slabs) if amps.size > SLAB else 1, size),
+                       dtype=np.complex128)
     try:
         if run:
-            _apply_run(amps, run, extent, scratch)
+            _each(slabs, partial(_apply_run, amps, run, extent), scratch)
         for post, op in passes:
             if op.ndim == 2:
-                _apply_block(amps, op, post, scratch)
+                _each(slabs, partial(_apply_block, amps, op, post), scratch)
             else:
-                _apply_transform(amps, op, post)
+                _each(amps.size // max(size, op.size * post),
+                      partial(_apply_transform, amps, op, post), scratch)
     finally:
-        if threads > 1:
-            pool[1](threads)
+        set_blas_threads(threads)
 
 
 class StepKernel:

@@ -39,6 +39,7 @@ from . import states as st
 DEFAULT_CEILING = 26
 EIGENSPACE_TOL = 1e-8   # step eigenvalues closer than this span one eigenspace
 CEILING_ENV = "GRIDWAVE_MAX_QUBITS"
+SAMPLED_QUBITS = 18     # validate samples analytic states on grids this wide at most
 
 
 def emulation_ceiling() -> int:
@@ -286,6 +287,24 @@ def _state(sec: Section, box: SimulationBox):
     return _located(sec, st.Hydrogen2D if need == 2 else st.Hydrogen3D, **sec.entries)
 
 
+def _sampled(sec: Section, box: SimulationBox):
+    """:func:`_state` of an orbital or a state block, refused where the
+    state, or a step eigenstate's target, has no positive and finite sum of
+    squared samples on one particle's grid, which the run normalises by.
+    A grid of more than 2^SAMPLED_QUBITS points is not sampled."""
+    state = _state(sec, box)
+    if box.dims * box.n_r > SAMPLED_QUBITS:
+        return state
+    while sec.name in ("orbital", "step_eigenstate"):
+        sec = _only_block(sec)
+    target = state.target if isinstance(state, StepEigenstate) else state
+    total = np.add.reduce(np.abs(st.grid_eval(target, box)) ** 2)
+    if not 0.0 < total < np.inf:
+        _fail(sec, f"its squared samples on the grid sum to {total}, not to a "
+                   "positive finite number")
+    return state
+
+
 def _initial_state(sec: Section, n: int, box: SimulationBox) -> InitialState:
     orbitals = sec.children_named("orbital")
     exchange = [k for k in ("antisymmetrize", "symmetrize") if sec.get(k)]
@@ -301,7 +320,7 @@ def _initial_state(sec: Section, n: int, box: SimulationBox) -> InitialState:
     if orbitals and len(orbitals) == len(sec.children):
         if len(orbitals) != n:
             _fail(orbitals[-1], f"need one orbital block per particle ({n})")
-        return InitialState(tuple(_state(o, box) for o in orbitals),
+        return InitialState(tuple(_sampled(o, box) for o in orbitals),
                             exchange[0] if exchange else "")
     if len(sec.children) != 1 or n != 1:
         _fail(sec, "single-particle scenarios take exactly one state block; "
@@ -310,7 +329,7 @@ def _initial_state(sec: Section, n: int, box: SimulationBox) -> InitialState:
     if name == "model_ground":
         _check_dense(block, None, 1, box, projected=True)
         return InitialState(model_ground=True)
-    return InitialState((_state(block, box),))
+    return InitialState((_sampled(block, box),))
 
 
 def _attenuation(sec: Section, box: SimulationBox) -> AttenuationSpec:
@@ -512,10 +531,16 @@ def _step_eigenvector(scen: Scenario, particle_idx: int, target_state,
     if particle not in kinds:
         from scipy.linalg import schur
         from .dense import split_cycle_matrix
+        from .propagator import set_blas_threads
         single = HamiltonianSpec((particle,), scen.spec.nuclei, None,
                                  scen.spec.efield)
-        t, q = schur(split_cycle_matrix(scen.box, single, scen.plan_dt),
-                     output="complex")
+        cycle = split_cycle_matrix(scen.box, single, scen.plan_dt)
+        # LAPACK's threaded products round differently at each pool size
+        threads = set_blas_threads(1, "scipy")
+        try:
+            t, q = schur(cycle, output="complex")
+        finally:
+            set_blas_threads(threads, "scipy")
         # by phase, an eigenvalue far from the one before it opens an eigenspace;
         # those before the first opening close the circle into the last one
         order = np.argsort(np.angle(np.diag(t)))

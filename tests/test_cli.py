@@ -8,7 +8,7 @@ import pytest
 
 from gridwave import propagator
 from gridwave.cli import _set_threads, build_parser, main
-from gridwave.scenario import load_scenario, validate_scenario
+from gridwave.scenario import bundled_scenarios, load_scenario, validate_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,6 +51,35 @@ def test_threads_flag_sizes_numpys_blas_pool(monkeypatch):
             assert os.environ["OPENBLAS_NUM_THREADS"] == str(n)
     finally:
         pool[1](before)
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "two"])
+def test_threads_below_one_is_refused(count, capsys):
+    # the count sizes the step's thread pool, so it never reaches the pools
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", "gaussian_cap_1d", "--threads", count])
+    assert exit_.value.code == 2
+    assert "argument --threads: must be a whole number of at least 1" \
+        in capsys.readouterr().err
+
+
+def test_helium_outputs_are_byte_identical_across_thread_counts(tmp_path):
+    # helium's step (eight slabs) and its dense step-eigenstate set-up (512
+    # identity columns) both split over the threads that --threads sizes
+    cfg = tmp_path / "helium.cfg"
+    cfg.write_text(bundled_scenarios()["helium_reduced"].replace("steps = 500",
+                                                                 "steps = 60"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    csvs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"threads_{threads}"
+        proc = subprocess.run([sys.executable, "-m", "gridwave.cli", "run", "--config",
+                               str(cfg), "--threads", threads, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        csvs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert sorted(csvs[0]) == ["bhattacharyya.csv", "swap.csv"]
+    assert csvs[0] == csvs[1]
 
 
 def test_cli_list_and_validate(capsys):

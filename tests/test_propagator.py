@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -145,29 +147,40 @@ def test_each_narrow_axis_is_one_block(name, sizes):
 
 _DETERMINISM_SCRIPT = """
 import hashlib
+import sys
 import numpy as np
 from gridwave.dense import split_cycle_matrix
 from gridwave.grid import SimulationBox
-from gridwave.hamiltonian import HamiltonianSpec, Nucleus, ParticleSpec
-from gridwave.propagator import StepPlan, compile_step
-from gridwave.registers import particle_layout
+from gridwave.hamiltonian import (AttenuationSpec, HamiltonianSpec, Nucleus,
+                                  ParticleSpec, UniformEdgeRegion)
+from gridwave.propagator import StepPlan, compile_step, set_blas_threads
+from gridwave.registers import Particle, RegisterLayout, Span, particle_layout
 from gridwave.statevector import StateVector
 
+# the pool's size; OPENBLAS_NUM_THREADS alone stops at the CPU count
+set_blas_threads(int(sys.argv[1]))
 digest = hashlib.sha256()
-# helium's and scattering's layouts, and the probe's two 256-point axes,
-# transformed inside the slab run
-for particles, dims, n_r, length in ((2, 3, 3, 25.0), (2, 2, 4, 16.0), (1, 2, 8, 30.0)):
-    box = SimulationBox(dims, n_r, length, 0.5)
+wide_cut = RegisterLayout((Particle((Span(1, 9), Span(10, 9))),), {"low": Span(0, 1)})
+# (particles, box, layout, damping): helium's and scattering's layouts, the
+# probe's two 256-point axes transformed inside the slab run, eight slabs
+# with a block above the run (damped), and a transform above the run
+for particles, box, layout, damping in (
+        (2, SimulationBox(3, 3, 25.0, 0.5), None, None),
+        (2, SimulationBox(2, 4, 16.0, 0.5), None, None),
+        (1, SimulationBox(2, 8, 30.0, 0.5), None, None),
+        (1, SimulationBox(3, 6, 20.0, 0.5), None, UniformEdgeRegion(4, 0.5)),
+        (1, SimulationBox(2, 9, 40.0, 0.5), wide_cut, None)):
     electron = ParticleSpec(1.0, -1.0)
-    nucleus = (Nucleus((0.0,) * dims, 2.0),)
-    layout = particle_layout(particles, dims, n_r, box=box)
+    nucleus = (Nucleus((0.0,) * box.dims, 2.0),)
+    layout = (layout or particle_layout(particles, box.dims, box.n_r)).with_box(box)
     rng = np.random.default_rng(3)
     # not normalised: np.linalg.norm itself goes through BLAS
     psi = rng.normal(size=1 << layout.num_qubits) + 1j * rng.normal(size=1 << layout.num_qubits)
     state = StateVector(psi, layout)
     spec = HamiltonianSpec((electron,) * particles, nucleus)
-    kernel = compile_step(layout, StepPlan(0.05), spec)
-    for _ in range(20):
+    plan = StepPlan(0.05, attenuation=damping and AttenuationSpec(damping))
+    kernel = compile_step(layout, plan, spec)
+    for _ in range(5):
         kernel.apply(state)
     digest.update(state.amps.tobytes())
     if particles == 2:
@@ -181,36 +194,54 @@ def test_block_products_run_on_one_blas_thread(monkeypatch, rng):
     pool = propagator._openblas_threads()
     if pool is None:
         pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
-    box, layout, masses = KINETIC_LAYOUTS["3d_pair"]
-    layout = layout.with_box(box)
-    spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses))
-    kernel = compile_step(layout, StepPlan(0.05), spec)
-    seen = []
-    # the slab run's passes and the block pass above it issue the products
+    seen, pooled = [], []
+    # the slab run's passes and the block products above it issue the products
     for name in ("_rotate", "_apply_block"):
         monkeypatch.setattr(propagator, name, lambda *args, f=getattr(propagator, name):
-                            (seen.append((f.__name__, pool[0]())), f(*args)))
+                            (seen.append((f.__name__, pool[0](), threading.get_ident())),
+                             f(*args)))
+    monkeypatch.setattr(propagator, "_pool",
+                        lambda f=propagator._pool: (pooled.append(1), f())[1])
     before = pool[0]()
     pool[1](2)
     try:
+        # 2^16 amplitudes stay on this thread: one slab, and a run of two
+        # slabs below a column register
+        for box, layout in ((SimulationBox(2, 4, 16.0, 0.5), particle_layout(2, 2, 4)),
+                            (SimulationBox(2, 3, 10.0, 0.5),
+                             particle_layout(1, 2, 3).with_ancilla("column", 10))):
+            layout = layout.with_box(box)
+            spec = HamiltonianSpec((ParticleSpec(1.0, -1.0),) * len(layout.particles))
+            compile_step(layout, StepPlan(0.05), spec).kinetic_cycle(
+                StateVector(random_state(rng, 16), layout))
+        assert not pooled and {t for *_, t in seen} == {threading.get_ident()}
+        seen.clear()
+        box, layout, masses = KINETIC_LAYOUTS["3d_pair"]
+        layout = layout.with_box(box)
+        spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses))
+        kernel = compile_step(layout, StepPlan(0.05), spec)
         kernel.kinetic_cycle(StateVector(random_state(rng, layout.num_qubits), layout))
-        # eight slabs of the five low axes, then the top axis
-        assert seen == [("_rotate", 1)] * 40 + [("_apply_block", 1)]
+        # eight slabs of the five low axes, then eight slabs of columns of
+        # the top axis, split between this thread and one pool thread
+        assert Counter((f, n) for f, n, _ in seen) == {("_rotate", 1): 40,
+                                                       ("_apply_block", 1): 8}
+        assert len({t for *_, t in seen}) == 2
         assert pool[0]() == 2       # the pool's size is restored
     finally:
         pool[1](before)
 
 
 def test_block_cycle_is_byte_identical_across_blas_threads():
-    # the block products run on one thread; the dense step matrix's products
-    # run on the BLAS pool, sized when the process starts
+    # the slab passes split over as many threads as the BLAS pool holds, each
+    # product on one BLAS thread; the dense step matrix's products run on the
+    # BLAS pool itself
     src = str(Path(gridwave.__file__).resolve().parents[1])
     digests = set()
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "3"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT, threads],
+                              env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout.strip())
     assert len(digests) == 1

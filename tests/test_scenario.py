@@ -284,6 +284,13 @@ BAD_FIELDS.update({
     "hydrogen3d_normalisation_overflows": (_on_grid(BASE, 3, 2).replace(
         "gaussian { center = 0.0 0.0 0.0  alpha = 1.0 }", "hydrogen3d { n = 170  l = 0  m = 0 }"),
         "initial_state.hydrogen3d", 5),
+    # a state whose squared samples on the grid sum to 0, which the run
+    # cannot normalise: a packet far outside the box, and one narrower than
+    # a pixel between two pixel centres
+    "gaussian_outside_box": (bundled_scenarios()["gaussian_cap_1d"].replace(
+        "center = -4.0", "center = 40.0"), "initial_state.gaussian", 19),
+    "gaussian_between_pixels": (bundled_scenarios()["scattering_reduced"].replace(
+        "alpha = 0.4 0.4", "alpha = 0.4 1e6"), "initial_state.orbital.gaussian", 22),
     "damping_pixel_outside_grid": (BASE.replace(
         "charge = 1.0 } }",
         "charge = 1.0 }  attenuation { pixel { at = 99  strength = 1.0 } } }"),
