@@ -18,14 +18,14 @@ Trans. Comput. C-30, 116 (1981)), so a block is one product per slab and a
 transform runs along contiguous rows; a lone transform axis, which needs
 no rotation, stays out of the run.  The axes above that run are applied in
 place, a block one slab of columns per product.  On a state of more than
-one slab, each pass splits its slabs (a transform its rows) over as many
-threads as numpy's OpenBLAS pool holds, in units fixed by the shape alone,
-so every product is the same call and the bytes are the same at any thread
-count; the position multiply and the damping norm stay on one thread.  The
-pairwise factors are what the paper's register subtract /
-relative-coordinate phase / add circuit produces
-(``statevector.register_add_sub`` keeps that circuit as the reference);
-here they are gathered once into the position table.
+one slab, each pass splits its slabs (a transform its rows, or its
+columns where a slab holds no whole row) over as many threads as numpy's
+OpenBLAS pool holds, in units fixed by the shape alone, so every product is
+the same call and the bytes are the same at any thread count; the position
+multiply and the damping norm stay on one thread.  The pairwise factors are
+what the paper's register subtract / relative-coordinate phase / add circuit
+produces (``statevector.register_add_sub`` keeps that circuit as the
+reference); here they are gathered once into the position table.
 
 :func:`energy_tables` is the one place where the Hamiltonian is mapped onto
 the register axes.  The kernel's passes and tables are built from exp(-i dt E)
@@ -255,7 +255,7 @@ def _apply_run(amps: np.ndarray, run: list, extent: int, k: int,
     Each pass reads its axis as the last one and writes it as the first, so
     the axes are back in order after the run, between the slab and
     ``scratch`` in turn; an odd run ends in ``scratch`` and is copied back."""
-    slab = amps.reshape(-1, scratch.size)[k]
+    slab = amps[k * scratch.size:(k + 1) * scratch.size]
     src, dst = slab, scratch
     for m, op in run:
         _rotate(src.reshape(-1, extent // m, m), dst.reshape(-1, m, extent // m), op)
@@ -280,12 +280,16 @@ def _apply_block(amps: np.ndarray, block: np.ndarray, post: int, k: int,
 def _apply_transform(amps: np.ndarray, phases: np.ndarray, post: int, k: int,
                      scratch: np.ndarray) -> None:
     """F^dag diag(phases) F, in place, on the axis of ``phases.size`` points
-    that has ``post`` amplitudes below it, in the k-th group of the rows
-    above it: a ``scratch`` slab of amplitudes, or one row where a row holds
-    more.  That is numpy's orthonormal fft along the axis, which is F, then
-    the phases, then the ifft back."""
-    rows = amps.reshape(-1, max(scratch.size, phases.size * post))[k]
-    view = rows.reshape(-1, phases.size, post)
+    that has ``post`` amplitudes below it, in the k-th unit of max(slab,
+    axis) amplitudes: a group of whole rows of the axis where a slab holds
+    them, else a group of its columns (one column where the axis alone
+    outgrows a slab).  That is numpy's orthonormal fft along the axis, which
+    is F, then the phases, then the ifft back, one column at a time."""
+    n = phases.size
+    cols = min(post, max(scratch.size // n, 1))
+    rows = max(scratch.size // (n * post), 1)
+    row, j = divmod(k * cols, post)
+    view = amps.reshape(-1, n, post)[row * rows:(row + 1) * rows, :, j:j + cols]
     np.fft.fft(view, axis=1, norm="ortho", out=view)
     view *= phases[:, None]
     np.fft.ifft(view, axis=1, norm="ortho", out=view)
@@ -338,13 +342,15 @@ def _part(unit, lo: int, hi: int, scratch: np.ndarray) -> None:
         unit(k, scratch)
 
 
-def _each(count: int, unit, scratch: np.ndarray) -> None:
+def _each(count: int, unit, scratch: list) -> None:
     """``unit(k, s)`` for every k below ``count``, split into contiguous
-    parts, one per scratch slab ``s``, a row of ``scratch``, and at most
-    ``count``: the first part on this thread, the others on the pool.  Which
+    parts, one per scratch slab ``s`` of ``scratch``, and at most ``count``:
+    the first part on this thread, the others on the pool.  Which
     part a k falls in changes nothing, since every unit is the same call on
     the same amplitudes whatever the number of parts."""
     parts = min(len(scratch), count)
+    if parts == 1:
+        return _part(unit, 0, count, scratch[0])
     futures = [_pool().submit(_part, unit, count * i // parts,
                               count * (i + 1) // parts, scratch[i])
                for i in range(1, parts)]
@@ -374,9 +380,13 @@ def _apply_kinetic(amps: np.ndarray, run: list, extent: int, passes: list) -> No
     # a slab and its scratch fill SLAB amplitudes, unless one run needs more
     size = min(max(extent, SLAB // 2), amps.size)
     slabs = amps.size // size
-    threads = set_blas_threads(1)
-    scratch = np.empty((min(threads, slabs) if amps.size > SLAB else 1, size),
-                       dtype=np.complex128)
+    # the pool's own get and set, not set_blas_threads: this runs every step
+    pool = _openblas_threads()
+    threads = pool[0]() if pool is not None else 1
+    if threads > 1:
+        pool[1](1)
+    scratch = [np.empty(size, dtype=np.complex128)
+               for _ in range(min(threads, slabs) if amps.size > SLAB else 1)]
     try:
         if run:
             _each(slabs, partial(_apply_run, amps, run, extent), scratch)
@@ -384,10 +394,11 @@ def _apply_kinetic(amps: np.ndarray, run: list, extent: int, passes: list) -> No
             if op.ndim == 2:
                 _each(slabs, partial(_apply_block, amps, op, post), scratch)
             else:
-                _each(amps.size // max(size, op.size * post),
+                _each(amps.size // max(size, op.size),
                       partial(_apply_transform, amps, op, post), scratch)
     finally:
-        set_blas_threads(threads)
+        if threads > 1:
+            pool[1](threads)
 
 
 class StepKernel:

@@ -288,20 +288,20 @@ def _state(sec: Section, box: SimulationBox):
 
 
 def _sampled(sec: Section, box: SimulationBox):
-    """:func:`_state` of an orbital or a state block, refused where the
-    state, or a step eigenstate's target, has no positive and finite sum of
-    squared samples on one particle's grid, which the run normalises by.
-    A grid of more than 2^SAMPLED_QUBITS points is not sampled."""
+    """:func:`_state` of an orbital or a state block, refused where
+    ``states.sample_weight`` refuses the state, or a step eigenstate's
+    target, on one particle's grid, as the run would.  A grid of more than
+    2^SAMPLED_QUBITS points is not sampled."""
     state = _state(sec, box)
     if box.dims * box.n_r > SAMPLED_QUBITS:
         return state
     while sec.name in ("orbital", "step_eigenstate"):
         sec = _only_block(sec)
     target = state.target if isinstance(state, StepEigenstate) else state
-    total = np.add.reduce(np.abs(st.grid_eval(target, box)) ** 2)
-    if not 0.0 < total < np.inf:
-        _fail(sec, f"its squared samples on the grid sum to {total}, not to a "
-                   "positive finite number")
+    try:
+        st.sample_weight(target, box)
+    except DegenerateStateError as err:
+        _fail(sec, str(err))
     return state
 
 

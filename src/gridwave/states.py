@@ -212,6 +212,18 @@ def grid_eval(state, box: SimulationBox) -> np.ndarray:
     return np.asarray(values, dtype=np.complex128).reshape(-1)
 
 
+def sample_weight(state, box: SimulationBox):
+    """(:func:`grid_eval` samples, the sum of their squares), refused with
+    DegenerateStateError where that sum, which normalises the state on the
+    grid, is 0 or not finite."""
+    samples = grid_eval(state, box)
+    total = float(np.add.reduce(np.abs(samples) ** 2))
+    if not 0.0 < total < np.inf:
+        raise DegenerateStateError(f"its squared samples on the grid sum to {total}, "
+                                   "not to a positive finite number")
+    return samples, total
+
+
 def discretize(state, box: SimulationBox):
     """Sample an analytic state onto the pixel grid.
 
@@ -219,12 +231,8 @@ def discretize(state, box: SimulationBox):
     constant of the pixel expansion; C strays from unity when the state is
     clipped by the box or varies quickly on the grid scale.
     """
-    samples = grid_eval(state, box)
-    total = float(np.add.reduce(np.abs(samples) ** 2))
-    quad = total * box.delta_r ** box.dims
-    if quad <= 0.0:
-        raise DegenerateStateError("state samples to zero everywhere on the grid")
-    c = 1.0 / np.sqrt(quad)
+    samples, total = sample_weight(state, box)
+    c = 1.0 / np.sqrt(total * box.delta_r ** box.dims)
     if abs(c - 1.0) > 1e-3:
         warnings.warn(
             f"pixel expansion constant C={c:.6f} strays from 1; "

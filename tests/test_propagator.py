@@ -161,15 +161,19 @@ from gridwave.statevector import StateVector
 set_blas_threads(int(sys.argv[1]))
 digest = hashlib.sha256()
 wide_cut = RegisterLayout((Particle((Span(1, 9), Span(10, 9))),), {"low": Span(0, 1)})
-# (particles, box, layout, damping): helium's and scattering's layouts, the
-# probe's two 256-point axes transformed inside the slab run, eight slabs
-# with a block above the run (damped), and a transform above the run
-for particles, box, layout, damping in (
-        (2, SimulationBox(3, 3, 25.0, 0.5), None, None),
-        (2, SimulationBox(2, 4, 16.0, 0.5), None, None),
-        (1, SimulationBox(2, 8, 30.0, 0.5), None, None),
-        (1, SimulationBox(3, 6, 20.0, 0.5), None, UniformEdgeRegion(4, 0.5)),
-        (1, SimulationBox(2, 9, 40.0, 0.5), wide_cut, None)):
+wide_col = RegisterLayout((Particle((Span(0, 9), Span(9, 9))),), {"column": Span(18, 2)})
+# (particles, box, layout, damping, steps): helium's and scattering's
+# layouts, the probe's two 256-point axes transformed inside the slab run,
+# eight slabs with a block above the run (damped), a transform above the run
+# split into column groups, and the same below a column register, split into
+# column groups of four rows
+for particles, box, layout, damping, steps in (
+        (2, SimulationBox(3, 3, 25.0, 0.5), None, None, 20),
+        (2, SimulationBox(2, 4, 16.0, 0.5), None, None, 20),
+        (1, SimulationBox(2, 8, 30.0, 0.5), None, None, 20),
+        (1, SimulationBox(3, 6, 20.0, 0.5), None, UniformEdgeRegion(4, 0.5), 5),
+        (1, SimulationBox(2, 9, 40.0, 0.5), wide_cut, None, 5),
+        (1, SimulationBox(2, 9, 40.0, 0.5), wide_col, None, 3)):
     electron = ParticleSpec(1.0, -1.0)
     nucleus = (Nucleus((0.0,) * box.dims, 2.0),)
     layout = (layout or particle_layout(particles, box.dims, box.n_r)).with_box(box)
@@ -180,7 +184,7 @@ for particles, box, layout, damping in (
     spec = HamiltonianSpec((electron,) * particles, nucleus)
     plan = StepPlan(0.05, attenuation=damping and AttenuationSpec(damping))
     kernel = compile_step(layout, plan, spec)
-    for _ in range(5):
+    for _ in range(steps):
         kernel.apply(state)
     digest.update(state.amps.tobytes())
     if particles == 2:
@@ -222,10 +226,11 @@ def test_block_products_run_on_one_blas_thread(monkeypatch, rng):
         kernel = compile_step(layout, StepPlan(0.05), spec)
         kernel.kinetic_cycle(StateVector(random_state(rng, layout.num_qubits), layout))
         # eight slabs of the five low axes, then eight slabs of columns of
-        # the top axis, split between this thread and one pool thread
+        # the top axis, split between this thread and the pool's
         assert Counter((f, n) for f, n, _ in seen) == {("_rotate", 1): 40,
                                                        ("_apply_block", 1): 8}
-        assert len({t for *_, t in seen}) == 2
+        threads = {t for *_, t in seen}
+        assert threading.get_ident() in threads and len(threads) > 1
         assert pool[0]() == 2       # the pool's size is restored
     finally:
         pool[1](before)
@@ -245,6 +250,28 @@ def test_block_cycle_is_byte_identical_across_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout.strip())
     assert len(digests) == 1
+
+
+@pytest.mark.parametrize("above, n, post", [
+    (128, 512, 1),      # a lone axis: units of whole rows
+    (1, 512, 512),      # the top axis: units of columns
+    (4, 512, 512),      # below a column register: columns of one row each
+    (1, 1 << 16, 1),    # an axis wider than a slab: one row per unit
+])
+def test_transform_units_cover_the_axis_once(rng, above, n, post):
+    # every unit of _apply_transform together is numpy's transform of the
+    # whole axis, bit for bit: no amplitude is missed or transformed twice
+    amps = random_state(rng, (above * n * post).bit_length() - 1)
+    phases = np.exp(-1j * rng.normal(size=n))
+    expect = amps.copy()
+    view = expect.reshape(above, n, post)
+    np.fft.fft(view, axis=1, norm="ortho", out=view)
+    view *= phases[:, None]
+    np.fft.ifft(view, axis=1, norm="ortho", out=view)
+    scratch = np.empty(propagator.SLAB // 2, dtype=np.complex128)
+    for k in range(amps.size // max(scratch.size, n)):
+        propagator._apply_transform(amps, phases, post, k, scratch)
+    assert np.array_equal(amps, expect)
 
 
 def test_split_step_identity_at_zero_dt(rng):
