@@ -5,8 +5,9 @@ evolution alternates diagonal kinetic phases in momentum space and diagonal
 potential phases on the position grid.  Each register axis takes its
 kinetic step as one pass: one dense block matrix on an axis narrower than
 128 points, its Fourier transform, phases and transform back on a wider one;
-the lowest axes go a cache-sized slab at a time, each pass writing its axis
-transposed into a scratch slab.  A pass splits its slabs over as many
+the axes contiguous from qubit 0 go a cache-sized slab at a time, each pass
+writing its axis transposed into a scratch slab, and every other axis is
+applied in place by one applier.  A pass splits its units over as many
 threads as numpy's BLAS pool holds (``--threads``), with the same bytes at
 any count.
 On top of that cycle sit phase-probe energy estimation, boundary damping by

@@ -1,6 +1,7 @@
 """Command-line entry point.
 
---threads, at least 1, exports the OMP/OpenBLAS/MKL/numexpr thread-count
+--threads, --repeat and estimate's --cycles each take a whole number of at
+least 1.  --threads exports the OMP/OpenBLAS/MKL/numexpr thread-count
 variables, which scipy's bundled OpenBLAS reads when it loads at the first
 dense solve, and sizes the pool of numpy's OpenBLAS, which the package import
 has loaded already.  The kinetic cycle splits its slab passes over that many
@@ -19,7 +20,7 @@ import sys
 from .errors import GridwaveError
 
 
-def _thread_count(text: str) -> int:
+def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -41,11 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scenario file path or bundled scenario name")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--threads", type=_thread_count, default=None,
+    run.add_argument("--threads", type=_count, default=None,
                      help="threads of the step and of the BLAS pools")
     run.add_argument("--extended", action="store_true",
                      help="allow scenarios marked extended")
-    run.add_argument("--repeat", type=int, default=1, metavar="K",
+    run.add_argument("--repeat", type=_count, default=1, metavar="K",
                      help="run K independent seeded jobs into run_### subdirs")
 
     val = sub.add_parser("validate", help="check a scenario without running it")
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--particles", type=int, default=None)
     est.add_argument("--zmax", type=int, default=None)
     est.add_argument("--c3", type=float, default=None)
-    est.add_argument("--cycles", type=int, default=None,
+    est.add_argument("--cycles", type=_count, default=None,
                      help="explicit cycle count for the depth figure")
     est.add_argument("--csv", default=None, help="also write the audit as CSV")
     est.add_argument("--advise-box", action="store_true",

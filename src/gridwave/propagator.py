@@ -10,17 +10,18 @@ axes, so on each axis that sandwich is one unitary F^dag exp(-i dt C k^2) F,
 and the cycle is one pass per axis.  An axis narrower than ``BLOCK`` points
 applies it as a dense block by matrix products, on one BLAS thread; a wider
 axis as numpy's transform along that axis, its kinetic phases and the
-transform back.  The lowest axes, those that fit in a cache-sized slab with
-every qubit below them, go slab by slab: each pass reads its axis as the
-contiguous last one and writes it transposed to the front of one scratch
-slab, the perfect-shuffle evaluation of a Kronecker product (M. Davio, IEEE
-Trans. Comput. C-30, 116 (1981)), so a block is one product per slab and a
+transform back.  The axes contiguous from qubit 0 that fit in a cache-sized
+slab go slab by slab: each pass reads its axis as the contiguous last one
+and writes it transposed to the front of one scratch slab, the
+perfect-shuffle evaluation of a Kronecker product (M. Davio, IEEE Trans.
+Comput. C-30, 116 (1981)), so a block is one product per slab and a
 transform runs along contiguous rows; a lone transform axis, which needs
-no rotation, stays out of the run.  The axes above that run are applied in
-place, a block one slab of columns per product.  On a state of more than
-one slab, each pass splits its slabs (a transform its rows, or its
-columns where a slab holds no whole row) over as many threads as numpy's
-OpenBLAS pool holds, in units fixed by the shape alone, so every product is
+no rotation, stays out of the run.  Every other axis is applied in place by
+one applier, in units of whole rows of the axis where a slab holds them,
+else of a slab of its columns: a block one product per unit through the
+scratch slab, a transform its fft, phases and ifft.  On a state of more
+than one slab, each pass splits its units over as many threads as numpy's
+OpenBLAS pool holds, units fixed by the shape alone, so every product is
 the same call and the bytes are the same at any thread count; the position
 multiply and the damping norm stay on one thread.  The pairwise factors are
 what the paper's register subtract / relative-coordinate phase / add circuit
@@ -83,17 +84,17 @@ from .statevector import masked_ancilla_x_rotation, measure_qubit  # noqa: F401
 # costs more than it saves: on 2^18 amplitudes, six 8-point blocks took
 # 2.4 ms and three 64-point blocks of the same six axes 4.5 ms.
 BLOCK = 128
-# The kinetic cycle's cache-sized unit, in amplitudes.  From the bottom up,
-# the axes that fit in SLAB amplitudes with every qubit below them are
-# applied slab by slab, each through one product or transform that writes
-# its axis transposed into a scratch slab; a slab and its scratch together
-# hold SLAB amplitudes unless one run of those axes needs more, and each
-# block product above the run covers one scratch slab.  Kinetic cycle at
-# SLAB 2^15 against 2^16 (min of 100 interleaved calls, one BLAS thread):
-# helium's six 8-point axes (2^18 amplitudes) 4.8 vs 5.2 ms, the probe's two
-# 256-point axes (2^16) 1.59 vs 1.32 ms; 2^17 was no faster on either.  Half
-# a SLAB per slab below a full run took helium from 5.2 to 4.9 ms and seven
-# 8-point axes (2^21) from 54 to 50 ms.
+# The kinetic cycle's cache-sized unit, in amplitudes.  The axes contiguous
+# from qubit 0 that fit in SLAB amplitudes are applied slab by slab, each
+# through one product or transform that writes its axis transposed into a
+# scratch slab; a slab and its scratch together hold SLAB amplitudes unless
+# one run of those axes needs more, and each block product outside the run
+# covers one scratch slab.  Kinetic cycle at SLAB 2^15 against 2^16 (min of
+# 100 interleaved calls, one BLAS thread): helium's six 8-point axes (2^18
+# amplitudes) 4.8 vs 5.2 ms, the probe's two 256-point axes (2^16) 1.59 vs
+# 1.32 ms; 2^17 was no faster on either.  Half a SLAB per slab below a full
+# run took helium from 5.2 to 4.9 ms and seven 8-point axes (2^21) from 54
+# to 50 ms.
 SLAB = 1 << 16
 
 
@@ -232,66 +233,58 @@ def _axis_pass(phases: np.ndarray) -> np.ndarray:
     return f.conj().T @ (phases[:, None] * f)
 
 
-def _rotate(src: np.ndarray, dst: np.ndarray, op) -> None:
+def _rotate(src: np.ndarray, dst: np.ndarray, op: np.ndarray) -> None:
     """Apply ``op`` to the last axis of each (rows, m) group of ``src`` and
     write that axis transposed to the front of ``dst``'s (m, rows) group: a
     dense block as one product, a transform pass's phases between the fft
-    and ifft along the contiguous axis and then one transposed copy, and
-    None (ancilla qubits between or below the axes) as the copy alone."""
-    if op is not None and op.ndim == 2:
+    and ifft along the contiguous axis and then one transposed copy."""
+    if op.ndim == 2:
         np.matmul(op, src.swapaxes(-1, -2), out=dst)
         return
-    if op is not None:
-        np.fft.fft(src, axis=-1, norm="ortho", out=src)
-        src *= op
-        np.fft.ifft(src, axis=-1, norm="ortho", out=src)
+    np.fft.fft(src, axis=-1, norm="ortho", out=src)
+    src *= op
+    np.fft.ifft(src, axis=-1, norm="ortho", out=src)
     dst[...] = src.swapaxes(-1, -2)
 
 
 def _apply_run(amps: np.ndarray, run: list, extent: int, k: int,
                scratch: np.ndarray) -> None:
-    """Apply the (m, op) passes of ``run``, the lowest ``extent`` amplitudes'
-    axes from the bottom up, to the k-th ``scratch``-sized slab of ``amps``.
-    Each pass reads its axis as the last one and writes it as the first, so
-    the axes are back in order after the run, between the slab and
+    """Apply the ops of ``run``, on the axes of the lowest ``extent``
+    amplitudes from qubit 0 up, to the k-th ``scratch``-sized slab of
+    ``amps``.  Each pass reads its axis as the last one and writes it as the
+    first, so the axes are back in order after the run, between the slab and
     ``scratch`` in turn; an odd run ends in ``scratch`` and is copied back."""
     slab = amps[k * scratch.size:(k + 1) * scratch.size]
     src, dst = slab, scratch
-    for m, op in run:
+    for op in run:
+        m = op.shape[0]
         _rotate(src.reshape(-1, extent // m, m), dst.reshape(-1, m, extent // m), op)
         src, dst = dst, src
     if src is scratch:
         slab[...] = scratch
 
 
-def _apply_block(amps: np.ndarray, block: np.ndarray, post: int, k: int,
-                 scratch: np.ndarray) -> None:
-    """Multiply, in place, the k-th ``scratch`` slab of columns of the axis
-    of ``block.shape[0]`` points that has ``post`` amplitudes below it by
-    ``block``, as one product; the axis and those below it span more than a
-    slab."""
-    out = scratch.reshape(block.shape[0], -1)
-    row, j = divmod(k * out.shape[1], post)
-    part = amps.reshape(-1, block.shape[0], post)[row, :, j:j + out.shape[1]]
-    np.matmul(block, part, out=out)
-    part[...] = out
-
-
-def _apply_transform(amps: np.ndarray, phases: np.ndarray, post: int, k: int,
-                     scratch: np.ndarray) -> None:
-    """F^dag diag(phases) F, in place, on the axis of ``phases.size`` points
-    that has ``post`` amplitudes below it, in the k-th unit of max(slab,
-    axis) amplitudes: a group of whole rows of the axis where a slab holds
-    them, else a group of its columns (one column where the axis alone
-    outgrows a slab).  That is numpy's orthonormal fft along the axis, which
-    is F, then the phases, then the ifft back, one column at a time."""
-    n = phases.size
+def _apply_axis(amps: np.ndarray, op: np.ndarray, post: int, k: int,
+                scratch: np.ndarray) -> None:
+    """Apply the :func:`_axis_pass` ``op``, in place, to the axis of
+    ``op.shape[0]`` points that has ``post`` amplitudes below it, in the
+    k-th unit of max(slab, axis) amplitudes: a group of whole rows of the
+    axis where a slab holds them, else a group of its columns (one column
+    where the axis alone outgrows a slab).  A block is one product into the
+    ``scratch`` slab, copied back; a transform is numpy's orthonormal fft
+    along the axis, which is F, then the phases, then the ifft back."""
+    n = op.shape[0]
     cols = min(post, max(scratch.size // n, 1))
     rows = max(scratch.size // (n * post), 1)
     row, j = divmod(k * cols, post)
     view = amps.reshape(-1, n, post)[row * rows:(row + 1) * rows, :, j:j + cols]
+    if op.ndim == 2:
+        out = scratch.reshape(view.shape)
+        np.matmul(op, view, out=out)
+        view[...] = out
+        return
     np.fft.fft(view, axis=1, norm="ortho", out=view)
-    view *= phases[:, None]
+    view *= op[:, None]
     np.fft.ifft(view, axis=1, norm="ortho", out=view)
 
 
@@ -365,9 +358,10 @@ def _each(count: int, unit, scratch: list) -> None:
 
 def _apply_kinetic(amps: np.ndarray, run: list, extent: int, passes: list) -> None:
     """Apply the slab run, then each (post, :func:`_axis_pass`) pass outside
-    it, every pass split by :func:`_each` over as many threads as numpy's
-    OpenBLAS pool holds, with one scratch slab each, while that pool is held
-    at one thread.  A state of one slab or less stays on this thread.
+    it by :func:`_apply_axis`, every pass split by :func:`_each` over as many
+    threads as numpy's OpenBLAS pool holds, with one scratch slab each, while
+    that pool is held at one thread.  A state of one slab or less stays on
+    this thread.
 
     Each block product is cache-sized, and a BLAS pool of several threads
     stalls on such products whenever other processes hold the CPUs, since
@@ -391,11 +385,8 @@ def _apply_kinetic(amps: np.ndarray, run: list, extent: int, passes: list) -> No
         if run:
             _each(slabs, partial(_apply_run, amps, run, extent), scratch)
         for post, op in passes:
-            if op.ndim == 2:
-                _each(slabs, partial(_apply_block, amps, op, post), scratch)
-            else:
-                _each(amps.size // max(size, op.size),
-                      partial(_apply_transform, amps, op, post), scratch)
+            _each(amps.size // max(size, op.shape[0]),
+                  partial(_apply_axis, amps, op, post), scratch)
     finally:
         if threads > 1:
             pool[1](threads)
@@ -422,22 +413,20 @@ class StepKernel:
         self.shape = tuple(1 << s.width for s in self.spans)
         kinetic, position = energy_tables(layout, spec)
         # the kinetic cycle, one pass per axis, from the bottom up: the run
-        # of (points, op) passes on the axes that fit in a slab with every
-        # qubit below them, ancilla qubits below or between them as a pass of
-        # op None, then the (amplitudes below, op) passes above the run.  A
-        # lone transform axis is left out of the run: rotating it only copies
+        # of ops on the axes contiguous from qubit 0 that fit in a slab, then
+        # the (amplitudes below, op) passes of the others, one above a gap
+        # among them too.  A lone transform axis is left out of the run:
+        # rotating it only copies
         self.run, self.passes, top = [], [], 0
         for s, e in reversed(kinetic):
             op = _axis_pass(np.exp(-1j * plan.dt * e))
-            if 1 << s.stop > SLAB:
+            if s.start == top and 1 << s.stop <= SLAB:
+                self.run.append(op)
+                top = s.stop
+            else:
                 self.passes.append((1 << s.start, op))
-                continue
-            if s.start > top:
-                self.run.append((1 << (s.start - top), None))
-            self.run.append((1 << s.width, op))
-            top = s.stop
-        if len(self.run) == 1 and self.run[0][1].ndim == 1:
-            self.passes.insert(0, (1, self.run.pop()[1]))
+        if len(self.run) == 1 and self.run[0].ndim == 1:
+            self.passes.insert(0, (1, self.run.pop()))
             top = 0
         self.extent = 1 << top
         # one position table: every phase, then the real damping factors
@@ -503,7 +492,7 @@ class StepKernel:
         adj = copy(self)
         # a block is symmetric (k^2 is even in k), so its conjugate is its
         # adjoint; conjugated phases undo a transform pass
-        adj.run = [(m, op if op is None else op.conj()) for m, op in self.run]
+        adj.run = [op.conj() for op in self.run]
         adj.passes = [(post, op.conj()) for post, op in self.passes]
         if self.position is not None:
             adj.position = np.conj(self.position)
@@ -566,7 +555,7 @@ def split_step_inverse(state: StateVector, plan: StepPlan, spec: HamiltonianSpec
 
 def propagate(state: StateVector, plan: StepPlan, spec: HamiltonianSpec,
               steps: int, callbacks=(), events: dict | None = None,
-              escape=None, t0: float = 0.0) -> StateVector:
+              escape=None) -> StateVector:
     """Repeated split-operator stepping with observable callbacks.
 
     ``callbacks`` are called as cb(step_index, time, state) after every step
@@ -575,12 +564,12 @@ def propagate(state: StateVector, plan: StepPlan, spec: HamiltonianSpec,
     that step completes; the kernel is recompiled, so mid-run dt changes,
     register enlargement and coupling changes are supported.  The time is
     counted, not summed: t0 + (step - s) * dt from the step s and time t0 of
-    the last event (the start, before any), so it carries no rounding drift.
+    the last event (0 and 0 before any), so it carries no rounding drift.
     """
     if steps < 0:
         raise ConfigError("steps must be non-negative", field="plan.steps")
     kernel = compile_step(state.layout, plan, spec) if steps else None
-    start = 0
+    t0, start = 0.0, 0
     for step in range(1, steps + 1):
         kernel.apply(state, escape)
         t = t0 + (step - start) * plan.dt

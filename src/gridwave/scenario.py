@@ -288,21 +288,22 @@ def _state(sec: Section, box: SimulationBox):
 
 
 def _sampled(sec: Section, box: SimulationBox):
-    """:func:`_state` of an orbital or a state block, refused where
-    ``states.sample_weight`` refuses the state, or a step eigenstate's
-    target, on one particle's grid, as the run would.  A grid of more than
-    2^SAMPLED_QUBITS points is not sampled."""
+    """(:func:`_state` of an orbital or a state block, its
+    ``states.sample_weight`` on one particle's grid, as the run takes it);
+    refused where that refuses the state, or a step eigenstate's target.
+    The weight is None for a step eigenstate and on a grid of more than
+    2^SAMPLED_QUBITS points, which is not sampled."""
     state = _state(sec, box)
     if box.dims * box.n_r > SAMPLED_QUBITS:
-        return state
+        return state, None
     while sec.name in ("orbital", "step_eigenstate"):
         sec = _only_block(sec)
     target = state.target if isinstance(state, StepEigenstate) else state
     try:
-        st.sample_weight(target, box)
+        weight = st.sample_weight(target, box)
     except DegenerateStateError as err:
         _fail(sec, str(err))
-    return state
+    return state, None if target is not state else weight
 
 
 def _initial_state(sec: Section, n: int, box: SimulationBox) -> InitialState:
@@ -320,8 +321,15 @@ def _initial_state(sec: Section, n: int, box: SimulationBox) -> InitialState:
     if orbitals and len(orbitals) == len(sec.children):
         if len(orbitals) != n:
             _fail(orbitals[-1], f"need one orbital block per particle ({n})")
-        return InitialState(tuple(_sampled(o, box) for o in orbitals),
-                            exchange[0] if exchange else "")
+        states, weights = zip(*(_sampled(o, box) for o in orbitals))
+        if exchange == ["antisymmetrize"] and None not in weights:
+            (a, ta), (b, tb) = weights
+            # |a^b|^2 = 2 (1 - |<a|b>|^2) for unit a and b: the run refuses
+            # |a^b| < 1e-12, and the overlap's rounding stays far below 1e-12
+            if 1.0 - abs(np.add.reduce(a.conj() * b)) ** 2 / (ta * tb) < 1e-12:
+                _fail(sec, "the two orbitals are parallel on the grid, so their "
+                           "antisymmetrised product vanishes", "antisymmetrize")
+        return InitialState(states, exchange[0] if exchange else "")
     if len(sec.children) != 1 or n != 1:
         _fail(sec, "single-particle scenarios take exactly one state block; "
                    "multi-particle ones use orbital blocks")
@@ -329,7 +337,7 @@ def _initial_state(sec: Section, n: int, box: SimulationBox) -> InitialState:
     if name == "model_ground":
         _check_dense(block, None, 1, box, projected=True)
         return InitialState(model_ground=True)
-    return InitialState((_sampled(block, box),))
+    return InitialState((_sampled(block, box)[0],))
 
 
 def _attenuation(sec: Section, box: SimulationBox) -> AttenuationSpec:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -63,6 +64,20 @@ def test_threads_below_one_is_refused(count, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["run", "--config", "gaussian_cap_1d", "--repeat"],
+                                  ["estimate", "--molecule", "NH3", "--cycles"]])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_counts_below_one_are_refused(argv, count, capsys, monkeypatch, tmp_path):
+    # --repeat 0 ran no job and --cycles 0 printed no depth line, both exiting 0
+    monkeypatch.chdir(tmp_path)     # where a run would write its default "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + [count])
+    assert exit_.value.code == 2
+    assert f"argument {argv[-1]}: must be a whole number of at least 1" \
+        in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_helium_outputs_are_byte_identical_across_thread_counts(tmp_path):
     # helium's step (eight slabs) and its dense step-eigenstate set-up (512
     # identity columns) both split over the threads that --threads sizes
@@ -111,6 +126,26 @@ def test_cli_run_and_diff(tmp_path, capsys):
     main(["run", "--config", str(cfg2), "--out", str(tmp_path / "r3")])
     capsys.readouterr()
     assert main(["diff", str(tmp_path / "r1"), str(tmp_path / "r3")]) == 1
+
+
+def test_cli_sampled_energy_shots_follow_the_seed(tmp_path, capsys):
+    # a cut gaussian_cap_1d that reads its energy from shots: the manifest
+    # marks that file sampled, one seed gives the same bytes, and a diff of
+    # two seeds skips it
+    cfg = tmp_path / "shots.cfg"
+    cfg.write_text(bundled_scenarios()["gaussian_cap_1d"]
+                   .replace("steps = 3000", "steps = 20")
+                   .replace("density = 300", "sampled_energy = 5  sampled_energy_shots = 64"))
+    for name, seed in (("a", "1"), ("b", "1"), ("c", "2")):
+        assert main(["run", "--config", str(cfg), "--seed", seed,
+                     "--out", str(tmp_path / name)]) == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["outputs"]["sampled_energy.csv"]["sampled"] is True
+    shots = {name: (tmp_path / name / "sampled_energy.csv").read_bytes() for name in "abc"}
+    assert shots["a"] == shots["b"] != shots["c"]
+    capsys.readouterr()
+    assert main(["diff", str(tmp_path / "a"), str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_repeat_mode(tmp_path):

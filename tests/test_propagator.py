@@ -73,7 +73,7 @@ KINETIC_LAYOUTS = {
                                        {"tag": Span(4, 1)}), (1.0, 1.0)),
     "column_above": (SimulationBox(2, 3, 10.0, 0.5),
                      particle_layout(1, 2, 3).with_ancilla("column", 6), (1.0,)),
-    # the x block has 2 amplitudes below its 8 points: several slabs per product
+    # no run: each block has amplitudes below it that are not an axis
     "ancilla_below": (SimulationBox(2, 3, 10.0, 0.5),
                       RegisterLayout((Particle((Span(1, 3), Span(4, 3))),),
                                      {"low": Span(0, 1)}), (1.0,)),
@@ -88,18 +88,21 @@ KINETIC_LAYOUTS = {
                                           {"low": Span(0, 1)}), (1.0,)),
     # eight slabs: the slab limit cuts the run below z, a block above it
     "3d_slabs": (SimulationBox(3, 6, 20.0, 0.5), particle_layout(1, 3, 6), (1.0,)),
-    # x transformed inside the run, after the ancilla's pass, y transformed
-    # in place above it
+    # no run: the ancilla below x puts both transforms in place
     "2d_wide_cut": (SimulationBox(2, 9, 40.0, 0.5),
                     RegisterLayout((Particle((Span(1, 9), Span(10, 9))),),
                                    {"low": Span(0, 1)}), (1.0,)),
     # odd runs, which end in the scratch slab and are copied back
     "3d_odd": (SimulationBox(3, 5, 20.0, 0.5), particle_layout(1, 3, 5), (1.0,)),
     "1d_narrow": (SimulationBox(1, 4, 10.0, 0.5), particle_layout(1, 1, 4), (1.0,)),
-    # the ancilla gap ends the run: z, above it, no longer fits in a slab
+    # the ancilla gap ends the run: z starts above its top
     "gap_cuts_run": (SimulationBox(3, 5, 20.0, 0.5),
                      RegisterLayout((Particle((Span(0, 5), Span(5, 5), Span(14, 5))),),
                                     {"gap": Span(10, 4)}), (1.0,)),
+    # below a 2-qubit column register: z is a block with 2^12 amplitudes below
+    # it and 4 rows above it
+    "3d_column": (SimulationBox(3, 6, 20.0, 0.5),
+                  particle_layout(1, 3, 6).with_ancilla("column", 2), (1.0,)),
 }
 
 
@@ -122,27 +125,26 @@ def test_kinetic_cycle_matches_fft_oracle(rng, name):
 
 @pytest.mark.parametrize("name, sizes", [
     ("3d_pair", ([(8, 8)] * 5, [(8, 8)])), ("2d_pair_cap", ([(16, 16)] * 4, [])),
-    ("ancilla_between", ([(4, 4), (4, 4), 2, (4, 4), (4, 4)], [])),
+    ("ancilla_between", ([(4, 4)] * 2, [(4, 4)] * 2)),
     ("mixed_masses", ([(4, 4)] * 4, [])), ("column_above", ([(8, 8)] * 2, [])),
     ("1d_wide", ([], [(512,)])), ("1d_64", ([(64, 64)], [])),
-    ("ancilla_below", ([2, (8, 8), (8, 8)], [])), ("2d_odd_wide", ([(128,)] * 2, [])),
-    ("wide_ancilla_below", ([2, (256,)], [])), ("3d_slabs", ([(64, 64)] * 2, [(64, 64)])),
+    ("ancilla_below", ([], [(8, 8)] * 2)), ("2d_odd_wide", ([(128,)] * 2, [])),
+    ("wide_ancilla_below", ([], [(256,)])), ("3d_slabs", ([(64, 64)] * 2, [(64, 64)])),
     ("3d_odd", ([(32, 32)] * 3, [])), ("1d_narrow", ([(16, 16)], [])),
-    ("gap_cuts_run", ([(32, 32)] * 2, [(32, 32)])), ("2d_wide_cut", ([2, (512,)], [(512,)]))])
+    ("gap_cuts_run", ([(32, 32)] * 2, [(32, 32)])), ("2d_wide_cut", ([], [(512,)] * 2)),
+    ("3d_column", ([(64, 64)] * 2, [(64, 64)]))])
 def test_each_narrow_axis_is_one_block(name, sizes):
     # each axis is one pass: below 128 points its dense block, from 128
     # points on its kinetic phases, applied between the axis's transform and
-    # back.  From the bottom up, the axes that fit in one slab with every
-    # qubit below them form the slab run, where ancilla qubits below or
-    # between them take a pass of their own (listed by point count), and a
-    # lone transform axis stays out of it; the passes of the axes above
-    # follow the run
+    # back.  The axes contiguous from qubit 0 that fit in one slab form the
+    # slab run, unless it would be a lone transform axis; every other axis,
+    # one above a gap among them, is a pass after the run
     box, layout, masses = KINETIC_LAYOUTS[name]
     spec = HamiltonianSpec(tuple(ParticleSpec(m, -1.0) for m in masses))
     kernel = compile_step(layout.with_box(box), StepPlan(0.05), spec)
-    run = [m if op is None else op.shape for m, op in kernel.run]
-    assert (run, [op.shape for _, op in kernel.passes]) == sizes
-    assert kernel.extent == np.prod([m for m, _ in kernel.run])
+    assert ([op.shape for op in kernel.run],
+            [op.shape for _, op in kernel.passes]) == sizes
+    assert kernel.extent == np.prod([op.shape[0] for op in kernel.run])
 
 
 _DETERMINISM_SCRIPT = """
@@ -162,18 +164,21 @@ set_blas_threads(int(sys.argv[1]))
 digest = hashlib.sha256()
 wide_cut = RegisterLayout((Particle((Span(1, 9), Span(10, 9))),), {"low": Span(0, 1)})
 wide_col = RegisterLayout((Particle((Span(0, 9), Span(9, 9))),), {"column": Span(18, 2)})
+block_col = particle_layout(1, 3, 6).with_ancilla("column", 2)
 # (particles, box, layout, damping, steps): helium's and scattering's
 # layouts, the probe's two 256-point axes transformed inside the slab run,
-# eight slabs with a block above the run (damped), a transform above the run
-# split into column groups, and the same below a column register, split into
-# column groups of four rows
+# eight slabs with a block above the run (damped), two transforms in place
+# below an ancilla, a transform above the run below a column register, split
+# into column groups of four rows, and a block above the run below that
+# register, with four rows above it
 for particles, box, layout, damping, steps in (
         (2, SimulationBox(3, 3, 25.0, 0.5), None, None, 20),
         (2, SimulationBox(2, 4, 16.0, 0.5), None, None, 20),
         (1, SimulationBox(2, 8, 30.0, 0.5), None, None, 20),
         (1, SimulationBox(3, 6, 20.0, 0.5), None, UniformEdgeRegion(4, 0.5), 5),
         (1, SimulationBox(2, 9, 40.0, 0.5), wide_cut, None, 5),
-        (1, SimulationBox(2, 9, 40.0, 0.5), wide_col, None, 3)):
+        (1, SimulationBox(2, 9, 40.0, 0.5), wide_col, None, 3),
+        (1, SimulationBox(3, 6, 20.0, 0.5), block_col, None, 3)):
     electron = ParticleSpec(1.0, -1.0)
     nucleus = (Nucleus((0.0,) * box.dims, 2.0),)
     layout = (layout or particle_layout(particles, box.dims, box.n_r)).with_box(box)
@@ -199,8 +204,8 @@ def test_block_products_run_on_one_blas_thread(monkeypatch, rng):
     if pool is None:
         pytest.skip("numpy links a BLAS other than its bundled OpenBLAS")
     seen, pooled = [], []
-    # the slab run's passes and the block products above it issue the products
-    for name in ("_rotate", "_apply_block"):
+    # the slab run's passes and the passes above it issue the products
+    for name in ("_rotate", "_apply_axis"):
         monkeypatch.setattr(propagator, name, lambda *args, f=getattr(propagator, name):
                             (seen.append((f.__name__, pool[0](), threading.get_ident())),
                              f(*args)))
@@ -228,7 +233,7 @@ def test_block_products_run_on_one_blas_thread(monkeypatch, rng):
         # eight slabs of the five low axes, then eight slabs of columns of
         # the top axis, split between this thread and the pool's
         assert Counter((f, n) for f, n, _ in seen) == {("_rotate", 1): 40,
-                                                       ("_apply_block", 1): 8}
+                                                       ("_apply_axis", 1): 8}
         threads = {t for *_, t in seen}
         assert threading.get_ident() in threads and len(threads) > 1
         assert pool[0]() == 2       # the pool's size is restored
@@ -257,21 +262,30 @@ def test_block_cycle_is_byte_identical_across_blas_threads():
     (1, 512, 512),      # the top axis: units of columns
     (4, 512, 512),      # below a column register: columns of one row each
     (1, 1 << 16, 1),    # an axis wider than a slab: one row per unit
+    (1, 8, 1 << 15),    # helium's top axis, a block: units of columns
+    (4, 64, 1 << 12),   # a block below a column register: columns of one row each
 ])
 def test_transform_units_cover_the_axis_once(rng, above, n, post):
-    # every unit of _apply_transform together is numpy's transform of the
-    # whole axis, bit for bit: no amplitude is missed or transformed twice
+    # every unit of _apply_axis together is the pass on the whole axis, a
+    # transform bit for bit and a block to rounding: no amplitude is missed
+    # or applied twice
     amps = random_state(rng, (above * n * post).bit_length() - 1)
-    phases = np.exp(-1j * rng.normal(size=n))
+    op = propagator._axis_pass(np.exp(-1j * rng.normal(size=n)))
     expect = amps.copy()
     view = expect.reshape(above, n, post)
-    np.fft.fft(view, axis=1, norm="ortho", out=view)
-    view *= phases[:, None]
-    np.fft.ifft(view, axis=1, norm="ortho", out=view)
+    if op.ndim == 2:
+        view[...] = op @ view
+    else:
+        np.fft.fft(view, axis=1, norm="ortho", out=view)
+        view *= op[:, None]
+        np.fft.ifft(view, axis=1, norm="ortho", out=view)
     scratch = np.empty(propagator.SLAB // 2, dtype=np.complex128)
     for k in range(amps.size // max(scratch.size, n)):
-        propagator._apply_transform(amps, phases, post, k, scratch)
-    assert np.array_equal(amps, expect)
+        propagator._apply_axis(amps, op, post, k, scratch)
+    if op.ndim == 2:
+        assert np.abs(amps - expect).max() < 1e-14
+    else:
+        assert np.array_equal(amps, expect)
 
 
 def test_split_step_identity_at_zero_dt(rng):
@@ -684,9 +698,9 @@ def test_propagate_callbacks_and_events(rng):
 
 
 def test_propagate_clock_counts_steps_from_the_last_event(rng):
-    # from t0 = 2, ten steps of 0.1 summed reach 3.000000000000001; counted,
-    # they reach 3.0, and after the event at step 10 the time counts on from
-    # there at the new dt
+    # ten steps of 0.1 summed reach 0.9999999999999999; counted, they reach
+    # 1.0, and after the event at step 10 the time counts on from there at
+    # the new dt
     box = SimulationBox(1, 3, 8.0)
     layout = particle_layout(1, 1, 3, box=box)
     times = []
@@ -696,10 +710,10 @@ def test_propagate_clock_counts_steps_from_the_last_event(rng):
 
     propagate(_random_sv(rng, layout), StepPlan(0.1), hydrogen_spec(1), 30,
               callbacks=[lambda step, t, current: times.append(t)],
-              events={10: halve_dt}, t0=2.0)
-    assert times == ([2.0 + k * 0.1 for k in range(1, 11)]
-                     + [(2.0 + 10 * 0.1) + k * 0.05 for k in range(1, 21)])
-    assert times[9] == 3.0
+              events={10: halve_dt})
+    assert times == ([k * 0.1 for k in range(1, 11)]
+                     + [10 * 0.1 + k * 0.05 for k in range(1, 21)])
+    assert times[9] == 1.0
 
 
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.01])

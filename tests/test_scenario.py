@@ -295,6 +295,11 @@ BAD_FIELDS.update({
         "charge = 1.0 } }",
         "charge = 1.0 }  attenuation { pixel { at = 99  strength = 1.0 } } }"),
         "hamiltonian.attenuation.pixel.at", 4),
+    # identical orbitals, whose antisymmetrised product is 0
+    "antisymmetrize_identical_orbitals": (bundled_scenarios()["scattering_reduced"].replace(
+        "hydrogen2d { n = 0  m = 0 }",
+        "gaussian { center = 0.0 5.0  momentum = 0.0 -1.5  alpha = 0.4 0.4 }"),
+        "initial_state.antisymmetrize", 23),
     # a second strength for the same pixel would silently replace the first
     "damping_pixel_given_twice": (BASE.replace(
         "charge = 1.0 } }",

@@ -181,18 +181,29 @@ def test_antisymmetrize_direct_swap_negates(rng):
 
 
 def test_antisymmetrize_direct_rejects_identical():
-    # identical orbitals cancel exactly, and the initial state refuses that
+    # identical orbitals cancel exactly: loading refuses them at the exchange
+    # key, and the initial state, which meets states that loading does not
+    # sample (step eigenstates, grids above 2^18 points), refuses them too
+    from dataclasses import replace
+    from gridwave.errors import ConfigError
     from gridwave.scenario import build_initial_state, load_scenario
     a = np.full(8, 1.0 / np.sqrt(8.0), dtype=complex)
     assert not exchange_product([a, a]).any()
-    orbital = "orbital { gaussian { center = 0.5  alpha = 1.0 } }"
-    with pytest.raises(DegenerateStateError, match="vanishes"):
-        build_initial_state(load_scenario(f"""
+    text = """
 box {{ dims = 1  n_r = 3  length = 8.0 }}
 particles {{ particle {{ }} particle {{ }} }}
-initial_state {{ {orbital} {orbital} antisymmetrize = true }}
+initial_state {{ {0} {1} antisymmetrize = true }}
 plan {{ dt = 0.01  steps = 0 }}
-"""))
+"""
+    orbital = "orbital { gaussian { center = 0.5  alpha = 1.0 } }"
+    with pytest.raises(ConfigError, match="line 4: the two orbitals are parallel") as err:
+        load_scenario(text.format(orbital, orbital))
+    assert err.value.field == "initial_state.antisymmetrize"
+    scen = load_scenario(text.format(orbital, orbital.replace("0.5", "1.5")))
+    same = scen.initial.orbitals[0]
+    with pytest.raises(DegenerateStateError, match="vanishes"):
+        build_initial_state(replace(scen, initial=scen.initial._replace(
+            orbitals=(same, same))))
 
 
 def test_antisymmetrize_matches_tensor_oracle():
