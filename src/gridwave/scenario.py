@@ -31,7 +31,7 @@ from .hamiltonian import (AttenuationSpec, ExplicitRegion, HamiltonianSpec,
                           Nucleus, ParticleSpec, UniformEdgeRegion)
 from .observables import TimeSeries, escape_tracker
 from .prep import ImaginaryTimeParams
-from .propagator import StepPlan
+from .propagator import StepPlan, basis_energies, set_blas_threads
 from .registers import particle_layout
 from .statevector import StateVector, enlarge_particle
 from . import states as st
@@ -177,9 +177,11 @@ def _walk(sec: Section) -> Section:
 StepEigenstate = namedtuple("StepEigenstate", "target")
 # the model ground state, a statevector dump, or one orbital per particle (an
 # analytic state or a StepEigenstate); exchange is "", "antisymmetrize" or
-# "symmetrize"
-InitialState = namedtuple("InitialState", "orbitals exchange model_ground file",
-                          defaults=((), "", False, None))
+# "symmetrize".  ``samples`` maps each orbital to the load-time
+# ``states.sample_weight`` of its analytic state or step-eigenstate target,
+# or to None where the grid is too wide to be sampled at load
+InitialState = namedtuple("InitialState", "orbitals exchange model_ground file samples",
+                          defaults=((), "", False, None, None))
 
 
 @dataclass
@@ -288,11 +290,11 @@ def _state(sec: Section, box: SimulationBox):
 
 
 def _sampled(sec: Section, box: SimulationBox):
-    """(:func:`_state` of an orbital or a state block, its
-    ``states.sample_weight`` on one particle's grid, as the run takes it);
-    refused where that refuses the state, or a step eigenstate's target.
-    The weight is None for a step eigenstate and on a grid of more than
-    2^SAMPLED_QUBITS points, which is not sampled."""
+    """(:func:`_state` of an orbital or a state block, the
+    ``states.sample_weight`` on one particle's grid of that state or of a
+    step eigenstate's target, which the run takes as it is); refused where
+    that refuses the state or the target.  The weight is None on a grid of
+    more than 2^SAMPLED_QUBITS points, which is not sampled."""
     state = _state(sec, box)
     if box.dims * box.n_r > SAMPLED_QUBITS:
         return state, None
@@ -300,10 +302,11 @@ def _sampled(sec: Section, box: SimulationBox):
         sec = _only_block(sec)
     target = state.target if isinstance(state, StepEigenstate) else state
     try:
-        weight = st.sample_weight(target, box)
+        samples, total = st.sample_weight(target, box)
     except DegenerateStateError as err:
         _fail(sec, str(err))
-    return state, None if target is not state else weight
+    samples.flags.writeable = False
+    return state, (samples, total)
 
 
 def _initial_state(sec: Section, n: int, box: SimulationBox) -> InitialState:
@@ -322,14 +325,16 @@ def _initial_state(sec: Section, n: int, box: SimulationBox) -> InitialState:
         if len(orbitals) != n:
             _fail(orbitals[-1], f"need one orbital block per particle ({n})")
         states, weights = zip(*(_sampled(o, box) for o in orbitals))
-        if exchange == ["antisymmetrize"] and None not in weights:
+        if (exchange == ["antisymmetrize"] and None not in weights
+                and not any(isinstance(s, StepEigenstate) for s in states)):
             (a, ta), (b, tb) = weights
             # |a^b|^2 = 2 (1 - |<a|b>|^2) for unit a and b: the run refuses
             # |a^b| < 1e-12, and the overlap's rounding stays far below 1e-12
             if 1.0 - abs(np.add.reduce(a.conj() * b)) ** 2 / (ta * tb) < 1e-12:
                 _fail(sec, "the two orbitals are parallel on the grid, so their "
                            "antisymmetrised product vanishes", "antisymmetrize")
-        return InitialState(states, exchange[0] if exchange else "")
+        return InitialState(states, exchange[0] if exchange else "",
+                            samples=dict(zip(states, weights)))
     if len(sec.children) != 1 or n != 1:
         _fail(sec, "single-particle scenarios take exactly one state block; "
                    "multi-particle ones use orbital blocks")
@@ -337,7 +342,8 @@ def _initial_state(sec: Section, n: int, box: SimulationBox) -> InitialState:
     if name == "model_ground":
         _check_dense(block, None, 1, box, projected=True)
         return InitialState(model_ground=True)
-    return InitialState((_sampled(block, box)[0],))
+    state, weight = _sampled(block, box)
+    return InitialState((state,), samples={state: weight})
 
 
 def _attenuation(sec: Section, box: SimulationBox) -> AttenuationSpec:
@@ -454,12 +460,19 @@ def load_scenario(text: str) -> Scenario:
                    f"{obs.ipe} give {steps // obs.ipe} (fit = false keeps the "
                    "series)", "fit")
 
+    initial = _initial_state(top.child("initial_state"), n, box)
+    for p, orbital in enumerate(initial.orbitals):
+        if isinstance(orbital, StepEigenstate):
+            try:
+                _step_frame(box, spec, spec.particles[p], dt)
+            except ConfigError as err:
+                _fail(plan, str(err), "dt")
+
     return Scenario(
         root=root, description=top.get("description"), seed=top.get("seed"),
         extended=top.get("extended"), box=box, spec=spec, plan_dt=dt,
         plan_steps=steps, aug_patches=patches, attenuation=attenuation,
-        initial=_initial_state(top.child("initial_state"), n, box),
-        observables=obs, events=tuple(events), prep=prep)
+        initial=initial, observables=obs, events=tuple(events), prep=prep)
 
 
 def validate_scenario(text: str, *, allow_extended: bool = False) -> Scenario:
@@ -504,11 +517,14 @@ def build_initial_state(scen: Scenario) -> StateVector:
 
     vecs = []
     kinds: dict[ParticleSpec, tuple] = {}
+    samples = init.samples or {}
     for particle_idx, orbital in enumerate(init.orbitals):
+        sampled = samples.get(orbital)
         if isinstance(orbital, StepEigenstate):
-            vecs.append(_step_eigenvector(scen, particle_idx, orbital.target, kinds))
+            vecs.append(_step_eigenvector(scen, particle_idx, orbital.target, kinds,
+                                          sampled))
         else:
-            vecs.append(st.discretize(orbital, box)[0])
+            vecs.append(st.discretize(orbital, box, sampled)[0])
     if init.exchange:
         amps = st.exchange_product(vecs, symmetrize=init.exchange == "symmetrize")
         raw = float(np.sqrt(np.add.reduce(np.abs(amps) ** 2)))
@@ -521,49 +537,90 @@ def build_initial_state(scen: Scenario) -> StateVector:
     return StateVector(amps, layout)
 
 
+def _step_frame(box: SimulationBox, spec: HamiltonianSpec, particle: ParticleSpec,
+                dt: float):
+    """(single, h, phi) for the free split cycle U_SO = P K of ``particle``
+    alone: its one-particle spec, h = exp(-i dt V/2) of its position energies
+    on the grid, and phi = -dt (E_lo + E_hi)/2, where E_lo and E_hi sum the
+    minima and the maxima of its kinetic and position energies.
+
+    U_SO's eigenphases lie in the arc of half-width dt (E_hi - E_lo)/2 about
+    phi, since the arcs of unitary factors add.  Refused with ConfigError
+    naming plan.dt where that arc reaches pi, so that every eigenphase of
+    exp(-i phi) P^1/2 K P^1/2 lies in (-pi/2, pi/2), where sin is one to one.
+    """
+    single = HamiltonianSpec((particle,), spec.nuclei, None, spec.efield)
+    kinetic, position = basis_energies(particle_layout(1, box.dims, box.n_r, box=box),
+                                       single)
+    position = np.broadcast_to(position, kinetic.shape)    # 0 without a term
+    lo, hi = kinetic.min() + position.min(), kinetic.max() + position.max()
+    if not dt * (hi - lo) < np.pi:
+        raise ConfigError(
+            f"step eigenstates need dt (dT + dV) < pi, the spread of the free "
+            f"cycle's eigenphases; dt {dt} with dT + dV = {hi - lo:.6g} gives "
+            f"{dt * (hi - lo):.6g}", field="plan.dt")
+    return single, np.exp(-0.5j * dt * position), -0.5 * dt * (lo + hi)
+
+
+def _step_eigenbasis(box: SimulationBox, spec: HamiltonianSpec, particle: ParticleSpec,
+                     dt: float):
+    """(Q, phases): the eigenvectors, as Q's columns, and the eigenphases,
+    ascending, of ``particle``'s free split cycle U_SO = P K, from one real
+    symmetric eigensolve.
+
+    With h and phi of :func:`_step_frame`, W = exp(-i phi) conj(h) U_SO h =
+    exp(-i phi) P^1/2 K P^1/2 is unitary and complex symmetric, so its real
+    and imaginary parts are commuting real symmetric matrices, and its
+    eigenphases lie in (-pi/2, pi/2).  The eigenvectors V of its imaginary
+    part, which holds their sines, are then W's, and U_SO's are Q = h V with
+    eigenphases phi + arcsin(sine).
+    """
+    from .dense import split_cycle_matrix
+    single, h, phi = _step_frame(box, spec, particle, dt)
+    w = split_cycle_matrix(box, single, dt)
+    w *= (np.exp(-1j * phi) * h.conj())[:, None]
+    w *= h
+    sines = w.imag + w.imag.T     # symmetrised against rounding in U_SO
+    sines *= 0.5
+    s, v = np.linalg.eigh(sines)
+    return h[:, None] * v, phi + np.arcsin(s)
+
+
 def _step_eigenvector(scen: Scenario, particle_idx: int, target_state,
-                      kinds: dict) -> np.ndarray:
+                      kinds: dict, sampled=None) -> np.ndarray:
     """Eigenvector of this particle's free split cycle nearest a target state.
 
     Such orbitals are exactly stationary when pair couplings are off, which
     isolates the interaction as the only source of density dynamics.  The
     target, less its components along the orbitals already picked for this
-    particle kind, is projected onto the eigenspace (Schur columns whose
-    eigenvalues lie within ``EIGENSPACE_TOL``) that holds the largest share
-    of it.  Rounding in U_SO rotates the Schur columns inside a degenerate
-    eigenspace but leaves that projection in place.  ``kinds`` keeps, per
-    particle kind, the Schur vectors, their eigenspace labels and the
-    orbitals picked so far.
+    particle kind, is projected onto the eigenspace (eigenvectors of
+    :func:`_step_eigenbasis` whose eigenphases lie within ``EIGENSPACE_TOL``
+    of the one before) that holds the largest share of it.  Rounding in U_SO
+    rotates the eigenvectors inside a degenerate eigenspace but leaves that
+    projection in place.  ``kinds`` keeps, per particle kind, the
+    eigenvectors, their eigenspace labels and the orbitals picked so far.
+    ``sampled`` is the target's load-time ``states.sample_weight``, if taken.
+    The solve and the products hold numpy's OpenBLAS at one thread, since
+    its threaded LAPACK and BLAS round differently at each pool size.
     """
     particle = scen.spec.particles[particle_idx]
-    if particle not in kinds:
-        from scipy.linalg import schur
-        from .dense import split_cycle_matrix
-        from .propagator import set_blas_threads
-        single = HamiltonianSpec((particle,), scen.spec.nuclei, None,
-                                 scen.spec.efield)
-        cycle = split_cycle_matrix(scen.box, single, scen.plan_dt)
-        # LAPACK's threaded products round differently at each pool size
-        threads = set_blas_threads(1, "scipy")
-        try:
-            t, q = schur(cycle, output="complex")
-        finally:
-            set_blas_threads(threads, "scipy")
-        # by phase, an eigenvalue far from the one before it opens an eigenspace;
-        # those before the first opening close the circle into the last one
-        order = np.argsort(np.angle(np.diag(t)))
-        lam = np.diag(t)[order]
-        opens = np.abs(lam - np.roll(lam, 1)) > EIGENSPACE_TOL
-        labels = (np.cumsum(opens) % max(int(opens.sum()), 1))[np.argsort(order)]
-        kinds[particle] = (q, labels, [])
-    q, labels, picked = kinds[particle]
-    target, _ = st.discretize(target_state, scen.box)
-    for orbital in picked:
-        target = target - orbital * np.vdot(orbital, target)
-    coeffs = q.conj().T @ target
-    keep = labels == np.argmax(np.bincount(labels, np.abs(coeffs) ** 2))
-    vec = q[:, keep] @ coeffs[keep]
-    norm = np.linalg.norm(vec)
+    threads = set_blas_threads(1)
+    try:
+        if particle not in kinds:
+            q, phases = _step_eigenbasis(scen.box, scen.spec, particle, scen.plan_dt)
+            # ascending, within an arc below pi: a gap opens the next eigenspace
+            labels = np.cumsum(np.diff(phases, prepend=phases[0]) > EIGENSPACE_TOL)
+            kinds[particle] = (q, labels, [])
+        q, labels, picked = kinds[particle]
+        target, _ = st.discretize(target_state, scen.box, sampled)
+        for orbital in picked:
+            target = target - orbital * np.vdot(orbital, target)
+        coeffs = q.conj().T @ target
+        keep = labels == np.argmax(np.bincount(labels, np.abs(coeffs) ** 2))
+        vec = q[:, keep] @ coeffs[keep]
+        norm = np.linalg.norm(vec)
+    finally:
+        set_blas_threads(threads)
     if norm < 1e-12:
         raise DegenerateStateError(f"orbital {particle_idx}: no part of its target "
                                    "lies outside the orbitals already picked")

@@ -224,14 +224,16 @@ def sample_weight(state, box: SimulationBox):
     return samples, total
 
 
-def discretize(state, box: SimulationBox):
+def discretize(state, box: SimulationBox, sampled=None):
     """Sample an analytic state onto the pixel grid.
 
     Returns (unit-norm amplitude vector, C) where C is the normalisation
     constant of the pixel expansion; C strays from unity when the state is
-    clipped by the box or varies quickly on the grid scale.
+    clipped by the box or varies quickly on the grid scale.  ``sampled``, the
+    :func:`sample_weight` of ``state`` on ``box`` when already taken, is used
+    instead of sampling again.
     """
-    samples, total = sample_weight(state, box)
+    samples, total = sampled or sample_weight(state, box)
     c = 1.0 / np.sqrt(total * box.delta_r ** box.dims)
     if abs(c - 1.0) > 1e-3:
         warnings.warn(

@@ -340,3 +340,30 @@ def phase_register_readout(u, psi, s_qubits: int, base: int) -> np.ndarray:
     fourier = np.exp(2j * np.pi * np.outer(y, y) / m) / np.sqrt(m)
     readout = fourier @ blocks
     return np.sum(np.abs(readout) ** 2, axis=1)
+
+
+def step_eigenbasis_reference(cycle, targets, tol: float = 1e-8) -> list:
+    """The step eigenstates picked from the split cycle ``cycle`` for
+    ``targets`` in turn, by its complex Schur form: each target, less its
+    components along the orbitals picked before it, projected onto the
+    eigenspace that holds the largest share of it, and normalised.
+
+    An eigenspace is a run of Schur columns whose eigenvalues, ordered by
+    phase, lie within ``tol`` of the one before; the columns before the
+    first gap close the circle into the last run.
+    """
+    from scipy.linalg import schur
+    t, q = schur(cycle, output="complex")
+    order = np.argsort(np.angle(np.diag(t)))
+    lam = np.diag(t)[order]
+    opens = np.abs(lam - np.roll(lam, 1)) > tol
+    labels = (np.cumsum(opens) % max(int(opens.sum()), 1))[np.argsort(order)]
+    picked = []
+    for target in targets:
+        for orbital in picked:
+            target = target - orbital * np.vdot(orbital, target)
+        coeffs = q.conj().T @ target
+        keep = labels == np.argmax(np.bincount(labels, np.abs(coeffs) ** 2))
+        vec = q[:, keep] @ coeffs[keep]
+        picked.append(vec / np.linalg.norm(vec))
+    return picked

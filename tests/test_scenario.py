@@ -300,6 +300,11 @@ BAD_FIELDS.update({
         "hydrogen2d { n = 0  m = 0 }",
         "gaussian { center = 0.0 5.0  momentum = 0.0 -1.5  alpha = 0.4 0.4 }"),
         "initial_state.antisymmetrize", 23),
+    # a step eigenstate needs dt (dT + dV) < pi; here it is 3.9 rad
+    "step_eigenstate_dt_past_the_arc": (BASE.replace(
+        "gaussian { center = 0.0  alpha = 1.0 }",
+        "orbital { step_eigenstate { gaussian { center = 0.0  alpha = 1.0 } } }")
+        .replace("dt = 0.01", "dt = 0.25"), "plan.dt", 6),
     # a second strength for the same pixel would silently replace the first
     "damping_pixel_given_twice": (BASE.replace(
         "charge = 1.0 } }",
@@ -576,21 +581,8 @@ plan { dt = 0.01  steps = 4 }
     validate_scenario(base + f"prep {{ {imaginary} }}")
 
 
-def test_step_eigenstate_orbitals_share_one_schur_form(monkeypatch):
-    import scipy.linalg
-    from gridwave import dense
-    calls = {"cycle": 0, "schur": 0}
-
-    def counted(name, inner):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(dense, "split_cycle_matrix",
-                        counted("cycle", dense.split_cycle_matrix))
-    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
-    text = """
+# two orbitals of one particle kind, 1D n_r = 3: dt (dT + dV) is 0.067 rad
+TWO_STEP_ORBITALS = """
 seed = 5
 box { dims = 1  n_r = 3  length = 8.0 }
 particles {
@@ -605,20 +597,120 @@ initial_state {
 }
 plan { dt = 0.01  steps = 0 }
 """
-    state = build_initial_state(load_scenario(text))
-    assert calls == {"cycle": 1, "schur": 1}
+
+
+def test_step_eigenstate_orbitals_share_one_eigensolve(monkeypatch):
+    from gridwave import dense
+    calls = {"cycle": 0, "eigh": 0}
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dense, "split_cycle_matrix",
+                        counted("cycle", dense.split_cycle_matrix))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    state = build_initial_state(load_scenario(TWO_STEP_ORBITALS))
+    assert calls == {"cycle": 1, "eigh": 1}
     from gridwave.statevector import inner_product, swap_particle_registers
     swapped = swap_particle_registers(state, 0, 1)
     assert inner_product(state, swapped).real == pytest.approx(-1.0, abs=1e-9)
 
 
+def _helium_reduced(offset):
+    return bundled_scenarios()["helium_reduced"].replace(
+        "origin_offset = 0.5", f"origin_offset = {offset}")
+
+
+@pytest.mark.parametrize("text", [_helium_reduced(0.5), _helium_reduced(0.426873),
+                                  TWO_STEP_ORBITALS],
+                         ids=["helium_0.5", "helium_0.426873", "1d_two_orbitals"])
+def test_step_eigenstate_picks_match_the_schur_reference(text):
+    from gridwave.dense import split_cycle_matrix
+    from gridwave.hamiltonian import HamiltonianSpec
+    from gridwave.scenario import _step_eigenvector
+    from gridwave.states import discretize
+    from .oracles import step_eigenbasis_reference
+    scen = load_scenario(text)
+    kinds = {}
+    targets = [o.target for o in scen.initial.orbitals]
+    picks = [_step_eigenvector(scen, p, t, kinds) for p, t in enumerate(targets)]
+    # both orbitals are of one particle kind
+    single = HamiltonianSpec(scen.spec.particles[:1], scen.spec.nuclei)
+    reference = step_eigenbasis_reference(
+        split_cycle_matrix(scen.box, single, scen.plan_dt),
+        [discretize(t, scen.box)[0] for t in targets])
+    assert np.abs(np.array(picks) - np.array(reference)).max() <= 1e-12
+
+
+def test_step_eigenbasis_diagonalises_the_cycle():
+    # 1024 dimensions: a 2D n_r = 5 grid, dt (dT + dV) = 1.37 rad
+    from gridwave.dense import split_cycle_matrix
+    from gridwave.grid import SimulationBox
+    from gridwave.hamiltonian import HamiltonianSpec, Nucleus, ParticleSpec
+    from gridwave.scenario import _step_eigenbasis
+    box = SimulationBox(2, 5, 20.0, 0.5)
+    spec = HamiltonianSpec((ParticleSpec(1.0, -1.0),), (Nucleus((0.0, 0.0), 1.0),))
+    q, phases = _step_eigenbasis(box, spec, spec.particles[0], 0.05)
+    u = split_cycle_matrix(box, spec, 0.05)
+    assert np.all(np.diff(phases) >= 0)
+    assert np.linalg.norm(u @ q - q * np.exp(1j * phases), 2) <= 1e-13
+
+
+def test_step_eigenstate_solve_refuses_an_arc_of_pi():
+    from types import SimpleNamespace
+    from gridwave.scenario import _step_eigenvector
+    scen = load_scenario(TWO_STEP_ORBITALS)
+    # dt (dT + dV) = 6.7 rad; the scenario's own dt is far below the bound
+    wide = SimpleNamespace(spec=scen.spec, box=scen.box, plan_dt=1.0)
+    with pytest.raises(ConfigError, match="pi") as err:
+        _step_eigenvector(wide, 0, scen.initial.orbitals[0].target, {})
+    assert err.value.field == "plan.dt"
+
+
+def test_step_eigenstate_set_up_leaves_scipy_linalg_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    code = ("import sys\n"
+            "from gridwave.scenario import build_initial_state, bundled_scenarios, "
+            "load_scenario\n"
+            "build_initial_state(load_scenario(bundled_scenarios()['helium_reduced']))\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", ["scattering_reduced", "helium_reduced"])
+def test_each_orbital_is_sampled_once(monkeypatch, name):
+    # load samples every analytic orbital and step-eigenstate target; the
+    # build takes those samples as they are
+    from gridwave import states
+    calls = []
+    inner = states.grid_eval
+
+    def counted(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(states, "grid_eval", counted)
+    scen = load_scenario(bundled_scenarios()[name])
+    build_initial_state(scen)
+    assert len(calls) == len(scen.initial.orbitals) == 2
+
+
 @pytest.mark.parametrize("offset", [0.5, 0.426873])
 def test_step_eigenstate_pick_ignores_rounding_in_the_cycle(monkeypatch, offset):
     # helium's 2p eigenphases agree to 1e-11, so rounding in U_SO rotates the
-    # Schur columns inside that eigenspace; the picked orbitals must not move
+    # eigenvectors inside that eigenspace; the picked orbitals must not move
     from gridwave import dense
-    scen = load_scenario(bundled_scenarios()["helium_reduced"].replace(
-        "origin_offset = 0.5", f"origin_offset = {offset}"))
+    scen = load_scenario(_helium_reduced(offset))
     clean = build_initial_state(scen).amps
     inner = dense.split_cycle_matrix
     rng = np.random.default_rng(11)
